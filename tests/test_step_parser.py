@@ -88,11 +88,34 @@ def test_duplicate_instance_name_is_hard_error():
         parse_exchange(wrap("#1=CARTESIAN_POINT('',(0.,0.,0.));\n#1=DIRECTION('',(1.,0.,0.));\n"))
 
 
-def test_syntax_error_carries_position():
+PREFIX = "ISO-10303-21;\nHEADER;\nENDSEC;\nDATA;\n"
+
+
+@pytest.mark.parametrize("text, line, column, expected", [
+    ("ISO-10303-21;\nHEADER;\n  /* never closed\nENDSEC;\n", 3, 3, "closing */ for comment"),
+    (PREFIX + "#1=A(#);\n", 5, 6, "entity id digits after '#'"),
+    (PREFIX + "#1=A('abc);\nENDSEC;\n", 5, 6, "closing ' for string"),
+    (PREFIX + "#1=A('ab''", 5, 6, "closing ' for string"),
+    (PREFIX + "#1=A(1.E);\n", 5, 9, "exponent digits"),
+    (PREFIX + "#1=A(1.E+);\n", 5, 10, "exponent digits"),
+    (PREFIX + "#1=A(+);\n", 5, 6, "digits in number"),
+    (PREFIX + "#1=A(.ENUM);\n", 5, 6, "closing '.' for enumeration"),
+    (PREFIX + "#1=A(@);\n", 5, 6, "a Part-21 token"),
+    (PREFIX + "#1=A(\f);\n", 5, 6, "a Part-21 token"),
+    (PREFIX + "#0=A(1);\n", 5, 1, "a positive instance name"),
+    (PREFIX + "#1=A(1)\n#2=B(2);\n", 6, 1, ";"),
+    (PREFIX + "#1=CARTESIAN_POINT('',(0.,0.,0.)\n", 6, 1, ")"),
+    (PREFIX + "#1=A(1);\n", 6, 1, "ENDSEC for DATA"),
+], ids=[
+    "open-comment", "hash-no-digits", "open-string", "open-string-escaped-quote",
+    "no-exponent-digits", "no-exponent-digits-after-sign", "lone-plus", "open-enum",
+    "stray-at", "stray-form-feed", "zero-instance-name", "missing-semicolon",
+    "missing-paren", "missing-endsec",
+])
+def test_syntax_error_carries_position(text, line, column, expected):
     with pytest.raises(StepSyntaxError) as exc:
-        parse_exchange("ISO-10303-21;\nHEADER;\nENDSEC;\nDATA;\n#1=CARTESIAN_POINT('',(0.,0.,0.)\n")
-    assert exc.value.line >= 5
-    assert exc.value.column >= 1
+        parse_exchange(text)
+    assert (exc.value.line, exc.value.column, exc.value.expected) == (line, column, expected)
 
 
 def test_complex_instance_parses_and_counts_as_ignored():
