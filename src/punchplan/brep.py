@@ -51,6 +51,15 @@ class NonManifoldEdge(BrepError):
         self.count = count
 
 
+class NotManifold(BrepError):
+    """The solid fails :func:`validate_manifold`; carries every violation found."""
+
+    def __init__(self, violations: list["Violation"]):
+        lines = "\n".join(f"  {v.kind}: {v.message}" for v in violations)
+        super().__init__(f"model is not a closed manifold:\n{lines}")
+        self.violations = violations
+
+
 class SchemaError(BrepError):
     """Native JSON document violates the interchange schema."""
 
@@ -129,7 +138,7 @@ class Face:
 
 
 class Solid:
-    """Closed-shell B-Rep with an eagerly built edge -> faces adjacency index."""
+    """Closed-shell B-Rep with an eagerly built edge -> face-use index."""
 
     def __init__(
         self,
@@ -153,9 +162,6 @@ class Solid:
                     uses[eid].append(f.id)
         self.edge_uses: dict[int, tuple[int, ...]] = {
             eid: tuple(fids) for eid, fids in uses.items()
-        }
-        self.adjacency: dict[int, frozenset[int]] = {
-            eid: frozenset(fids) for eid, fids in uses.items()
         }
 
     def _check_references(self) -> None:
@@ -450,9 +456,10 @@ def load_brep_json(text: str) -> Solid:
         cobj = _req(e, "curve", path)
         ckind = _req(cobj, "kind", f"{path}/curve")
         if ckind == "line":
-            if start == end:
-                raise SchemaError(path, "line edge with coincident endpoints")
-            direction = (vertices[end] - vertices[start]).normalized()
+            try:
+                direction = (vertices[end] - vertices[start]).normalized()
+            except ValueError:
+                raise SchemaError(path, "line edge with coincident endpoints") from None
             curve: CurveGeometry = Line(vertices[start], direction)
         elif ckind == "circle":
             radius = _num(_req(cobj, "radius", f"{path}/curve"), f"{path}/curve/radius")
@@ -547,6 +554,3 @@ def _list(doc: dict, key: str) -> list:
 def planar_faces(solid: Solid) -> list[Face]:
     return [f for f in solid.faces.values() if isinstance(f.surface, Plane)]
 
-
-def cylindrical_faces(solid: Solid) -> list[Face]:
-    return [f for f in solid.faces.values() if isinstance(f.surface, Cylinder)]

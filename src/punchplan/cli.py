@@ -28,6 +28,7 @@ from .brep import (
     planar_faces,
     validate_manifold,
 )
+from .classify import ClassificationError
 from .features import RecognitionError, sheet_metrics
 from .process import DEFAULT_H1_FRACTION, DEFAULT_HOLDING_FRACTION
 from .report import PartAnalysis, ReportSettings, analyze_solid, report_document
@@ -141,13 +142,9 @@ def _load_dbs(args) -> tuple[dict, dict]:
 
 def _analyze_validated(solid: Solid, cut_height: float | None) -> PartAnalysis:
     try:
-        analysis = analyze_solid(solid, cut_height)
-    except (RecognitionError, BrepError) as exc:
+        return analyze_solid(solid, cut_height)
+    except (RecognitionError, ClassificationError, BrepError) as exc:
         raise CliError(EXIT_VALIDATION, str(exc)) from None
-    if analysis.violations:
-        lines = "\n".join(f"  {v.kind}: {v.message}" for v in analysis.violations)
-        raise CliError(EXIT_VALIDATION, f"model is not a closed manifold:\n{lines}")
-    return analysis
 
 
 def _settings(args) -> ReportSettings:

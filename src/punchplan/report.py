@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import classify as _classify
 from . import features as _features
-from .brep import Solid, Violation, validate_manifold
+from .brep import NotManifold, Solid, Violation, validate_manifold
 from .classify import Classification, EdgeClassTotals
 from .features import FacePairing, SheetFeature, SheetMetrics
 from .process import (
@@ -44,8 +44,11 @@ class PartAnalysis:
 
 
 def analyze_solid(solid: Solid, cut_height: float | None = None) -> PartAnalysis:
-    """Run metrics, pairing, grouping, heights, and edge classification."""
+    """Check the manifold, then run metrics, pairing, grouping, heights, and
+    edge classification. Raises :class:`NotManifold` before any recognition."""
     violations = validate_manifold(solid)
+    if violations:
+        raise NotManifold(violations)
     metrics = _features.sheet_metrics(solid)
     pairing = _features.pair_faces(solid, metrics)
     grouped = _features.group_features(solid, pairing, metrics)

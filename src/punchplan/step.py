@@ -4,6 +4,12 @@
 interpreting any schema; ``resolve_brep`` then walks the one
 MANIFOLD_SOLID_BREP tree and builds a :class:`punchplan.brep.Solid`.
 
+Tokenizing is one compiled master pattern with a named group per token kind,
+matched from a generator that yields ``(kind, value, offset)`` lazily. Outside
+strings and comments only ASCII is accepted (the Part-21 basic alphabet).
+Line and column are computed from the offset only when a
+:class:`StepSyntaxError` is raised.
+
 Only the geometry subset needed for sheet-metal parts is resolved
 (points, directions, placements, lines, circles, planes, cylinders, and
 the face/loop/edge/vertex topology). Anything else stays in the entity
@@ -14,6 +20,8 @@ A warning is recorded if the file declares a non-millimetre length unit.
 """
 from __future__ import annotations
 
+import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Union
@@ -72,12 +80,14 @@ class MissingSolid(StepError):
         super().__init__("no MANIFOLD_SOLID_BREP entity present")
 
 
-SUPPORTED_ENTITIES = frozenset({
-    "CARTESIAN_POINT", "DIRECTION", "AXIS2_PLACEMENT_3D", "VERTEX_POINT",
-    "LINE", "CIRCLE", "VECTOR", "EDGE_CURVE", "ORIENTED_EDGE", "EDGE_LOOP",
-    "FACE_BOUND", "FACE_OUTER_BOUND", "PLANE", "CYLINDRICAL_SURFACE",
-    "ADVANCED_FACE", "CLOSED_SHELL", "MANIFOLD_SOLID_BREP",
-})
+# The supported geometry subset, with the fewest arguments the resolver reads.
+_MIN_ARGS = {
+    "CARTESIAN_POINT": 2, "DIRECTION": 2, "AXIS2_PLACEMENT_3D": 3, "VERTEX_POINT": 2,
+    "LINE": 3, "CIRCLE": 3, "VECTOR": 2, "EDGE_CURVE": 4, "ORIENTED_EDGE": 4, "EDGE_LOOP": 2,
+    "FACE_BOUND": 2, "FACE_OUTER_BOUND": 2, "PLANE": 2, "CYLINDRICAL_SURFACE": 3,
+    "ADVANCED_FACE": 3, "CLOSED_SHELL": 2, "MANIFOLD_SOLID_BREP": 2,
+}
+SUPPORTED_ENTITIES = frozenset(_MIN_ARGS)
 
 
 class Unset:
@@ -166,188 +176,120 @@ class ExchangeStructure:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_PUNCT = set("();,=")
+# One master pattern; the name of the group that matched is the token kind.
+# Only ASCII letters and digits are accepted outside strings and comments
+# (the Part-21 basic alphabet). The lookaheads keep a number from stopping
+# short of a dangling exponent, so that ``1.E`` fails as a whole.
+_TOKEN = re.compile(r"""
+    (?P<skip>[ \t\r\n]+|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
+  | (?P<punct>[();,=])
+  | (?P<unset>\$)
+  | (?P<derived>\*)
+  | \#(?P<ref>[0-9]+)
+  | '(?P<string>[^']*(?:''[^']*)*)'(?!')
+  | (?P<integer>[+-]?[0-9]+(?![.eE0-9]))
+  | (?P<real>[+-]?(?=\.?[0-9])[0-9]*(?:\.[0-9]*|(?!\.))(?:[eE][+-]?[0-9]+|(?![eE0-9])))
+  | \.(?P<bool>[TF])\.
+  | \.(?P<enum>(?![0-9])[A-Za-z0-9_]*)\.
+  | (?P<keyword>[A-Za-z_][A-Za-z0-9_-]*)
+""", re.VERBOSE)
+
+_NUMBER_START = re.compile(r"[+-]|\.?[0-9]")
+_EXPONENT = re.compile(r"[+-]?[0-9]*(?:\.[0-9]*)?[eE][+-]?(?P<digit>[0-9]?)")
+
+_CONVERT = {
+    "unset": lambda _: UNSET,
+    "derived": lambda _: DERIVED,
+    "ref": int,
+    "string": lambda s: s.replace("''", "'"),  # backslash escapes pass through
+    "integer": int,
+    "real": float,
+    "bool": lambda name: name == "T",
+    "enum": Enum,
+    "keyword": str,
+}
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind: str, value, line: int, col: int):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
-
-    def __repr__(self) -> str:  # debugging aid
-        return f"<{self.kind} {self.value!r} @{self.line}:{self.col}>"
+def _syntax_error(text: str, offset: int, expected: str, found: str = "") -> StepSyntaxError:
+    line = text.count("\n", 0, offset) + 1
+    return StepSyntaxError(line, offset - text.rfind("\n", 0, offset), expected, found)
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+def _token_error(text: str, pos: int) -> StepSyntaxError:
+    """Name what went wrong at ``pos``, where no token matched."""
+    ch = text[pos]
+    if text.startswith("/*", pos):
+        return _syntax_error(text, pos, "closing */ for comment")
+    if ch == "#":
+        return _syntax_error(text, pos, "entity id digits after '#'")
+    if ch == "'":
+        return _syntax_error(text, pos, "closing ' for string")
+    if _NUMBER_START.match(text, pos):
+        exponent = _EXPONENT.match(text, pos)
+        if exponent and not exponent["digit"]:
+            return _syntax_error(text, exponent.end(), "exponent digits")
+        return _syntax_error(text, pos, "digits in number")
+    if ch == ".":
+        return _syntax_error(text, pos, "closing '.' for enumeration")
+    return _syntax_error(text, pos, "a Part-21 token", ch)
 
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
 
-    def _skip_ws_and_comments(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self._advance()
-            elif self.text.startswith("/*", self.pos):
-                start_line, start_col = self.line, self.col
-                self._advance(2)
-                while self.pos < len(self.text) and not self.text.startswith("*/", self.pos):
-                    self._advance()
-                if self.pos >= len(self.text):
-                    raise StepSyntaxError(start_line, start_col, "closing */ for comment")
-                self._advance(2)
-            else:
-                return
-
-    def next_token(self) -> _Token:
-        self._skip_ws_and_comments()
-        line, col = self.line, self.col
-        if self.pos >= len(self.text):
-            return _Token("eof", None, line, col)
-        ch = self.text[self.pos]
-        if ch in _PUNCT:
-            self._advance()
-            return _Token(ch, ch, line, col)
-        if ch == "$":
-            self._advance()
-            return _Token("unset", UNSET, line, col)
-        if ch == "*":
-            self._advance()
-            return _Token("derived", DERIVED, line, col)
-        if ch == "#":
-            self._advance()
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self._advance()
-            if self.pos == start:
-                raise StepSyntaxError(line, col, "entity id digits after '#'")
-            return _Token("ref", int(self.text[start:self.pos]), line, col)
-        if ch == "'":
-            return self._string(line, col)
-        if ch == ".":
-            nxt = self.text[self.pos + 1] if self.pos + 1 < len(self.text) else ""
-            if nxt.isdigit():
-                return self._number(line, col)
-            return self._enum(line, col)
-        if ch.isdigit() or ch in "+-":
-            return self._number(line, col)
-        if ch.isalpha() or ch == "_":
-            start = self.pos
-            while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] in "_-"):
-                self._advance()
-            return _Token("keyword", self.text[start:self.pos], line, col)
-        raise StepSyntaxError(line, col, "a Part-21 token", ch)
-
-    def _string(self, line: int, col: int) -> _Token:
-        # '' inside a string is a literal quote; backslash escapes pass through.
-        self._advance()
-        out: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise StepSyntaxError(line, col, "closing ' for string")
-            ch = self.text[self.pos]
-            if ch == "'":
-                if self.text.startswith("''", self.pos):
-                    out.append("'")
-                    self._advance(2)
-                    continue
-                self._advance()
-                return _Token("string", "".join(out), line, col)
-            out.append(ch)
-            self._advance()
-
-    def _number(self, line: int, col: int) -> _Token:
-        start = self.pos
-        if self.text[self.pos] in "+-":
-            self._advance()
-        digits = 0
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self._advance()
-            digits += 1
-        is_real = False
-        if self.pos < len(self.text) and self.text[self.pos] == ".":
-            is_real = True
-            self._advance()
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self._advance()
-        if self.pos < len(self.text) and self.text[self.pos] in "eE":
-            is_real = True
-            self._advance()
-            if self.pos < len(self.text) and self.text[self.pos] in "+-":
-                self._advance()
-            exp_digits = 0
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self._advance()
-                exp_digits += 1
-            if exp_digits == 0:
-                raise StepSyntaxError(self.line, self.col, "exponent digits")
-        if digits == 0 and not is_real:
-            raise StepSyntaxError(line, col, "digits in number")
-        raw = self.text[start:self.pos]
-        if is_real:
-            return _Token("real", float(raw), line, col)
-        return _Token("integer", int(raw), line, col)
-
-    def _enum(self, line: int, col: int) -> _Token:
-        self._advance()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self._advance()
-        if self.pos >= len(self.text) or self.text[self.pos] != ".":
-            raise StepSyntaxError(line, col, "closing '.' for enumeration")
-        name = self.text[start:self.pos]
-        self._advance()
-        if name == "T":
-            return _Token("bool", True, line, col)
-        if name == "F":
-            return _Token("bool", False, line, col)
-        return _Token("enum", Enum(name), line, col)
+def _tokens(text: str):
+    """Yield ``(kind, value, offset)`` per token, ending with an ``eof`` token."""
+    pos, end = 0, len(text)
+    match = _TOKEN.match
+    while pos < end:
+        m = match(text, pos)
+        if m is None:
+            raise _token_error(text, pos)
+        kind = m.lastgroup
+        if kind == "punct":
+            yield m[kind], m[kind], pos
+        elif kind != "skip":
+            yield kind, _CONVERT[kind](m[kind]), pos
+        pos = m.end()
+    yield "eof", None, end
 
 
 class _Parser:
+    _LITERALS = frozenset({"string", "integer", "real", "bool", "enum", "unset", "derived"})
+
     def __init__(self, text: str):
-        self.scanner = _Scanner(text)
-        self.tok = self.scanner.next_token()
+        self.text = text
+        self.tokens = _tokens(text)
+        self._bump()
 
-    def _bump(self) -> _Token:
-        tok = self.tok
-        self.tok = self.scanner.next_token()
-        return tok
+    def _bump(self) -> None:
+        self.kind, self.value, self.offset = next(self.tokens)
 
-    def _expect(self, kind: str, what: str | None = None) -> _Token:
-        if self.tok.kind != kind:
-            raise StepSyntaxError(self.tok.line, self.tok.col, what or kind, str(self.tok.value))
-        return self._bump()
+    def _error(self, expected: str, found: str = "") -> StepSyntaxError:
+        return _syntax_error(self.text, self.offset, expected, found)
+
+    def _expect(self, kind: str, what: str | None = None):
+        """Consume a token of ``kind`` and return its value."""
+        if self.kind != kind:
+            raise self._error(what or kind, str(self.value))
+        value = self.value
+        self._bump()
+        return value
+
+    def _at_keyword(self, word: str) -> bool:
+        return self.kind == "keyword" and self.value == word
 
     def _expect_keyword(self, word: str) -> None:
-        if self.tok.kind != "keyword" or self.tok.value != word:
-            raise StepSyntaxError(self.tok.line, self.tok.col, word, str(self.tok.value))
+        if not self._at_keyword(word):
+            raise self._error(word, str(self.value))
         self._bump()
 
     def parse(self) -> ExchangeStructure:
         self._expect_keyword("ISO-10303-21")
         self._expect(";")
-        if self.tok.kind != "keyword" or self.tok.value != "HEADER":
+        if not self._at_keyword("HEADER"):
             raise MissingSection("HEADER")
         self._bump()
         self._expect(";")
         header = self._header_section()
-        if self.tok.kind != "keyword" or self.tok.value != "DATA":
+        if not self._at_keyword("DATA"):
             raise MissingSection("DATA")
         self._bump()
         self._expect(";")
@@ -365,87 +307,86 @@ class _Parser:
     def _header_section(self) -> Header:
         header = Header()
         while True:
-            if self.tok.kind == "keyword" and self.tok.value == "ENDSEC":
+            if self._at_keyword("ENDSEC"):
                 self._bump()
                 self._expect(";")
                 return header
-            if self.tok.kind == "eof":
-                raise StepSyntaxError(self.tok.line, self.tok.col, "ENDSEC for HEADER")
-            kw_tok = self._expect("keyword", "header entity keyword")
+            if self.kind == "eof":
+                raise self._error("ENDSEC for HEADER")
+            keyword = self._expect("keyword", "header entity keyword")
             args = self._arg_list()
             self._expect(";")
-            header.records.append((kw_tok.value, args))
-            if kw_tok.value == "FILE_DESCRIPTION" and args:
+            header.records.append((keyword, args))
+            if keyword == "FILE_DESCRIPTION" and args:
                 if isinstance(args[0], tuple) and args[0] and isinstance(args[0][0], str):
                     header.description = args[0][0]
-            elif kw_tok.value == "FILE_NAME" and args and isinstance(args[0], str):
+            elif keyword == "FILE_NAME" and args and isinstance(args[0], str):
                 header.name = args[0]
-            elif kw_tok.value == "FILE_SCHEMA" and args and isinstance(args[0], tuple):
+            elif keyword == "FILE_SCHEMA" and args and isinstance(args[0], tuple):
                 header.schema = tuple(s for s in args[0] if isinstance(s, str))
 
     def _data_section(self) -> dict[int, EntityRecord]:
         entities: dict[int, EntityRecord] = {}
         while True:
-            if self.tok.kind == "keyword" and self.tok.value == "ENDSEC":
+            if self._at_keyword("ENDSEC"):
                 self._bump()
                 self._expect(";")
                 return entities
-            if self.tok.kind == "eof":
-                raise StepSyntaxError(self.tok.line, self.tok.col, "ENDSEC for DATA")
-            ref_tok = self._expect("ref", "instance name '#<id>'")
-            if ref_tok.value <= 0:
-                raise StepSyntaxError(ref_tok.line, ref_tok.col, "a positive instance name",
-                                      f"#{ref_tok.value}")
+            if self.kind == "eof":
+                raise self._error("ENDSEC for DATA")
+            offset = self.offset
+            eid = self._expect("ref", "instance name '#<id>'")
+            if eid <= 0:
+                raise _syntax_error(self.text, offset, "a positive instance name", f"#{eid}")
             self._expect("=")
-            if ref_tok.value in entities:
-                raise DuplicateEntityId(ref_tok.value)
-            if self.tok.kind == "(":
-                entities[ref_tok.value] = self._complex_instance()
+            if eid in entities:
+                raise DuplicateEntityId(eid)
+            if self.kind == "(":
+                entities[eid] = self._complex_instance()
             else:
-                kw_tok = self._expect("keyword", "entity keyword")
-                args = self._arg_list()
-                entities[ref_tok.value] = SimpleEntity(kw_tok.value, args)
+                keyword = self._expect("keyword", "entity keyword")
+                entities[eid] = SimpleEntity(keyword, self._arg_list())
             self._expect(";")
 
     def _complex_instance(self) -> ComplexEntity:
         self._expect("(")
         parts: list[tuple[str, tuple]] = []
-        while self.tok.kind != ")":
-            kw_tok = self._expect("keyword", "entity keyword inside complex instance")
-            parts.append((kw_tok.value, self._arg_list()))
+        while self.kind != ")":
+            keyword = self._expect("keyword", "entity keyword inside complex instance")
+            parts.append((keyword, self._arg_list()))
         self._expect(")")
         return ComplexEntity(tuple(parts))
 
     def _arg_list(self) -> tuple:
         self._expect("(")
         args: list = []
-        if self.tok.kind == ")":
+        if self.kind == ")":
             self._bump()
             return tuple(args)
         while True:
             args.append(self._argument())
-            if self.tok.kind == ",":
+            if self.kind == ",":
                 self._bump()
                 continue
             self._expect(")")
             return tuple(args)
 
     def _argument(self):
-        tok = self.tok
-        if tok.kind in ("string", "integer", "real", "bool", "enum", "unset", "derived"):
+        kind = self.kind
+        if kind in self._LITERALS:
+            value = self.value
             self._bump()
-            return tok.value
-        if tok.kind == "ref":
-            self._bump()
-            return Ref(tok.value)
-        if tok.kind == "(":
+            return value
+        if kind == "ref":
+            return Ref(self._expect("ref"))
+        if kind == "(":
             return self._arg_list()
-        if tok.kind == "keyword":
+        if kind == "keyword":
             # Typed parameter such as PARAMETER_VALUE(0.5): keep the payload.
             self._bump()
             inner = self._arg_list()
             return inner[0] if len(inner) == 1 else inner
-        raise StepSyntaxError(tok.line, tok.col, "an argument", str(tok.value))
+        raise self._error("an argument", str(self.value))
 
 
 def _unit_warnings(entities: dict[int, EntityRecord]) -> list[str]:
@@ -537,6 +478,39 @@ def serialize_exchange(xs: ExchangeStructure) -> str:
 # Resolver
 # ---------------------------------------------------------------------------
 
+def _check_arity(eid: int, rec: SimpleEntity) -> None:
+    needed = _MIN_ARGS.get(rec.keyword, 0)
+    if len(rec.args) < needed:
+        raise UnsupportedGeometry(eid, f"{rec.keyword} (needs {needed} arguments)")
+
+
+def _finite_number(value) -> bool:
+    """A finite real or integer parameter (bools are enumerations, not numbers)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
+
+
+def _triple(eid: int, rec: SimpleEntity, what: str) -> Vec3:
+    values = rec.args[1]
+    if not isinstance(values, tuple) or len(values) != 3 or not all(map(_finite_number, values)):
+        raise UnsupportedGeometry(eid, what)
+    return vec(*values)
+
+
+def _radius(eid: int, rec: SimpleEntity) -> float:
+    radius = rec.args[2]
+    if not _finite_number(radius) or radius <= 0:
+        raise UnsupportedGeometry(eid, f"{rec.keyword} (needs a positive radius)")
+    return float(radius)
+
+
+def _items(eid: int, rec: SimpleEntity) -> tuple:
+    """The list in argument 2 (loop edges, face bounds, shell faces)."""
+    if not isinstance(rec.args[1], tuple):
+        raise UnsupportedGeometry(eid, f"{rec.keyword} (needs a list of references)")
+    return rec.args[1]
+
+
 class _Resolver:
     def __init__(self, xs: ExchangeStructure):
         self.xs = xs
@@ -553,6 +527,7 @@ class _Resolver:
             raise DanglingReference(from_id, ref.id)
         if isinstance(rec, ComplexEntity):
             raise UnsupportedGeometry(ref.id, rec.keyword)
+        _check_arity(ref.id, rec)
         return ref.id, rec
 
     def _expect(self, from_id: int, ref, keywords: tuple[str, ...]) -> tuple[int, SimpleEntity]:
@@ -563,17 +538,15 @@ class _Resolver:
 
     def _point(self, from_id: int, ref) -> Vec3:
         eid, rec = self._expect(from_id, ref, ("CARTESIAN_POINT",))
-        coords = rec.args[1] if len(rec.args) > 1 else ()
-        if not isinstance(coords, tuple) or len(coords) != 3:
-            raise UnsupportedGeometry(eid, "CARTESIAN_POINT (needs 3 coordinates)")
-        return vec(*(float(c) for c in coords))
+        return _triple(eid, rec, "CARTESIAN_POINT (needs 3 finite coordinates)")
 
     def _direction(self, from_id: int, ref) -> Vec3:
         eid, rec = self._expect(from_id, ref, ("DIRECTION",))
-        comps = rec.args[1] if len(rec.args) > 1 else ()
-        if not isinstance(comps, tuple) or len(comps) != 3:
-            raise UnsupportedGeometry(eid, "DIRECTION (needs 3 components)")
-        return vec(*(float(c) for c in comps)).normalized()
+        components = _triple(eid, rec, "DIRECTION (needs 3 finite components)")
+        try:
+            return components.normalized()
+        except ValueError:
+            raise UnsupportedGeometry(eid, "DIRECTION (must be non-zero)") from None
 
     def _axis2(self, from_id: int, ref) -> tuple[Vec3, Vec3]:
         eid, rec = self._expect(from_id, ref, ("AXIS2_PLACEMENT_3D",))
@@ -602,7 +575,7 @@ class _Resolver:
             curve = Line(pnt, direction)
         elif curve_rec.keyword == "CIRCLE":
             center, axis = self._axis2(curve_id, curve_rec.args[1])
-            radius = float(curve_rec.args[2])
+            radius = _radius(curve_id, curve_rec)
             # Arcs are stored start-to-end CCW about the axis; a reversed
             # EDGE_CURVE flips the axis so that rule keeps holding.
             if same_sense is False:
@@ -621,7 +594,7 @@ class _Resolver:
 
     def _loop(self, from_id: int, ref, reverse: bool) -> int:
         eid, rec = self._expect(from_id, ref, ("EDGE_LOOP",))
-        oriented = [self._oriented_edge(eid, oe) for oe in rec.args[1]]
+        oriented = [self._oriented_edge(eid, oe) for oe in _items(eid, rec)]
         if reverse:
             oriented = [(e, not s) for e, s in reversed(oriented)]
         if eid in self.loops:
@@ -639,7 +612,7 @@ class _Resolver:
         if eid in self.faces:
             return eid
         bounds: list[tuple[int, bool]] = []
-        for bref in rec.args[1]:
+        for bref in _items(eid, rec):
             bid, brec = self._expect(eid, bref, ("FACE_BOUND", "FACE_OUTER_BOUND"))
             orientation = brec.args[2] if len(brec.args) > 2 else True
             loop_id = self._loop(bid, brec.args[1], reverse=orientation is False)
@@ -650,7 +623,7 @@ class _Resolver:
             surface = Plane(origin, normal)
         elif surf_rec.keyword == "CYLINDRICAL_SURFACE":
             point, axis = self._axis2(surf_id, surf_rec.args[1])
-            surface = Cylinder(point, axis, float(surf_rec.args[2]))
+            surface = Cylinder(point, axis, _radius(surf_id, surf_rec))
         else:
             raise UnsupportedGeometry(surf_id, surf_rec.keyword)
         same_sense = rec.args[3] if len(rec.args) > 3 else True
@@ -670,9 +643,10 @@ class _Resolver:
         if len(solids) > 1:
             raise MultipleSolids(sorted(eid for eid, _ in solids))
         brep_id, brep_rec = solids[0]
-        name = brep_rec.args[0] if brep_rec.args and isinstance(brep_rec.args[0], str) else ""
+        _check_arity(brep_id, brep_rec)
+        name = brep_rec.args[0] if isinstance(brep_rec.args[0], str) else ""
         shell_id, shell_rec = self._expect(brep_id, brep_rec.args[1], ("CLOSED_SHELL",))
-        for fref in shell_rec.args[1]:
+        for fref in _items(shell_id, shell_rec):
             self._face(shell_id, fref)
         return Solid(name, self.vertices, self.edges, self.loops, self.faces)
 

@@ -182,6 +182,89 @@ def test_params_step_input(capsys):
     assert doc["metrics"]["thickness"] == pytest.approx(2.0)
 
 
+def _step_fixture_with(tmp_path, old: str, new: str) -> Path:
+    text = fixture_path("flat_sheet_100x80x2.step").read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / "edited.step"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("old, new", [
+    ("#17=DIRECTION('',(1.0,0.0,0.0));", "#17=DIRECTION('',(0.,0.,0.));"),
+    ("#1=CARTESIAN_POINT('',(0.0,0.0,0.0));", "#1=CARTESIAN_POINT('',('a',0.0,0.0));"),
+    ("#1=CARTESIAN_POINT('',(0.0,0.0,0.0));", "#1=CARTESIAN_POINT('',(#2,0.0,0.0));"),
+    ("#9=VERTEX_POINT('',#1);", "#9=VERTEX_POINT('');"),
+    ("#20=EDGE_CURVE('',#9,#10,#19,.T.);", "#20=EDGE_CURVE('');"),
+    ("#67=AXIS2_PLACEMENT_3D('',#1,#65,#66);", "#67=AXIS2_PLACEMENT_3D('',#1);"),
+    ("#75=ADVANCED_FACE('',(#74),#68,.T.);", "#75=ADVANCED_FACE('',#74,#68,.T.);"),
+    ("#19=LINE('',#1,#18);", "#19=CIRCLE('',#67,0.);"),
+    ("#19=LINE('',#1,#18);", "#19=CIRCLE('',#67,-5.);"),
+    ("#68=PLANE('',#67);", "#68=CYLINDRICAL_SURFACE('',#67,0.);"),
+    ("#68=PLANE('',#67);", "#68=CYLINDRICAL_SURFACE('',#67,-2.);"),
+], ids=[
+    "zero-direction", "string-coordinate", "reference-coordinate", "short-vertex-point",
+    "short-edge-curve", "short-axis2-placement", "face-bounds-not-a-list",
+    "zero-circle-radius", "negative-circle-radius", "zero-cylinder-radius",
+    "negative-cylinder-radius",
+])
+def test_params_step_outside_geometry_subset_exits_2(capsys, tmp_path, old, new):
+    code, _, err = run(capsys, "params", str(_step_fixture_with(tmp_path, old, new)))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "outside the supported geometry subset" in err
+
+
+def _json_box_without_last_face(tmp_path) -> Path:
+    doc = modelzoo.box_doc()
+    doc["faces"].pop()
+    return write_doc(tmp_path, doc, "open.json")
+
+
+def _json_box_with_face_twice(tmp_path) -> Path:
+    doc = modelzoo.box_doc()
+    doc["faces"].append(dict(doc["faces"][0], id=99))
+    return write_doc(tmp_path, doc, "doubled.json")
+
+
+def _step_sheet_with_face_twice(tmp_path) -> Path:
+    return _step_fixture_with(tmp_path, "#131=CLOSED_SHELL('',(#75,",
+                              "#200=ADVANCED_FACE('',(#74),#68,.T.);\n#131=CLOSED_SHELL('',(#200,#75,")
+
+
+@pytest.mark.parametrize("build", [
+    _json_box_without_last_face, _json_box_with_face_twice, _step_sheet_with_face_twice,
+])
+def test_params_shell_not_manifold_exits_3(capsys, tmp_path, build):
+    code, _, err = run(capsys, "params", str(build(tmp_path)))
+    assert code == 3
+    assert err.startswith("error: model is not a closed manifold:\n  non_manifold_edge: ")
+
+
+def test_params_slit_in_reference_face_exits_3(capsys, tmp_path):
+    # An inner loop that runs along one edge and back is a closed 2-manifold
+    # loop, but the reference face then meets that edge twice and no other face.
+    doc = modelzoo.box_doc()
+    doc["vertices"] += [{"id": 101, "x": 40.0, "y": 40.0, "z": 0.0},
+                        {"id": 102, "x": 41.0, "y": 40.0, "z": 0.0}]
+    doc["edges"].append({"id": 101, "start": 101, "end": 102, "curve": {"kind": "line"}})
+    doc["loops"].append({"id": 101, "oriented_edges": [{"edge": 101, "sense": True},
+                                                       {"edge": 101, "sense": False}]})
+    doc["faces"][0]["bounds"].append({"loop": 101, "outer": False})
+    code, _, err = run(capsys, "params", str(write_doc(tmp_path, doc, "slit.json")))
+    assert code == 3
+    assert "edge 101" in err
+
+
+def test_params_json_line_between_coincident_vertices_exits_2(capsys, tmp_path):
+    doc = modelzoo.box_doc()
+    first, second = doc["vertices"][:2]
+    second.update(x=first["x"], y=first["y"], z=first["z"])
+    code, _, err = run(capsys, "params", str(write_doc(tmp_path, doc, "coincident.json")))
+    assert code == 2
+    assert "line edge with coincident endpoints" in err
+
+
 def test_params_env_db_dir(capsys, tmp_path, monkeypatch):
     (tmp_path / "materials.json").write_text(json.dumps({"materials": [
         {"name": "copper", "shear_stress": 45, "yield_stress": 70},

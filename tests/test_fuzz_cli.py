@@ -1,0 +1,108 @@
+"""Seeded fuzzing of ``punchplan params``: every mutated model must end with a
+documented exit code (0/2/3/4/5), never with an escaped exception."""
+import copy
+import json
+import random
+import re
+
+from conftest import fixture_path
+from punchplan.cli import main
+
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
+CASES = 300
+
+# Tokens of the fixture text, coarse enough to mutate one argument at a time.
+STEP_TOKEN = re.compile(r"'(?:[^']|'')*'|#\d+|\.[A-Z_]+\.|[-+.\dE]+|[A-Z_][A-Z0-9_-]*|\s+|.")
+NUMBER = re.compile(r"[-+]?\d*\.\d*(?:E[-+]?\d+)?|[-+]?\d+")
+REPLACEMENTS = ("0.", "-0.", "-5.", "1.E9", "#1", "''", "'x'", "$", "*", "()", ".T.", ".F.")
+
+
+def _params_exit(tmp_path, name: str, text: str) -> int:
+    model = tmp_path / name
+    model.write_text(text, encoding="utf-8")
+    return main(["params", str(model), "--out", str(tmp_path / "report.json")])
+
+
+def _mutate_step(tokens: list[str], rng: random.Random) -> str:
+    tokens = list(tokens)
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        i = rng.randrange(len(tokens))
+        tok = tokens[i]
+        op = rng.randrange(5)
+        if op == 0:
+            del tokens[i]
+        elif op == 1:
+            tokens.insert(i, tok)
+        elif op == 2 and tok.startswith("#"):
+            tokens[i] = rng.choice([t for t in tokens if t.startswith("#")])
+        elif op == 3 and tok in (".T.", ".F."):
+            tokens[i] = ".F." if tok == ".T." else ".T."
+        elif op == 4 and NUMBER.fullmatch(tok):
+            tokens[i] = "0."
+        else:
+            tokens[i] = rng.choice(REPLACEMENTS)
+    return "".join(tokens)
+
+
+def test_step_token_mutations_exit_cleanly(tmp_path):
+    tokens = STEP_TOKEN.findall(fixture_path("flat_sheet_100x80x2.step").read_text(encoding="utf-8"))
+    rng = random.Random(20240521)
+    for case in range(CASES):
+        text = _mutate_step(tokens, rng)
+        code = _params_exit(tmp_path, "part.step", text)
+        assert code in DOCUMENTED_EXITS, f"case {case}: exit {code}"
+
+
+def _lists(node, out: list) -> list:
+    """Every list in the document that holds objects (items to drop or duplicate)."""
+    if isinstance(node, dict):
+        for value in node.values():
+            _lists(value, out)
+    elif isinstance(node, list) and node and isinstance(node[0], dict):
+        out.append(node)
+        for item in node:
+            _lists(item, out)
+    return out
+
+
+def _mutate_json(text: str, rng: random.Random) -> dict:
+    doc = json.loads(text)
+    op = rng.randrange(5)
+    if op == 0:
+        items = rng.choice(_lists(doc, []))
+        del items[rng.randrange(len(items))]
+    elif op == 1:
+        items = rng.choice(_lists(doc, []))
+        items.append(copy.deepcopy(rng.choice(items)))
+    elif op == 2:
+        vertex = rng.choice(doc["vertices"])
+        vertex[rng.choice("xyz")] = 0
+    elif op == 3:
+        shapes = [f["surface"] for f in doc["faces"]] + [e["curve"] for e in doc["edges"]]
+        geometry = rng.choice([g for g in shapes if len(g) > 1])
+        key = rng.choice([k for k in geometry if k != "kind"])
+        geometry[key] = [0, 0, 0] if isinstance(geometry[key], list) else 0
+    else:
+        target = rng.choice(["sense", "same_sense", "outer", "vertex"])
+        if target == "sense":
+            oriented = rng.choice(rng.choice(doc["loops"])["oriented_edges"])
+            oriented["sense"] = not oriented["sense"]
+        elif target == "same_sense":
+            face = rng.choice(doc["faces"])
+            face["same_sense"] = not face["same_sense"]
+        elif target == "outer":
+            bound = rng.choice(rng.choice(doc["faces"])["bounds"])
+            bound["outer"] = not bound["outer"]
+        else:
+            moved, onto = rng.sample(doc["vertices"], 2)
+            moved.update(x=onto["x"], y=onto["y"], z=onto["z"])
+    return doc
+
+
+def test_json_structural_mutations_exit_cleanly(tmp_path):
+    original = fixture_path("row4_bridge.json").read_text(encoding="utf-8")
+    rng = random.Random(20240522)
+    for case in range(CASES):
+        text = json.dumps(_mutate_json(original, rng))
+        code = _params_exit(tmp_path, "part.json", text)
+        assert code in DOCUMENTED_EXITS, f"case {case}: exit {code}"

@@ -106,16 +106,31 @@ PREFIX = "ISO-10303-21;\nHEADER;\nENDSEC;\nDATA;\n"
     (PREFIX + "#1=A(1)\n#2=B(2);\n", 6, 1, ";"),
     (PREFIX + "#1=CARTESIAN_POINT('',(0.,0.,0.)\n", 6, 1, ")"),
     (PREFIX + "#1=A(1);\n", 6, 1, "ENDSEC for DATA"),
+    (PREFIX + "#1=A(+.);\n", 5, 6, "digits in number"),
+    (PREFIX + "#1=A(-.);\n", 5, 6, "digits in number"),
+    (PREFIX + "#1=A(+E5);\n", 5, 6, "digits in number"),
+    (PREFIX + "#\u00b2=A(1);\n", 5, 1, "entity id digits after '#'"),
+    (PREFIX + "#1=A(.\u00e9.);\n", 5, 6, "closing '.' for enumeration"),
+    (PREFIX + "#1=\u00c9A(1);\n", 5, 4, "a Part-21 token"),
+    (PREFIX + "#1=A(\u0663);\n", 5, 6, "a Part-21 token"),
+    (PREFIX + "#1=A(1)\u00a0;\n", 5, 8, "a Part-21 token"),
 ], ids=[
     "open-comment", "hash-no-digits", "open-string", "open-string-escaped-quote",
     "no-exponent-digits", "no-exponent-digits-after-sign", "lone-plus", "open-enum",
     "stray-at", "stray-form-feed", "zero-instance-name", "missing-semicolon",
-    "missing-paren", "missing-endsec",
+    "missing-paren", "missing-endsec", "plus-dot", "minus-dot", "sign-exponent-only",
+    "non-ascii-digit-in-name", "non-ascii-enum", "non-ascii-keyword", "non-ascii-digit",
+    "non-ascii-space",
 ])
 def test_syntax_error_carries_position(text, line, column, expected):
     with pytest.raises(StepSyntaxError) as exc:
         parse_exchange(text)
     assert (exc.value.line, exc.value.column, exc.value.expected) == (line, column, expected)
+
+
+def test_non_ascii_allowed_in_strings_and_comments():
+    xs = parse_exchange(wrap("/* caf\u00e9 */ #7=CARTESIAN_POINT('\u00e9t\u00e9',(1.,2.,3.));\n"))
+    assert xs.entities[7].args[0] == "\u00e9t\u00e9"
 
 
 def test_complex_instance_parses_and_counts_as_ignored():
