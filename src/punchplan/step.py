@@ -177,9 +177,10 @@ class ExchangeStructure:
 # ---------------------------------------------------------------------------
 
 # One master pattern; the name of the group that matched is the token kind.
-# Only ASCII letters and digits are accepted outside strings and comments
-# (the Part-21 basic alphabet). The lookaheads keep a number from stopping
-# short of a dangling exponent, so that ``1.E`` fails as a whole.
+# Python 3.10 has no atomic groups, so lookaheads keep a number or a string
+# from backtracking into a shorter token: ``1.E`` and ``'ab''`` at the end of
+# the text match nothing, and ``_token_error`` says why. Letters and digits
+# are ASCII only (the Part-21 basic alphabet).
 _TOKEN = re.compile(r"""
     (?P<skip>[ \t\r\n]+|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
   | (?P<punct>[();,=])
