@@ -77,6 +77,13 @@ def test_features_flat_sheet(capsys):
     assert "no features" in out
 
 
+@pytest.mark.parametrize("value", ["0", "-2.5"])
+def test_features_rejects_nonpositive_cut_height(capsys, value):
+    code, out, err = run(capsys, "features", str(fixture_path("hole_sheet_r10.json")),
+                         "--cut-height", value)
+    assert (code, out, err) == (4, "", "error: --cut-height must be > 0\n")
+
+
 def test_features_orders_edges_by_id(capsys):
     code, out, _ = run(capsys, "features", str(fixture_path("row4_bridge.json")))
     ids = [int(line.split()[2]) for line in out.splitlines() if line.startswith("  ") and " edge " in line]
