@@ -2,7 +2,10 @@
 
 A ``Solid`` is a closed shell of planar and cylindrical faces whose edges are
 straight lines or circular arcs. All queries are pure; a Solid is immutable
-after construction and safe to share between threads.
+after construction (its name included: loaders fix it) and safe to share
+between threads. ``punchplan.features`` keeps a per-face geometry table on
+the instance the first time recognition runs; it derives from the geometry
+alone.
 
 Conventions
 -----------
@@ -414,11 +417,12 @@ def _int_id(value, path: str) -> int:
     return value
 
 
-def load_brep_json(text: str) -> Solid:
+def load_brep_json(text: str, default_name: str = "") -> Solid:
     """Decode the native JSON B-Rep interchange document into a Solid.
 
     Top-level keys: name, vertices, edges, loops, faces. See the README for
     the full schema. Violations raise SchemaError with a JSON-pointer path.
+    A missing or empty name becomes ``default_name``.
     """
     try:
         doc = json.loads(text)
@@ -539,7 +543,7 @@ def load_brep_json(text: str) -> Solid:
             raise SchemaError(f"{path}/bounds", "exactly one outer bound required")
         faces[fid] = Face(fid, surface, same_sense, tuple(bounds))
 
-    return Solid(name, vertices, edges, loops, faces)
+    return Solid(name or default_name, vertices, edges, loops, faces)
 
 
 def _list(doc: dict, key: str) -> list:

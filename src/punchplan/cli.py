@@ -72,7 +72,10 @@ def _detect_format(path: Path, requested: str) -> str:
 
 
 def _load_solid(path: Path, requested: str) -> tuple[Solid, list[str], int | None]:
-    """Read a model file; returns (solid, warnings, entity count for STEP input)."""
+    """Read a model file; returns (solid, warnings, entity count for STEP input).
+
+    A model without a name of its own is named after the file's stem.
+    """
     fmt = _detect_format(path, requested)
     try:
         text = path.read_text(encoding="utf-8")
@@ -84,11 +87,8 @@ def _load_solid(path: Path, requested: str) -> tuple[Solid, list[str], int | Non
             warnings = list(xs.warnings)
             for kw, count in sorted(xs.ignored_keywords.items()):
                 warnings.append(f"ignored {count} {kw} entities")
-            return resolve_brep(xs), warnings, len(xs.entities)
-        solid = load_brep_json(text)
-        if not solid.name:
-            solid.name = path.stem
-        return solid, [], None
+            return resolve_brep(xs, path.stem), warnings, len(xs.entities)
+        return load_brep_json(text, path.stem), [], None
     except (StepError, SchemaError, BrepError) as exc:
         raise CliError(EXIT_PARSE, f"{path}: {exc}") from None
 
@@ -147,11 +147,16 @@ def _analyze_validated(solid: Solid, cut_height: float | None) -> PartAnalysis:
         raise CliError(EXIT_VALIDATION, str(exc)) from None
 
 
-def _settings(args) -> ReportSettings:
+def _check_overrides(args) -> None:
+    """Reject non-positive numeric overrides of the ``features`` and ``params`` commands."""
     for name in ("kd", "h1_fraction", "holding_fraction", "cut_height"):
         value = getattr(args, name, None)
         if value is not None and value <= 0:
             raise CliError(EXIT_RESOURCE, f"--{name.replace('_', '-')} must be > 0")
+
+
+def _settings(args) -> ReportSettings:
+    _check_overrides(args)
     return ReportSettings(
         kd=args.kd,
         h1_fraction=args.h1_fraction,
@@ -167,7 +172,7 @@ def _settings(args) -> ReportSettings:
 def cmd_inspect(args) -> int:
     path = Path(args.input)
     solid, warnings, entity_count = _load_solid(path, args.input_format)
-    lines = [f"part: {solid.name or path.stem}"]
+    lines = [f"part: {solid.name}"]
     if entity_count is not None:
         lines.append(f"entities: {entity_count}")
     n_planar = len(planar_faces(solid))
@@ -216,10 +221,9 @@ def cmd_inspect(args) -> int:
 def cmd_features(args) -> int:
     path = Path(args.input)
     solid, warnings, _ = _load_solid(path, args.input_format)
-    if args.cut_height is not None and args.cut_height <= 0:
-        raise CliError(EXIT_RESOURCE, "--cut-height must be > 0")
+    _check_overrides(args)
     analysis = _analyze_validated(solid, args.cut_height)
-    lines = [f"part: {solid.name or path.stem}"]
+    lines = [f"part: {solid.name}"]
     lines.append(f"thickness: {analysis.metrics.thickness:.6g} mm   "
                  f"reference face: {analysis.metrics.reference_face}")
     if not analysis.features:
@@ -258,8 +262,6 @@ def _params_document(path: Path, args) -> dict:
     except NotFound as exc:
         raise CliError(EXIT_RESOURCE, str(exc)) from None
     analysis = _analyze_validated(solid, settings.cut_height)
-    if not solid.name:
-        solid.name = path.stem
     return report_document(analysis, mat, tool, settings, warnings)
 
 

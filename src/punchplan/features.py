@@ -5,16 +5,32 @@ planar face), pair the remaining faces into walls (planar pairs one
 thickness apart) and bends (coaxial cylinder pairs one thickness apart in
 radius), group paired faces into connected features, and measure each
 feature's height above the reference plane.
+
+Every step reads one per-face geometry table (:class:`FaceTable`), built once
+per solid: planar faces bucketed by outward normal and sorted by plane
+offset, cylinders bucketed by axis line. A face is compared only with the
+faces its buckets shortlist, and each shortlisted pair goes through the same
+exact tests as a full pairwise scan would.
 """
 from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 from . import brep
 from .brep import Cylinder, Face, Plane, Solid, face_area, face_normal
-from .geom import FACING_DOT, TOL, Vec3, is_anti_parallel, is_parallel
+from .geom import (
+    _COS_ANGULAR_TOL,
+    ANGULAR_TOL,
+    FACING_DOT,
+    TOL,
+    Vec3,
+    is_anti_parallel,
+    is_parallel,
+    plane_basis,
+)
 
 
 class RecognitionError(Exception):
@@ -106,6 +122,264 @@ class SheetFeature:
 
 
 # ---------------------------------------------------------------------------
+# Face geometry table
+# ---------------------------------------------------------------------------
+
+# Planar faces are bucketed by outward normal on a grid of _CELL per
+# component. A lookup visits every cell within _REACH of the wanted normal,
+# which covers every normal within ANGULAR_TOL of it (with margin for
+# rounding), so bucketing never hides a pair the exact tests would accept.
+_CELL = 1.0 / 1024
+_REACH = 2.0 * ANGULAR_TOL
+
+
+def _cell(p: tuple[float, float, float], size: float) -> tuple[int, int, int]:
+    return (round(p[0] / size), round(p[1] / size), round(p[2] / size))
+
+
+def _cells_near(p: tuple[float, float, float], reach: float, size: float) -> list[tuple[int, int, int]]:
+    """Keys of every grid cell of side ``size`` (see ``_cell``) within ``reach`` of p.
+
+    With ``reach`` at most half of ``size`` that is one or two cells per
+    coordinate.
+    """
+    keys = [()]
+    for c in p:
+        span = range(round((c - reach) / size), round((c + reach) / size) + 1)
+        keys = [k + (j,) for k in keys for j in span]
+    return keys
+
+
+def _norm1(p: Vec3) -> float:
+    return abs(p.x) + abs(p.y) + abs(p.z)
+
+
+def _face_sample_points(solid: Solid, face: Face) -> list[tuple[float, float, float]]:
+    """The face's boundary vertices plus seven interior points on each arc edge."""
+    vids: set[int] = set()
+    pts: list[tuple[float, float, float]] = []
+    for lid, _ in face.bounds:
+        for eid, _sense in solid.loops[lid].oriented_edges:
+            e = solid.edges[eid]
+            vids.update((e.start, e.end))
+            if isinstance(e.curve, brep.Circle):
+                circ = e.curve
+                a, b = solid.vertex(e.start), solid.vertex(e.end)
+                if e.start == e.end:
+                    sweep = 2.0 * math.pi
+                else:
+                    sweep = brep._arc_sweep(circ, a, b)
+                u = a - circ.center
+                u = (u - circ.axis * u.dot(circ.axis)).normalized()
+                v = circ.axis.cross(u)
+                for k in range(1, 8):
+                    ang = sweep * k / 8.0
+                    p = circ.center + u * (circ.radius * math.cos(ang)) + v * (circ.radius * math.sin(ang))
+                    pts.append(p.as_tuple())
+    pts += [solid.vertex(vid).as_tuple() for vid in vids]
+    return pts
+
+
+def _extent_along(points: list[tuple[float, float, float]], d: Vec3) -> tuple[float, float]:
+    """Interval of ``p . d`` over the points, rounded exactly as Vec3.dot would."""
+    dx, dy, dz = d.x, d.y, d.z
+    return _interval([x * dx + y * dy + z * dz for x, y, z in points])
+
+
+def _interval(values: list[float]) -> tuple[float, float]:
+    # A face without boundary edges has the empty interval, which overlaps nothing.
+    return (min(values), max(values)) if values else (math.inf, -math.inf)
+
+
+def _overlaps(a_lo: float, a_hi: float, b_lo: float, b_hi: float) -> bool:
+    return min(a_hi, b_hi) - max(a_lo, b_lo) > TOL
+
+
+class FaceGeometry:
+    """What recognition asks of one face, computed once.
+
+    Planar faces carry the outward normal, the plane origin and offset along
+    that normal, the area, the in-plane basis ``(u, v) = plane_basis(normal)``
+    and the sample-point intervals along u and v. Cylindrical faces carry the
+    radius, the axis, the foot of the axis line (its point nearest the
+    coordinate origin) and the sample-point interval along the axis.
+    ``measure`` is the pairing sort measure: the area, or the lateral area of
+    the sampled axial span.
+    """
+
+    __slots__ = ("face", "id", "measure", "normal", "n", "origin", "offset", "area", "u", "v",
+                 "u_lo", "u_hi", "v_lo", "v_hi", "opposite", "radius", "axis", "foot",
+                 "axis_lo", "axis_hi")
+
+    def __init__(self, solid: Solid, face: Face):
+        self.face = face
+        self.id = face.id
+        points = _face_sample_points(solid, face)
+        surface = face.surface
+        if isinstance(surface, Plane):
+            self.normal = n = face_normal(face)
+            self.n = n.as_tuple()
+            self.origin = surface.origin
+            self.offset = surface.origin.dot(n)
+            self.area = self.measure = face_area(face, solid)
+            u, v = plane_basis(n)
+            self.u, self.v = u.as_tuple(), v.as_tuple()
+            self.u_lo, self.u_hi = _extent_along(points, u)
+            self.v_lo, self.v_hi = _extent_along(points, v)
+        else:
+            self.normal = None
+            self.radius = surface.radius
+            p, d = surface.axis_point, surface.axis_dir
+            self.axis = d.as_tuple()
+            self.foot = (p - d * p.dot(d)).as_tuple()
+            self.axis_lo, self.axis_hi = _extent_along(points, d)
+            self.measure = 2.0 * math.pi * surface.radius * (self.axis_hi - self.axis_lo)
+
+
+def _dot(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
+    # Same operand order and rounding as Vec3.dot.
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _signed_separation(a: FaceGeometry, b: FaceGeometry) -> float:
+    """``(b.origin - a.origin).dot(a.normal)``, rounded exactly as Vec3 would."""
+    ao, bo, n = a.origin, b.origin, a.n
+    return (bo.x - ao.x) * n[0] + (bo.y - ao.y) * n[1] + (bo.z - ao.z) * n[2]
+
+
+def _negated(t: tuple[float, float, float]) -> tuple[float, float, float]:
+    return (-t[0], -t[1], -t[2])
+
+
+def _windows(center: float, distance: float, half_width: float) -> tuple[tuple[float, float], ...]:
+    """The ranges within ``half_width`` of ``center - distance`` and ``center + distance``."""
+    d, w = abs(distance), half_width
+    if d > w:
+        return (center - d - w, center - d + w), (center + d - w, center + d + w)
+    return ((center - d - w, center + d + w),)
+
+
+# Buckets smaller than this are searched by offset alone: for them an
+# in-plane index costs more to build than it saves.
+_INDEXED = 8
+
+
+class _Bucket:
+    """Planar faces whose outward normals share a grid cell and one exact basis (u, v).
+
+    ``offsets`` and ``members`` list the faces by plane offset. In a bucket of
+    at least _INDEXED faces, ``slabs`` also cuts them into offset slabs of
+    width ``slab``; each slab lists its faces by the start of their v
+    interval, with a reach no shorter than the longest v interval in it, so
+    a bisection finds every face whose v interval can meet a given one.
+    """
+
+    __slots__ = ("u", "v", "offsets", "members", "slabs")
+
+    def __init__(self, u, v, members: list[FaceGeometry], slab: float):
+        members.sort(key=lambda g: (g.offset, g.id))
+        self.u, self.v = u, v
+        self.offsets = [g.offset for g in members]
+        self.members = members
+        self.slabs = None
+        if len(members) < _INDEXED:
+            return
+        groups: dict[int, list[FaceGeometry]] = {}
+        for g in members:
+            groups.setdefault(math.floor(g.offset / slab), []).append(g)
+        self.slabs = {}
+        for key, faces in groups.items():
+            faces.sort(key=lambda g: (g.v_lo, g.id))
+            reach = max(g.v_hi - g.v_lo for g in faces) * (1.0 + 1e-9) + TOL
+            self.slabs[key] = ([g.v_lo for g in faces], faces, reach)
+
+
+class FaceTable:
+    """One solid's per-face geometry, with planar faces in normal/offset buckets.
+
+    Planar faces are bucketed by the grid cell of their outward normal (and,
+    within a cell, by exact plane basis) and sorted by plane offset
+    ``origin . normal``. For anti-parallel faces a and b,
+    ``(b.origin - a.origin) . a.normal`` is ``-(a.offset + b.offset)`` up to
+    ``|b.origin| * |a.normal + b.normal|``, so bisecting the offsets finds
+    every pair at a given separation once the search range is widened by
+    ``window``: TOL plus twice ANGULAR_TOL times the largest plane-origin
+    distance from the coordinate origin. Cylinders are bucketed by the foot
+    of their axis line, which coaxial cylinders share up to ``axis_reach``.
+    Shortlisted pairs still go through the exact tests, so the table changes
+    no decision, only how many pairs are tried.
+    """
+
+    def __init__(self, solid: Solid):
+        self.faces = {fid: FaceGeometry(solid, f) for fid, f in solid.faces.items()}
+        self.planes = [g for g in self.faces.values() if g.normal is not None]
+        self.cylinders = [g for g in self.faces.values() if g.normal is None]
+        extent = max((_norm1(g.origin) for g in self.planes), default=0.0)
+        self.window = TOL + 2.0 * ANGULAR_TOL * extent
+        self.slab = 2.0 * self.window
+        groups: dict[tuple, list[FaceGeometry]] = {}
+        for g in self.planes:
+            groups.setdefault((_cell(g.n, _CELL), g.u, g.v), []).append(g)
+        cells: dict[tuple[int, int, int], list[_Bucket]] = {}
+        for (cell, u, v), members in sorted(groups.items()):
+            cells.setdefault(cell, []).append(_Bucket(u, v, members, self.slab))
+        shared: dict[tuple, list[_Bucket]] = {}
+        for g in self.planes:
+            keys = tuple(_cells_near(_negated(g.n), _REACH, _CELL))
+            if keys not in shared:
+                shared[keys] = [b for k in keys for b in cells.get(k, ())]
+            g.opposite = shared[keys]
+        axis_extent = max((_norm1(g.face.surface.axis_point) for g in self.cylinders),
+                          default=0.0)
+        self.axis_reach = TOL + 4.0 * ANGULAR_TOL * axis_extent
+        self._axes: dict[tuple[int, int, int], list[FaceGeometry]] = {}
+        for g in sorted(self.cylinders, key=lambda g: g.id):
+            self._axes.setdefault(_cell(g.foot, 2.0 * self.axis_reach), []).append(g)
+
+    def opposed_at(self, a: FaceGeometry, distance: float, facing: bool = False):
+        """Planar faces in a's opposite buckets that may lie ``distance`` from a's plane.
+
+        With ``facing``, faces in an indexed bucket whose basis is a's with u
+        reversed are also required to have a v interval that may meet a's.
+        """
+        windows = _windows(-a.offset, distance, self.window)
+        flipped_u = _negated(a.u)
+        for bucket in a.opposite:
+            indexed = (facing and bucket.slabs is not None
+                       and bucket.v == a.v and bucket.u == flipped_u)
+            for lo, hi in windows:
+                if not indexed:
+                    offsets = bucket.offsets
+                    yield from bucket.members[bisect_left(offsets, lo):bisect_right(offsets, hi)]
+                    continue
+                for key in range(math.floor(lo / self.slab), math.floor(hi / self.slab) + 1):
+                    if key not in bucket.slabs:
+                        continue
+                    starts, members, reach = bucket.slabs[key]
+                    # The relative margin covers rounding in the subtraction.
+                    first = bisect_left(starts, a.v_lo - reach - abs(a.v_lo) * 1e-12)
+                    for g in members[first:bisect_right(starts, a.v_hi)]:
+                        if lo <= g.offset <= hi:
+                            yield g
+
+    def axis_neighbours(self, a: FaceGeometry):
+        """Cylinders, a included, whose axis line may coincide with a's."""
+        for key in _cells_near(a.foot, self.axis_reach, 2.0 * self.axis_reach):
+            yield from self._axes.get(key, ())
+
+
+def face_table(solid: Solid) -> FaceTable:
+    """The solid's face table, built on first use and kept on the solid.
+
+    Threads racing here may each build a table; they are equal, so either serves.
+    """
+    table = solid.__dict__.get("_face_table")
+    if table is None:
+        table = solid._face_table = FaceTable(solid)
+    return table
+
+
+# ---------------------------------------------------------------------------
 # Thickness
 # ---------------------------------------------------------------------------
 
@@ -129,7 +403,9 @@ def anti_parallel_pair_distances(solid: Solid) -> list[tuple[int, int, float]]:
     """All qualifying same-kind anti-parallel face pairs with their distances.
 
     Coplanar (zero-distance) pairs are excluded: opposed cut faces in the
-    same plane carry no thickness information.
+    same plane carry no thickness information. This enumerates every face
+    pair; :func:`compute_thickness` finds the same minimum from the face
+    table.
     """
     out: list[tuple[int, int, float]] = []
     faces = sorted(solid.faces.values(), key=lambda f: f.id)
@@ -149,11 +425,43 @@ def anti_parallel_pair_distances(solid: Solid) -> list[tuple[int, int, float]]:
 
 
 def compute_thickness(solid: Solid) -> float:
-    """Minimum separation over anti-parallel same-kind face pairs."""
-    pairs = anti_parallel_pair_distances(solid)
-    if not pairs:
+    """Minimum separation over anti-parallel same-kind face pairs.
+
+    Each planar face walks its opposite buckets outward from the offset of its
+    own plane and stops once the window-widened offset gap exceeds the best
+    separation so far. Every pair it visits is measured with the lower face id
+    first, as in :func:`anti_parallel_pair_distances`, so the minimum is the
+    same double.
+    """
+    table = face_table(solid)
+    w = table.window
+    best: float | None = None
+    for a in table.planes:
+        x = -a.offset
+        for bucket in a.opposite:
+            offsets, members = bucket.offsets, bucket.members
+            start = bisect_left(offsets, x)
+            for walk in (range(start, len(offsets)), range(start - 1, -1, -1)):
+                for j in walk:
+                    if best is not None and abs(offsets[j] - x) - w > best:
+                        break
+                    b = members[j]
+                    lo, hi = (a, b) if a.id < b.id else (b, a)
+                    if not _dot(lo.n, hi.n) <= -_COS_ANGULAR_TOL:
+                        continue
+                    d = abs(_signed_separation(lo, hi))
+                    if d > TOL and (best is None or d < best):
+                        best = d
+    for a in table.cylinders:
+        for b in table.axis_neighbours(a):
+            d = abs(a.radius - b.radius)
+            if d > TOL and (best is None or d < best):
+                lo, hi = (a, b) if a.id < b.id else (b, a)
+                if _coaxial(lo.face.surface, hi.face.surface):
+                    best = d
+    if best is None:
         raise NoParallelPairs()
-    return min(d for _, _, d in pairs)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +470,7 @@ def compute_thickness(solid: Solid) -> float:
 
 def select_reference_face(solid: Solid, thickness: float) -> int:
     """Largest planar face; co-maximal areas tie-break toward the smaller id."""
-    areas = [(face_area(f, solid), f.id) for f in brep.planar_faces(solid)]
+    areas = [(g.area, g.id) for g in face_table(solid).planes]
     if not areas:
         raise NoPlanarFace()
     best_area = max(a for a, _ in areas)
@@ -171,22 +479,18 @@ def select_reference_face(solid: Solid, thickness: float) -> int:
 
 
 def _opposite_face(solid: Solid, rf_id: int, thickness: float) -> int:
-    rf = solid.faces[rf_id]
-    n = face_normal(rf)
+    table = face_table(solid)
+    rf = table.faces[rf_id]
     candidates: list[tuple[float, int]] = []
-    for f in brep.planar_faces(solid):
-        if f.id == rf_id:
+    for g in table.opposed_at(rf, thickness):
+        if not _dot(rf.n, g.n) <= -_COS_ANGULAR_TOL:
             continue
-        if not is_anti_parallel(face_normal(f), n):
-            continue
-        assert isinstance(f.surface, Plane) and isinstance(rf.surface, Plane)
-        d = abs((f.surface.origin - rf.surface.origin).dot(n))
+        d = abs(_signed_separation(rf, g))
         if abs(d - thickness) <= TOL:
-            candidates.append((-face_area(f, solid), f.id))
+            candidates.append((-g.area, g.id))
     if not candidates:
         raise NoOppositeFace(rf_id, thickness)
-    candidates.sort()
-    return candidates[0][1]
+    return min(candidates)[1]
 
 
 def sheet_metrics(solid: Solid) -> SheetMetrics:
@@ -196,7 +500,7 @@ def sheet_metrics(solid: Solid) -> SheetMetrics:
     return SheetMetrics(
         thickness=t,
         reference_face=rf,
-        reference_normal=face_normal(solid.faces[rf]),
+        reference_normal=face_table(solid).faces[rf].normal,
         opposite_face=_opposite_face(solid, rf, t),
     )
 
@@ -205,110 +509,82 @@ def sheet_metrics(solid: Solid) -> SheetMetrics:
 # Pairing
 # ---------------------------------------------------------------------------
 
-def _face_sample_points(solid: Solid, face: Face) -> list[Vec3]:
-    pts: list[Vec3] = []
-    for lid, _ in face.bounds:
-        for eid, _sense in solid.loops[lid].oriented_edges:
-            e = solid.edges[eid]
-            a, b = solid.vertex(e.start), solid.vertex(e.end)
-            pts.append(a)
-            pts.append(b)
-            if isinstance(e.curve, brep.Circle):
-                circ = e.curve
-                if e.start == e.end:
-                    sweep = 2.0 * math.pi
-                else:
-                    sweep = brep._arc_sweep(circ, a, b)
-                u = a - circ.center
-                u = (u - circ.axis * u.dot(circ.axis)).normalized()
-                v = circ.axis.cross(u)
-                for k in range(1, 8):
-                    ang = sweep * k / 8.0
-                    pts.append(circ.center + u * (circ.radius * math.cos(ang)) + v * (circ.radius * math.sin(ang)))
-    return pts
-
-
-def _interval(values: list[float]) -> tuple[float, float]:
-    return min(values), max(values)
-
-
-def _overlaps(a: tuple[float, float], b: tuple[float, float]) -> bool:
-    return min(a[1], b[1]) - max(a[0], b[0]) > TOL
-
-
-def _planes_face_each_other(solid: Solid, a: Face, b: Face) -> bool:
+def _planes_face_each_other(solid: Solid, a: FaceGeometry, b: FaceGeometry) -> bool:
     # Plane separation alone treats planes as infinite; require the two
-    # bounded faces to overlap when projected along the common normal.
-    from .geom import plane_basis
-
-    n = face_normal(a)
-    u, v = plane_basis(n)
-    pa = _face_sample_points(solid, a)
-    pb = _face_sample_points(solid, b)
-    au = _interval([p.dot(u) for p in pa])
-    bu = _interval([p.dot(u) for p in pb])
-    av = _interval([p.dot(v) for p in pa])
-    bv = _interval([p.dot(v) for p in pb])
-    return _overlaps(au, bu) and _overlaps(av, bv)
+    # bounded faces to overlap when projected onto a's plane basis. b's own
+    # intervals serve when its basis is a's with u reversed, as for exactly
+    # opposite normals; otherwise b's sample points are projected afresh.
+    if b.v == a.v and b.u == _negated(a.u):
+        bu_lo, bu_hi, bv_lo, bv_hi = -b.u_hi, -b.u_lo, b.v_lo, b.v_hi
+    else:
+        u, v = plane_basis(a.normal)
+        points = _face_sample_points(solid, b.face)
+        (bu_lo, bu_hi), (bv_lo, bv_hi) = _extent_along(points, u), _extent_along(points, v)
+    return _overlaps(a.u_lo, a.u_hi, bu_lo, bu_hi) and _overlaps(a.v_lo, a.v_hi, bv_lo, bv_hi)
 
 
-def _cylinders_face_each_other(solid: Solid, a: Face, b: Face) -> bool:
-    assert isinstance(a.surface, Cylinder)
-    axis = a.surface.axis_dir
-    ia = _interval([p.dot(axis) for p in _face_sample_points(solid, a)])
-    ib = _interval([p.dot(axis) for p in _face_sample_points(solid, b)])
-    return _overlaps(ia, ib)
-
-
-def _sort_measure(solid: Solid, face: Face) -> float:
-    if isinstance(face.surface, Plane):
-        return face_area(face, solid)
-    pts = _face_sample_points(solid, face)
-    lo, hi = _interval([p.dot(face.surface.axis_dir) for p in pts])
-    return 2.0 * math.pi * face.surface.radius * (hi - lo)
+def _cylinders_face_each_other(solid: Solid, a: FaceGeometry, b: FaceGeometry) -> bool:
+    # Negating every projection negates and swaps the interval exactly.
+    if b.axis == a.axis:
+        lo, hi = b.axis_lo, b.axis_hi
+    elif b.axis == _negated(a.axis):
+        lo, hi = -b.axis_hi, -b.axis_lo
+    else:
+        lo, hi = _extent_along(_face_sample_points(solid, b.face), a.face.surface.axis_dir)
+    return _overlaps(a.axis_lo, a.axis_hi, lo, hi)
 
 
 def pair_faces(solid: Solid, metrics: SheetMetrics) -> FacePairing:
-    """Assign every face a role: reference pair, wall pair, bend pair, or side face."""
+    """Assign every face a role: reference pair, wall pair, bend pair, or side face.
+
+    Faces are taken in decreasing sort measure (ties by id). A planar face
+    looks for partners only among the faces its opposite buckets hold at
+    offsets one thickness away; a cylindrical face scans the cylinders.
+    """
     t = metrics.thickness
+    table = face_table(solid)
     roles: dict[int, FaceRole] = {
         metrics.reference_face: FaceRole(Role.REFERENCE),
         metrics.opposite_face: FaceRole(Role.REFERENCE),
     }
     pairs: dict[int, tuple[int, int]] = {}
-    remaining = [f for f in solid.faces.values() if f.id not in roles]
-    remaining.sort(key=lambda f: (-_sort_measure(solid, f), f.id))
-    paired: set[int] = set()
+    remaining = [table.faces[fid] for fid in solid.faces if fid not in roles]
+    remaining.sort(key=lambda g: (-g.measure, g.id))
+    unpaired = {g.id for g in remaining}
 
-    def qualifies(a: Face, b: Face) -> bool:
-        if isinstance(a.surface, Plane) and isinstance(b.surface, Plane):
-            d = _plane_pair_distance(a, b)
-            return d is not None and abs(d - t) <= TOL and _planes_face_each_other(solid, a, b)
-        if isinstance(a.surface, Cylinder) and isinstance(b.surface, Cylinder):
-            return (
-                _coaxial(a.surface, b.surface)
-                and abs(abs(a.surface.radius - b.surface.radius) - t) <= TOL
-                and _cylinders_face_each_other(solid, a, b)
-            )
-        return False
+    def qualifies(a: FaceGeometry, b: FaceGeometry) -> bool:
+        if a.normal is not None:
+            if not _dot(a.n, b.n) <= -_COS_ANGULAR_TOL:
+                return False
+            return abs(abs(_signed_separation(a, b)) - t) <= TOL and _planes_face_each_other(solid, a, b)
+        return (
+            abs(abs(a.radius - b.radius) - t) <= TOL
+            and _coaxial(a.face.surface, b.face.surface)
+            and _cylinders_face_each_other(solid, a, b)
+        )
 
     next_pair = 1
     for f in remaining:
-        if f.id in paired:
+        if f.id not in unpaired:
             continue
-        candidates = [g for g in remaining if g.id != f.id and g.id not in paired and qualifies(f, g)]
+        if f.normal is not None:
+            shortlist = table.opposed_at(f, t, facing=True)
+        else:
+            shortlist = table.axis_neighbours(f)
+        candidates = [g for g in shortlist
+                      if g.id != f.id and g.id in unpaired and qualifies(f, g)]
         if len(candidates) > 1:
             raise AmbiguousPairing(f.id, [g.id for g in candidates])
         if candidates:
             g = candidates[0]
-            kind = Role.WALL if isinstance(f.surface, Plane) else Role.BEND
+            kind = Role.WALL if f.normal is not None else Role.BEND
             roles[f.id] = FaceRole(kind, next_pair)
             roles[g.id] = FaceRole(kind, next_pair)
             pairs[next_pair] = (f.id, g.id)
-            paired.update((f.id, g.id))
+            unpaired.difference_update((f.id, g.id))
             next_pair += 1
     for f in remaining:
-        if f.id not in paired:
+        if f.id in unpaired:
             roles[f.id] = FaceRole(Role.SIDE)
     return FacePairing(roles, pairs)
 
@@ -416,12 +692,13 @@ def feature_height(
     assert isinstance(rf.surface, Plane)
     n = metrics.reference_normal
     origin = rf.surface.origin
+    table = face_table(solid)
     best: float | None = None
     for fid in sorted(feature.member_faces):
         f = solid.faces[fid]
         if not isinstance(f.surface, Plane):
             continue
-        if face_normal(f).dot(n) <= FACING_DOT:
+        if table.faces[fid].normal.dot(n) <= FACING_DOT:
             continue
         d = abs((f.surface.origin - origin).dot(n))
         if best is None or d > best:

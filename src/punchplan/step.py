@@ -252,6 +252,12 @@ def _tokens(text: str):
     yield "eof", None, end
 
 
+# Deepest parameter-list nesting the parser accepts. AP-203 geometry nests
+# three or four lists deep; the bound keeps hostile input from exhausting
+# the interpreter stack, since the parser recurses once per level.
+MAX_NESTING = 64
+
+
 class _Parser:
     _LITERALS = frozenset({"string", "integer", "real", "bool", "enum", "unset", "derived"})
 
@@ -358,21 +364,23 @@ class _Parser:
         self._expect(")")
         return ComplexEntity(tuple(parts))
 
-    def _arg_list(self) -> tuple:
+    def _arg_list(self, depth: int = 0) -> tuple:
+        if depth >= MAX_NESTING:
+            raise self._error(f"at most {MAX_NESTING} nested parameter lists", "(")
         self._expect("(")
         args: list = []
         if self.kind == ")":
             self._bump()
             return tuple(args)
         while True:
-            args.append(self._argument())
+            args.append(self._argument(depth + 1))
             if self.kind == ",":
                 self._bump()
                 continue
             self._expect(")")
             return tuple(args)
 
-    def _argument(self):
+    def _argument(self, depth: int):
         kind = self.kind
         if kind in self._LITERALS:
             value = self.value
@@ -381,11 +389,11 @@ class _Parser:
         if kind == "ref":
             return Ref(self._expect("ref"))
         if kind == "(":
-            return self._arg_list()
+            return self._arg_list(depth)
         if kind == "keyword":
             # Typed parameter such as PARAMETER_VALUE(0.5): keep the payload.
             self._bump()
-            inner = self._arg_list()
+            inner = self._arg_list(depth)
             return inner[0] if len(inner) == 1 else inner
         raise self._error("an argument", str(self.value))
 
@@ -634,7 +642,7 @@ class _Resolver:
         self.faces[eid] = Face(eid, surface, bool(same_sense), tuple(bounds))
         return eid
 
-    def resolve(self) -> Solid:
+    def resolve(self, default_name: str) -> Solid:
         solids = [
             (eid, rec) for eid, rec in self.xs.entities.items()
             if isinstance(rec, SimpleEntity) and rec.keyword == "MANIFOLD_SOLID_BREP"
@@ -649,12 +657,15 @@ class _Resolver:
         shell_id, shell_rec = self._expect(brep_id, brep_rec.args[1], ("CLOSED_SHELL",))
         for fref in _items(shell_id, shell_rec):
             self._face(shell_id, fref)
-        return Solid(name, self.vertices, self.edges, self.loops, self.faces)
+        return Solid(name or default_name, self.vertices, self.edges, self.loops, self.faces)
 
 
-def resolve_brep(xs: ExchangeStructure) -> Solid:
-    """Resolve the single MANIFOLD_SOLID_BREP entity tree into a Solid."""
-    return _Resolver(xs).resolve()
+def resolve_brep(xs: ExchangeStructure, default_name: str = "") -> Solid:
+    """Resolve the single MANIFOLD_SOLID_BREP entity tree into a Solid.
+
+    An empty MANIFOLD_SOLID_BREP name becomes ``default_name``.
+    """
+    return _Resolver(xs).resolve(default_name)
 
 
 def load_step(text: str) -> Solid:

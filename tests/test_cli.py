@@ -222,6 +222,17 @@ def test_params_step_outside_geometry_subset_exits_2(capsys, tmp_path, old, new)
     assert "outside the supported geometry subset" in err
 
 
+def test_params_deeply_nested_step_exits_2(capsys, tmp_path):
+    # One entity with 5000 nested lists used to exhaust the interpreter stack.
+    nested = "(" * 5000 + ")" * 5000
+    path = _step_fixture_with(tmp_path, "#1=CARTESIAN_POINT('',(0.0,0.0,0.0));",
+                              f"#1=CARTESIAN_POINT('',{nested});")
+    code, out, err = run(capsys, "params", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "expected at most 64 nested parameter lists" in err
+
+
 def _json_box_without_last_face(tmp_path) -> Path:
     doc = modelzoo.box_doc()
     doc["faces"].pop()

@@ -1,9 +1,15 @@
 """Thickness, reference face selection, pairing, grouping, and heights."""
+import math
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modelzoo
 from conftest import solid_from
-from punchplan.brep import Cylinder, Face, Loop, Solid
+from punchplan.brep import Cylinder, Face, Loop, Plane, Solid
+from punchplan import features
 from punchplan.features import (
     AmbiguousPairing,
     FeatureKind,
@@ -23,7 +29,7 @@ from punchplan.features import (
     select_reference_face,
     sheet_metrics,
 )
-from punchplan.geom import vec
+from punchplan.geom import ANGULAR_TOL, is_anti_parallel, vec
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +60,105 @@ def test_thickness_is_minimal_over_enumeration(bridge_sheet, boss_sheet):
         t = compute_thickness(s)
         for _, _, d in anti_parallel_pair_distances(s):
             assert t <= d + 1e-12
+
+
+def _jitter_directions(doc: dict, rng: random.Random, amount: float) -> dict:
+    """Tilt every plane normal and cylinder axis by up to ``amount`` per
+    component (well inside ANGULAR_TOL for pairs), so that opposed normals are
+    no longer exact negatives nor coaxial axes exactly one line."""
+    faces = []
+    for f in doc["faces"]:
+        surface = dict(f["surface"])
+        key = "normal" if surface["kind"] == "plane" else "axis_dir"
+        surface[key] = [c + rng.uniform(-amount, amount) for c in surface[key]]
+        faces.append({**f, "surface": surface})
+    return {**doc, "faces": faces}
+
+
+def _random_posed_sheet(seed, axis, angle, shift, scale, jitter):
+    rng = random.Random(seed)
+    doc, _ = modelzoo.random_sheet(rng)
+    doc = modelzoo.transform_doc(modelzoo.scale_doc(doc, scale),
+                                 modelzoo.rot_axis_angle(axis, angle), shift)
+    return solid_from(_jitter_directions(doc, rng, jitter))
+
+
+POSES = (
+    st.integers(0, 10_000),
+    st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(0.05, 1)),
+    st.floats(0, 2 * math.pi),
+    st.tuples(st.floats(-500, 500), st.floats(-500, 500), st.floats(-500, 500)),
+    st.sampled_from([0.05, 1.0, 7.5]),
+    st.sampled_from([0.0, 1e-7]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(*POSES)
+def test_thickness_matches_pair_enumeration(seed, axis, angle, shift, scale, jitter):
+    # The bucketed search returns the very double the full enumeration does.
+    s = _random_posed_sheet(seed, axis, angle, shift, scale, jitter)
+    assert compute_thickness(s) == min(d for *_, d in anti_parallel_pair_distances(s))
+
+
+def _reference_pairing(solid, t):
+    """Face roles by the full quadratic scan: every face tested against every other."""
+    from punchplan.brep import face_area, face_normal
+    from punchplan.features import _coaxial, _face_sample_points, _overlaps
+    from punchplan.geom import plane_basis
+
+    def extent(face, d):
+        values = [d.dot(vec(*p)) for p in _face_sample_points(solid, face)]
+        return min(values), max(values)
+
+    def qualifies(a, b):
+        if isinstance(a.surface, Plane) and isinstance(b.surface, Plane):
+            na = face_normal(a)
+            if not is_anti_parallel(na, face_normal(b)):
+                return False
+            u, v = plane_basis(na)
+            return (abs(abs((b.surface.origin - a.surface.origin).dot(na)) - t) <= 1e-6
+                    and _overlaps(*extent(a, u), *extent(b, u))
+                    and _overlaps(*extent(a, v), *extent(b, v)))
+        if isinstance(a.surface, Cylinder) and isinstance(b.surface, Cylinder):
+            axis = a.surface.axis_dir
+            return (_coaxial(a.surface, b.surface)
+                    and abs(abs(a.surface.radius - b.surface.radius) - t) <= 1e-6
+                    and _overlaps(*extent(a, axis), *extent(b, axis)))
+        return False
+
+    def measure(f):
+        if isinstance(f.surface, Plane):
+            return face_area(f, solid)
+        lo, hi = extent(f, f.surface.axis_dir)
+        return 2.0 * math.pi * f.surface.radius * (hi - lo)
+
+    faces = sorted(solid.faces.values(), key=lambda f: (-measure(f), f.id))
+    pairs, paired = [], set()
+    for f in faces:
+        if f.id not in paired:
+            found = [g.id for g in faces if g.id != f.id and g.id not in paired and qualifies(f, g)]
+            if len(found) > 1:
+                return ("ambiguous", f.id, sorted(found))
+            if found:
+                pairs.append((f.id, found[0]))
+                paired.update((f.id, found[0]))
+    return pairs
+
+
+@settings(max_examples=25, deadline=None)
+@given(*POSES)
+def test_pairing_matches_full_scan(seed, axis, angle, shift, scale, jitter):
+    # With no reference pair held back, every face competes, so any pair the
+    # buckets failed to shortlist would change the result.
+    s = _random_posed_sheet(seed, axis, angle, shift, scale, jitter)
+    t = compute_thickness(s)
+    try:
+        pairing = pair_faces(s, SheetMetrics(t, -1, vec(0, 0, 1), -2))
+        got = list(pairing.pairs.values())
+    except AmbiguousPairing as exc:
+        got = ("ambiguous", exc.face_id, exc.candidates)
+    assert got == _reference_pairing(s, t)
 
 
 def test_no_parallel_pairs():
@@ -161,6 +266,52 @@ def test_ambiguous_pairing_reported():
     with pytest.raises(AmbiguousPairing) as exc:
         pair_faces(solid, metrics)
     assert len(exc.value.candidates) == 2
+
+
+# Wall skins whose outward normals tilt toward +y or -y by about half a
+# bucket cell, so their normal components fall either side of a cell edge.
+_EDGE = 0.5 * features._CELL
+# Far from the coordinate origin, plane offsets of nearly opposed skins no
+# longer add up to their separation within TOL; the search window must widen.
+FAR = (0.0, 5000.0, 0.0)
+
+
+def _straddling_skins(extra_skin: bool, shift=(0.0, 0.0, 0.0)):
+    b = modelzoo.DocBuilder("straddle")
+    b.plane_face((0, 0, 0), (0, 0, -1), modelzoo.rect_xy(0, 0, 40, 40, 0))
+    b.plane_face((0, 0, 2), (0, 0, 1), modelzoo.rect_xy(0, 0, 40, 40, 2))
+    b.plane_face((10, 0, 0), (1, _EDGE - 2e-7, 0),
+                 modelzoo.poly([(10, 0, 4), (10, 30, 4), (10, 30, 24), (10, 0, 24)]))
+    b.plane_face((8, 0, 0), (-1, -_EDGE - 2e-7, 0),
+                 modelzoo.poly([(8, 0, 4), (8, 28, 4), (8, 28, 24), (8, 0, 24)]))
+    if extra_skin:
+        # Reaches lower than face 3, so only a search that allows for the
+        # length of the candidates' intervals finds it.
+        b.plane_face((12, 0, 0), (-1, -_EDGE + 2e-7, 0),
+                     modelzoo.poly([(12, 0, 3), (12, 28, 3), (12, 28, 23), (12, 0, 23)]))
+    return solid_from(modelzoo.transform_doc(b.doc(), None, shift))
+
+
+@pytest.mark.parametrize("shift", [(0.0, 0.0, 0.0), FAR], ids=["near", "far"])
+def test_skins_straddling_a_bucket_edge_pair(shift):
+    solid = _straddling_skins(extra_skin=False, shift=shift)
+    a, b = (solid.faces[fid].surface.normal for fid in (3, 4))
+    # Within ANGULAR_TOL of anti-parallel, yet in different normal cells.
+    assert is_anti_parallel(a, b) and (a + b).norm() < ANGULAR_TOL
+    assert features._cell((-a).as_tuple(), features._CELL) != \
+        features._cell(b.as_tuple(), features._CELL)
+    pairing = pair_faces(solid, SheetMetrics(2.0, 1, vec(0, 0, -1), 2))
+    assert pairing.pairs == {1: (3, 4)}
+    assert pairing.role_of(4) is Role.WALL
+
+
+@pytest.mark.parametrize("shift", [(0.0, 0.0, 0.0), FAR], ids=["near", "far"])
+def test_third_skin_across_a_bucket_edge_is_ambiguous(shift):
+    # Face 5 sits in face 3's exactly opposite cell, face 4 in the next one.
+    solid = _straddling_skins(extra_skin=True, shift=shift)
+    with pytest.raises(AmbiguousPairing) as exc:
+        pair_faces(solid, SheetMetrics(2.0, 1, vec(0, 0, -1), 2))
+    assert (exc.value.face_id, exc.value.candidates) == (3, [4, 5])
 
 
 def test_laterally_offset_walls_do_not_pair():

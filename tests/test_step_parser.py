@@ -4,6 +4,7 @@ import re
 import pytest
 
 from punchplan.step import (
+    MAX_NESTING,
     DanglingReference,
     DuplicateEntityId,
     Enum,
@@ -114,18 +115,29 @@ PREFIX = "ISO-10303-21;\nHEADER;\nENDSEC;\nDATA;\n"
     (PREFIX + "#1=\u00c9A(1);\n", 5, 4, "a Part-21 token"),
     (PREFIX + "#1=A(\u0663);\n", 5, 6, "a Part-21 token"),
     (PREFIX + "#1=A(1)\u00a0;\n", 5, 8, "a Part-21 token"),
+    (PREFIX + "#1=A(" + "(" * 5000 + ")" * 5001 + ";\n", 5, 69, "at most 64 nested parameter lists"),
+    (PREFIX + "#1=A(" + "B(" * 70 + ")" * 71 + ";\n", 5, 133, "at most 64 nested parameter lists"),
 ], ids=[
     "open-comment", "hash-no-digits", "open-string", "open-string-escaped-quote",
     "no-exponent-digits", "no-exponent-digits-after-sign", "lone-plus", "open-enum",
     "stray-at", "stray-form-feed", "zero-instance-name", "missing-semicolon",
     "missing-paren", "missing-endsec", "plus-dot", "minus-dot", "sign-exponent-only",
     "non-ascii-digit-in-name", "non-ascii-enum", "non-ascii-keyword", "non-ascii-digit",
-    "non-ascii-space",
+    "non-ascii-space", "deep-nesting", "deep-typed-nesting",
 ])
 def test_syntax_error_carries_position(text, line, column, expected):
     with pytest.raises(StepSyntaxError) as exc:
         parse_exchange(text)
     assert (exc.value.line, exc.value.column, exc.value.expected) == (line, column, expected)
+
+
+def test_nesting_up_to_the_limit_parses():
+    nested = "(" * (MAX_NESTING - 1) + "1" + ")" * (MAX_NESTING - 1)
+    xs = parse_exchange(wrap(f"#1=A({nested});\n"))
+    value = xs.entities[1].args
+    for _ in range(MAX_NESTING - 1):
+        (value,) = value
+    assert value == (1,)
 
 
 def test_non_ascii_allowed_in_strings_and_comments():
