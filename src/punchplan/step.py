@@ -252,9 +252,10 @@ def _tokens(text: str):
     yield "eof", None, end
 
 
-# Deepest parameter-list nesting the parser accepts. AP-203 geometry nests
-# three or four lists deep; the bound keeps hostile input from exhausting
-# the interpreter stack, since the parser recurses once per level.
+# Deepest parameter-list nesting the parser accepts. Exchange files nest a
+# few lists deep (B-spline control nets are lists of lists); the bound keeps
+# hostile input from exhausting the interpreter stack, since the parser
+# recurses once per level.
 MAX_NESTING = 64
 
 
