@@ -8,9 +8,9 @@ feature's height above the reference plane.
 
 Every step reads one per-face geometry table (:class:`FaceTable`), built once
 per solid: planar faces bucketed by outward normal and sorted by plane
-offset, cylinders bucketed by axis line. A face is compared only with the
-faces its buckets shortlist, and each shortlisted pair goes through the same
-exact tests as a full pairwise scan would.
+offset; cylinders, which are few, are compared pairwise. A planar face is
+compared only with the faces its buckets shortlist, and each shortlisted pair
+goes through the same exact tests as a full pairwise scan would.
 """
 from __future__ import annotations
 
@@ -133,21 +133,21 @@ _CELL = 1.0 / 1024
 _REACH = 2.0 * ANGULAR_TOL
 
 
-def _cell(p: tuple[float, float, float], size: float) -> tuple[int, int, int]:
-    return (round(p[0] / size), round(p[1] / size), round(p[2] / size))
+def _cell(n: tuple[float, float, float]) -> tuple[int, int, int]:
+    return (round(n[0] / _CELL), round(n[1] / _CELL), round(n[2] / _CELL))
 
 
-def _cells_near(p: tuple[float, float, float], reach: float, size: float) -> list[tuple[int, int, int]]:
-    """Keys of every grid cell of side ``size`` (see ``_cell``) within ``reach`` of p.
+def _cells_near(n: tuple[float, float, float]) -> tuple[tuple[int, int, int], ...]:
+    """Keys of every normal cell (see ``_cell``) within _REACH of n.
 
-    With ``reach`` at most half of ``size`` that is one or two cells per
+    _REACH is far below half a cell, so that is one or two cells per
     coordinate.
     """
     keys = [()]
-    for c in p:
-        span = range(round((c - reach) / size), round((c + reach) / size) + 1)
+    for c in n:
+        span = range(round((c - _REACH) / _CELL), round((c + _REACH) / _CELL) + 1)
         keys = [k + (j,) for k in keys for j in span]
-    return keys
+    return tuple(keys)
 
 
 def _norm1(p: Vec3) -> float:
@@ -201,14 +201,13 @@ class FaceGeometry:
     Planar faces carry the outward normal, the plane origin and offset along
     that normal, the area, the in-plane basis ``(u, v) = plane_basis(normal)``
     and the sample-point intervals along u and v. Cylindrical faces carry the
-    radius, the axis, the foot of the axis line (its point nearest the
-    coordinate origin) and the sample-point interval along the axis.
+    radius, the axis and the sample-point interval along the axis.
     ``measure`` is the pairing sort measure: the area, or the lateral area of
     the sampled axial span.
     """
 
     __slots__ = ("face", "id", "measure", "normal", "n", "origin", "offset", "area", "u", "v",
-                 "u_lo", "u_hi", "v_lo", "v_hi", "opposite", "radius", "axis", "foot",
+                 "u_lo", "u_hi", "v_lo", "v_hi", "opposite", "radius", "axis",
                  "axis_lo", "axis_hi")
 
     def __init__(self, solid: Solid, face: Face):
@@ -229,9 +228,8 @@ class FaceGeometry:
         else:
             self.normal = None
             self.radius = surface.radius
-            p, d = surface.axis_point, surface.axis_dir
+            d = surface.axis_dir
             self.axis = d.as_tuple()
-            self.foot = (p - d * p.dot(d)).as_tuple()
             self.axis_lo, self.axis_hi = _extent_along(points, d)
             self.measure = 2.0 * math.pi * surface.radius * (self.axis_hi - self.axis_lo)
 
@@ -259,113 +257,47 @@ def _windows(center: float, distance: float, half_width: float) -> tuple[tuple[f
     return ((center - d - w, center + d + w),)
 
 
-# Buckets smaller than this are searched by offset alone: for them an
-# in-plane index costs more to build than it saves.
-_INDEXED = 8
-
-
-class _Bucket:
-    """Planar faces whose outward normals share a grid cell and one exact basis (u, v).
-
-    ``offsets`` and ``members`` list the faces by plane offset. In a bucket of
-    at least _INDEXED faces, ``slabs`` also cuts them into offset slabs of
-    width ``slab``; each slab lists its faces by the start of their v
-    interval, with a reach no shorter than the longest v interval in it, so
-    a bisection finds every face whose v interval can meet a given one.
-    """
-
-    __slots__ = ("u", "v", "offsets", "members", "slabs")
-
-    def __init__(self, u, v, members: list[FaceGeometry], slab: float):
-        members.sort(key=lambda g: (g.offset, g.id))
-        self.u, self.v = u, v
-        self.offsets = [g.offset for g in members]
-        self.members = members
-        self.slabs = None
-        if len(members) < _INDEXED:
-            return
-        groups: dict[int, list[FaceGeometry]] = {}
-        for g in members:
-            groups.setdefault(math.floor(g.offset / slab), []).append(g)
-        self.slabs = {}
-        for key, faces in groups.items():
-            faces.sort(key=lambda g: (g.v_lo, g.id))
-            reach = max(g.v_hi - g.v_lo for g in faces) * (1.0 + 1e-9) + TOL
-            self.slabs[key] = ([g.v_lo for g in faces], faces, reach)
-
-
 class FaceTable:
     """One solid's per-face geometry, with planar faces in normal/offset buckets.
 
-    Planar faces are bucketed by the grid cell of their outward normal (and,
-    within a cell, by exact plane basis) and sorted by plane offset
-    ``origin . normal``. For anti-parallel faces a and b,
-    ``(b.origin - a.origin) . a.normal`` is ``-(a.offset + b.offset)`` up to
-    ``|b.origin| * |a.normal + b.normal|``, so bisecting the offsets finds
-    every pair at a given separation once the search range is widened by
-    ``window``: TOL plus twice ANGULAR_TOL times the largest plane-origin
-    distance from the coordinate origin. Cylinders are bucketed by the foot
-    of their axis line, which coaxial cylinders share up to ``axis_reach``.
-    Shortlisted pairs still go through the exact tests, so the table changes
-    no decision, only how many pairs are tried.
+    Planar faces are bucketed by the grid cell of their outward normal; each
+    bucket is a pair of lists, the plane offsets ``origin . normal`` in
+    ascending order and the faces in the same order. For anti-parallel faces
+    a and b, ``(b.origin - a.origin) . a.normal`` is ``-(a.offset + b.offset)``
+    up to ``|b.origin| * |a.normal + b.normal|``, so bisecting the offsets
+    finds every pair at a given separation once the search range is widened
+    by ``window``: TOL plus twice ANGULAR_TOL times the largest plane-origin
+    distance from the coordinate origin. ``cylinders`` lists the cylindrical
+    faces by id. Shortlisted pairs still go through the exact tests, so the
+    table changes no decision, only how many pairs are tried.
     """
 
     def __init__(self, solid: Solid):
         self.faces = {fid: FaceGeometry(solid, f) for fid, f in solid.faces.items()}
         self.planes = [g for g in self.faces.values() if g.normal is not None]
-        self.cylinders = [g for g in self.faces.values() if g.normal is None]
+        self.cylinders = sorted((g for g in self.faces.values() if g.normal is None),
+                                key=lambda g: g.id)
         extent = max((_norm1(g.origin) for g in self.planes), default=0.0)
         self.window = TOL + 2.0 * ANGULAR_TOL * extent
-        self.slab = 2.0 * self.window
-        groups: dict[tuple, list[FaceGeometry]] = {}
+        cells: dict[tuple[int, int, int], list[FaceGeometry]] = {}
         for g in self.planes:
-            groups.setdefault((_cell(g.n, _CELL), g.u, g.v), []).append(g)
-        cells: dict[tuple[int, int, int], list[_Bucket]] = {}
-        for (cell, u, v), members in sorted(groups.items()):
-            cells.setdefault(cell, []).append(_Bucket(u, v, members, self.slab))
-        shared: dict[tuple, list[_Bucket]] = {}
+            cells.setdefault(_cell(g.n), []).append(g)
+        buckets = {}
+        for cell, members in cells.items():
+            members.sort(key=lambda g: (g.offset, g.id))
+            buckets[cell] = ([g.offset for g in members], members)
+        shared: dict[tuple, list] = {}
         for g in self.planes:
-            keys = tuple(_cells_near(_negated(g.n), _REACH, _CELL))
+            keys = _cells_near(_negated(g.n))
             if keys not in shared:
-                shared[keys] = [b for k in keys for b in cells.get(k, ())]
+                shared[keys] = [buckets[k] for k in keys if k in buckets]
             g.opposite = shared[keys]
-        axis_extent = max((_norm1(g.face.surface.axis_point) for g in self.cylinders),
-                          default=0.0)
-        self.axis_reach = TOL + 4.0 * ANGULAR_TOL * axis_extent
-        self._axes: dict[tuple[int, int, int], list[FaceGeometry]] = {}
-        for g in sorted(self.cylinders, key=lambda g: g.id):
-            self._axes.setdefault(_cell(g.foot, 2.0 * self.axis_reach), []).append(g)
 
-    def opposed_at(self, a: FaceGeometry, distance: float, facing: bool = False):
-        """Planar faces in a's opposite buckets that may lie ``distance`` from a's plane.
-
-        With ``facing``, faces in an indexed bucket whose basis is a's with u
-        reversed are also required to have a v interval that may meet a's.
-        """
-        windows = _windows(-a.offset, distance, self.window)
-        flipped_u = _negated(a.u)
-        for bucket in a.opposite:
-            indexed = (facing and bucket.slabs is not None
-                       and bucket.v == a.v and bucket.u == flipped_u)
-            for lo, hi in windows:
-                if not indexed:
-                    offsets = bucket.offsets
-                    yield from bucket.members[bisect_left(offsets, lo):bisect_right(offsets, hi)]
-                    continue
-                for key in range(math.floor(lo / self.slab), math.floor(hi / self.slab) + 1):
-                    if key not in bucket.slabs:
-                        continue
-                    starts, members, reach = bucket.slabs[key]
-                    # The relative margin covers rounding in the subtraction.
-                    first = bisect_left(starts, a.v_lo - reach - abs(a.v_lo) * 1e-12)
-                    for g in members[first:bisect_right(starts, a.v_hi)]:
-                        if lo <= g.offset <= hi:
-                            yield g
-
-    def axis_neighbours(self, a: FaceGeometry):
-        """Cylinders, a included, whose axis line may coincide with a's."""
-        for key in _cells_near(a.foot, self.axis_reach, 2.0 * self.axis_reach):
-            yield from self._axes.get(key, ())
+    def opposed_at(self, a: FaceGeometry, distance: float):
+        """Planar faces in a's opposite buckets that may lie ``distance`` from a's plane."""
+        for lo, hi in _windows(-a.offset, distance, self.window):
+            for offsets, members in a.opposite:
+                yield from members[bisect_left(offsets, lo):bisect_right(offsets, hi)]
 
 
 def face_table(solid: Solid) -> FaceTable:
@@ -438,8 +370,7 @@ def compute_thickness(solid: Solid) -> float:
     best: float | None = None
     for a in table.planes:
         x = -a.offset
-        for bucket in a.opposite:
-            offsets, members = bucket.offsets, bucket.members
+        for offsets, members in a.opposite:
             start = bisect_left(offsets, x)
             for walk in (range(start, len(offsets)), range(start - 1, -1, -1)):
                 for j in walk:
@@ -452,13 +383,12 @@ def compute_thickness(solid: Solid) -> float:
                     d = abs(_signed_separation(lo, hi))
                     if d > TOL and (best is None or d < best):
                         best = d
-    for a in table.cylinders:
-        for b in table.axis_neighbours(a):
+    cylinders = table.cylinders
+    for i, a in enumerate(cylinders):
+        for b in cylinders[i + 1:]:
             d = abs(a.radius - b.radius)
-            if d > TOL and (best is None or d < best):
-                lo, hi = (a, b) if a.id < b.id else (b, a)
-                if _coaxial(lo.face.surface, hi.face.surface):
-                    best = d
+            if d > TOL and (best is None or d < best) and _coaxial(a.face.surface, b.face.surface):
+                best = d
     if best is None:
         raise NoParallelPairs()
     return best
@@ -568,9 +498,9 @@ def pair_faces(solid: Solid, metrics: SheetMetrics) -> FacePairing:
         if f.id not in unpaired:
             continue
         if f.normal is not None:
-            shortlist = table.opposed_at(f, t, facing=True)
+            shortlist = table.opposed_at(f, t)
         else:
-            shortlist = table.axis_neighbours(f)
+            shortlist = table.cylinders
         candidates = [g for g in shortlist
                       if g.id != f.id and g.id in unpaired and qualifies(f, g)]
         if len(candidates) > 1:

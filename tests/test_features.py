@@ -285,8 +285,8 @@ def _straddling_skins(extra_skin: bool, shift=(0.0, 0.0, 0.0)):
     b.plane_face((8, 0, 0), (-1, -_EDGE - 2e-7, 0),
                  modelzoo.poly([(8, 0, 4), (8, 28, 4), (8, 28, 24), (8, 0, 24)]))
     if extra_skin:
-        # Reaches lower than face 3, so only a search that allows for the
-        # length of the candidates' intervals finds it.
+        # Reaches lower than face 3 but still overlaps it in projection,
+        # so it qualifies as well.
         b.plane_face((12, 0, 0), (-1, -_EDGE + 2e-7, 0),
                      modelzoo.poly([(12, 0, 3), (12, 28, 3), (12, 28, 23), (12, 0, 23)]))
     return solid_from(modelzoo.transform_doc(b.doc(), None, shift))
@@ -298,8 +298,7 @@ def test_skins_straddling_a_bucket_edge_pair(shift):
     a, b = (solid.faces[fid].surface.normal for fid in (3, 4))
     # Within ANGULAR_TOL of anti-parallel, yet in different normal cells.
     assert is_anti_parallel(a, b) and (a + b).norm() < ANGULAR_TOL
-    assert features._cell((-a).as_tuple(), features._CELL) != \
-        features._cell(b.as_tuple(), features._CELL)
+    assert features._cell((-a).as_tuple()) != features._cell(b.as_tuple())
     pairing = pair_faces(solid, SheetMetrics(2.0, 1, vec(0, 0, -1), 2))
     assert pairing.pairs == {1: (3, 4)}
     assert pairing.role_of(4) is Role.WALL

@@ -12,6 +12,15 @@ covered), the 220 random acceptance models (the seed of
 and 20 random sheets under a non-axis-aligned rotation and under uniform
 scaling. The rotation is built from an integer quaternion, so its entries
 are exact quotients and do not depend on the platform's sine and cosine.
+
+The digests hash report floats at full ``repr`` and were pinned with CPython
+3.11 on x86-64 Linux (glibc libm). Some report values still pass through
+libm: arc lengths and sweeps in TLIIEs/TLCIEs come from ``math.atan2`` on
+rotated and scaled arcs, so a libm that rounds one of those calls
+differently changes a digest with no change to the program. A mismatch on
+another platform must be traced to the model and field that differ (compare
+that model's report between the two builds on the same platform) before it
+is taken as a regression.
 """
 import hashlib
 import json
