@@ -231,18 +231,23 @@ def _loop_signed_area(solid: Solid, loop: Loop, origin: Vec3, u: Vec3, v: Vec3, 
     Straight segments contribute the shoelace cross term; arcs contribute
     the exact integral r^2*phi/2 plus the chordal part, with phi signed by
     traversal direction and by the circle axis relative to the face normal.
+    Projections are spelled out on coordinates, in Vec3's operand order.
     """
+    ox, oy, oz = origin
+    ux, uy, uz = u
+    vx, vy, vz = v
+    vertices = solid.vertices
     total = 0.0
     for eid, sense in loop.oriented_edges:
         edge = solid.edges[eid]
-        a = solid.vertex(edge.start)
-        b = solid.vertex(edge.end)
+        a = vertices[edge.start]
+        b = vertices[edge.end]
         if not sense:
             a, b = b, a
-        pa = a - origin
-        pb = b - origin
-        ua, va = pa.dot(u), pa.dot(v)
-        ub, vb = pb.dot(u), pb.dot(v)
+        ax, ay, az = a[0] - ox, a[1] - oy, a[2] - oz
+        bx, by, bz = b[0] - ox, b[1] - oy, b[2] - oz
+        ua, va = ax * ux + ay * uy + az * uz, ax * vx + ay * vy + az * vz
+        ub, vb = bx * ux + by * uy + bz * uz, bx * vx + by * vy + bz * vz
         if isinstance(edge.curve, Line):
             total += 0.5 * (ua * vb - ub * va)
         else:
@@ -250,10 +255,11 @@ def _loop_signed_area(solid: Solid, loop: Loop, origin: Vec3, u: Vec3, v: Vec3, 
             if edge.start == edge.end or distance(a, b) <= TOL:
                 sweep = 2.0 * math.pi
             else:
-                sweep = _arc_sweep(circ, solid.vertex(edge.start), solid.vertex(edge.end))
+                sweep = _arc_sweep(circ, vertices[edge.start], vertices[edge.end])
             signed = sweep * (1.0 if sense else -1.0) * (1.0 if circ.axis.dot(n) > 0 else -1.0)
-            pc = circ.center - origin
-            cu, cv = pc.dot(u), pc.dot(v)
+            cx, cy, cz = circ.center
+            cx, cy, cz = cx - ox, cy - oy, cz - oz
+            cu, cv = cx * ux + cy * uy + cz * uz, cx * vx + cy * vy + cz * vz
             total += 0.5 * (circ.radius * circ.radius * signed + cu * (vb - va) - cv * (ub - ua))
     return total
 

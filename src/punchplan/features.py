@@ -133,11 +133,11 @@ _CELL = 1.0 / 1024
 _REACH = 2.0 * ANGULAR_TOL
 
 
-def _cell(n: tuple[float, float, float]) -> tuple[int, int, int]:
+def _cell(n: Vec3) -> tuple[int, int, int]:
     return (round(n[0] / _CELL), round(n[1] / _CELL), round(n[2] / _CELL))
 
 
-def _cells_near(n: tuple[float, float, float]) -> tuple[tuple[int, int, int], ...]:
+def _cells_near(n: Vec3) -> tuple[tuple[int, int, int], ...]:
     """Keys of every normal cell (see ``_cell``) within _REACH of n.
 
     _REACH is far below half a cell, so that is one or two cells per
@@ -154,10 +154,10 @@ def _norm1(p: Vec3) -> float:
     return abs(p.x) + abs(p.y) + abs(p.z)
 
 
-def _face_sample_points(solid: Solid, face: Face) -> list[tuple[float, float, float]]:
+def _face_sample_points(solid: Solid, face: Face) -> list[Vec3]:
     """The face's boundary vertices plus seven interior points on each arc edge."""
     vids: set[int] = set()
-    pts: list[tuple[float, float, float]] = []
+    pts: list[Vec3] = []
     for lid, _ in face.bounds:
         for eid, _sense in solid.loops[lid].oriented_edges:
             e = solid.edges[eid]
@@ -174,15 +174,15 @@ def _face_sample_points(solid: Solid, face: Face) -> list[tuple[float, float, fl
                 v = circ.axis.cross(u)
                 for k in range(1, 8):
                     ang = sweep * k / 8.0
-                    p = circ.center + u * (circ.radius * math.cos(ang)) + v * (circ.radius * math.sin(ang))
-                    pts.append(p.as_tuple())
-    pts += [solid.vertex(vid).as_tuple() for vid in vids]
+                    pts.append(circ.center + u * (circ.radius * math.cos(ang))
+                               + v * (circ.radius * math.sin(ang)))
+    pts += [solid.vertices[vid] for vid in vids]
     return pts
 
 
-def _extent_along(points: list[tuple[float, float, float]], d: Vec3) -> tuple[float, float]:
+def _extent_along(points: list[Vec3], d: Vec3) -> tuple[float, float]:
     """Interval of ``p . d`` over the points, rounded exactly as Vec3.dot would."""
-    dx, dy, dz = d.x, d.y, d.z
+    dx, dy, dz = d
     return _interval([x * dx + y * dy + z * dz for x, y, z in points])
 
 
@@ -206,7 +206,7 @@ class FaceGeometry:
     the sampled axial span.
     """
 
-    __slots__ = ("face", "id", "measure", "normal", "n", "origin", "offset", "area", "u", "v",
+    __slots__ = ("face", "id", "measure", "normal", "origin", "offset", "area", "u", "v",
                  "u_lo", "u_hi", "v_lo", "v_hi", "opposite", "radius", "axis",
                  "axis_lo", "axis_hi")
 
@@ -217,36 +217,26 @@ class FaceGeometry:
         surface = face.surface
         if isinstance(surface, Plane):
             self.normal = n = face_normal(face)
-            self.n = n.as_tuple()
             self.origin = surface.origin
             self.offset = surface.origin.dot(n)
             self.area = self.measure = face_area(face, solid)
-            u, v = plane_basis(n)
-            self.u, self.v = u.as_tuple(), v.as_tuple()
+            self.u, self.v = u, v = plane_basis(n)
             self.u_lo, self.u_hi = _extent_along(points, u)
             self.v_lo, self.v_hi = _extent_along(points, v)
         else:
             self.normal = None
             self.radius = surface.radius
-            d = surface.axis_dir
-            self.axis = d.as_tuple()
-            self.axis_lo, self.axis_hi = _extent_along(points, d)
+            self.axis = surface.axis_dir
+            self.axis_lo, self.axis_hi = _extent_along(points, self.axis)
             self.measure = 2.0 * math.pi * surface.radius * (self.axis_hi - self.axis_lo)
-
-
-def _dot(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
-    # Same operand order and rounding as Vec3.dot.
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _signed_separation(a: FaceGeometry, b: FaceGeometry) -> float:
     """``(b.origin - a.origin).dot(a.normal)``, rounded exactly as Vec3 would."""
-    ao, bo, n = a.origin, b.origin, a.n
-    return (bo.x - ao.x) * n[0] + (bo.y - ao.y) * n[1] + (bo.z - ao.z) * n[2]
-
-
-def _negated(t: tuple[float, float, float]) -> tuple[float, float, float]:
-    return (-t[0], -t[1], -t[2])
+    ax, ay, az = a.origin
+    bx, by, bz = b.origin
+    nx, ny, nz = a.normal
+    return (bx - ax) * nx + (by - ay) * ny + (bz - az) * nz
 
 
 def _windows(center: float, distance: float, half_width: float) -> tuple[tuple[float, float], ...]:
@@ -281,14 +271,14 @@ class FaceTable:
         self.window = TOL + 2.0 * ANGULAR_TOL * extent
         cells: dict[tuple[int, int, int], list[FaceGeometry]] = {}
         for g in self.planes:
-            cells.setdefault(_cell(g.n), []).append(g)
+            cells.setdefault(_cell(g.normal), []).append(g)
         buckets = {}
         for cell, members in cells.items():
             members.sort(key=lambda g: (g.offset, g.id))
             buckets[cell] = ([g.offset for g in members], members)
         shared: dict[tuple, list] = {}
         for g in self.planes:
-            keys = _cells_near(_negated(g.n))
+            keys = _cells_near(-g.normal)
             if keys not in shared:
                 shared[keys] = [buckets[k] for k in keys if k in buckets]
             g.opposite = shared[keys]
@@ -378,7 +368,7 @@ def compute_thickness(solid: Solid) -> float:
                         break
                     b = members[j]
                     lo, hi = (a, b) if a.id < b.id else (b, a)
-                    if not _dot(lo.n, hi.n) <= -_COS_ANGULAR_TOL:
+                    if not lo.normal.dot(hi.normal) <= -_COS_ANGULAR_TOL:
                         continue
                     d = abs(_signed_separation(lo, hi))
                     if d > TOL and (best is None or d < best):
@@ -413,7 +403,7 @@ def _opposite_face(solid: Solid, rf_id: int, thickness: float) -> int:
     rf = table.faces[rf_id]
     candidates: list[tuple[float, int]] = []
     for g in table.opposed_at(rf, thickness):
-        if not _dot(rf.n, g.n) <= -_COS_ANGULAR_TOL:
+        if not rf.normal.dot(g.normal) <= -_COS_ANGULAR_TOL:
             continue
         d = abs(_signed_separation(rf, g))
         if abs(d - thickness) <= TOL:
@@ -444,12 +434,11 @@ def _planes_face_each_other(solid: Solid, a: FaceGeometry, b: FaceGeometry) -> b
     # bounded faces to overlap when projected onto a's plane basis. b's own
     # intervals serve when its basis is a's with u reversed, as for exactly
     # opposite normals; otherwise b's sample points are projected afresh.
-    if b.v == a.v and b.u == _negated(a.u):
+    if b.v == a.v and b.u == -a.u:
         bu_lo, bu_hi, bv_lo, bv_hi = -b.u_hi, -b.u_lo, b.v_lo, b.v_hi
     else:
-        u, v = plane_basis(a.normal)
         points = _face_sample_points(solid, b.face)
-        (bu_lo, bu_hi), (bv_lo, bv_hi) = _extent_along(points, u), _extent_along(points, v)
+        (bu_lo, bu_hi), (bv_lo, bv_hi) = _extent_along(points, a.u), _extent_along(points, a.v)
     return _overlaps(a.u_lo, a.u_hi, bu_lo, bu_hi) and _overlaps(a.v_lo, a.v_hi, bv_lo, bv_hi)
 
 
@@ -457,10 +446,10 @@ def _cylinders_face_each_other(solid: Solid, a: FaceGeometry, b: FaceGeometry) -
     # Negating every projection negates and swaps the interval exactly.
     if b.axis == a.axis:
         lo, hi = b.axis_lo, b.axis_hi
-    elif b.axis == _negated(a.axis):
+    elif b.axis == -a.axis:
         lo, hi = -b.axis_hi, -b.axis_lo
     else:
-        lo, hi = _extent_along(_face_sample_points(solid, b.face), a.face.surface.axis_dir)
+        lo, hi = _extent_along(_face_sample_points(solid, b.face), a.axis)
     return _overlaps(a.axis_lo, a.axis_hi, lo, hi)
 
 
@@ -484,7 +473,7 @@ def pair_faces(solid: Solid, metrics: SheetMetrics) -> FacePairing:
 
     def qualifies(a: FaceGeometry, b: FaceGeometry) -> bool:
         if a.normal is not None:
-            if not _dot(a.n, b.n) <= -_COS_ANGULAR_TOL:
+            if not a.normal.dot(b.normal) <= -_COS_ANGULAR_TOL:
                 return False
             return abs(abs(_signed_separation(a, b)) - t) <= TOL and _planes_face_each_other(solid, a, b)
         return (

@@ -7,7 +7,8 @@ O(10..100) mm, so 1e-6 mm separates authoring noise from float noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 
 # Coincidence tolerance for points/lengths (mm).
 TOL = 1e-6
@@ -19,47 +20,73 @@ FACING_DOT = 1.0 - 1e-6
 _COS_ANGULAR_TOL = math.cos(ANGULAR_TOL)
 
 
-@dataclass(frozen=True)
-class Vec3:
-    x: float
-    y: float
-    z: float
+_new = tuple.__new__
+
+
+class Vec3(tuple):
+    """Immutable float triple (x, y, z) with vector arithmetic.
+
+    A tuple, so building one is cheap; ``+`` and ``*`` are the vector sum and
+    scaling, never concatenation or repetition. Equal vectors hash as the
+    plain tuple ``(x, y, z)`` does.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, z: float) -> "Vec3":
+        return _new(cls, (x, y, z))
+
+    def __getnewargs__(self) -> tuple[float, float, float]:
+        return tuple(self)
+
+    x = property(itemgetter(0), doc="First coordinate.")
+    y = property(itemgetter(1), doc="Second coordinate.")
+    z = property(itemgetter(2), doc="Third coordinate.")
+
+    def __repr__(self) -> str:
+        x, y, z = self
+        return f"Vec3(x={x!r}, y={y!r}, z={z!r})"
 
     def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
+        x, y, z = self
+        ox, oy, oz = other
+        return _new(Vec3, (x + ox, y + oy, z + oz))
 
     def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
+        x, y, z = self
+        ox, oy, oz = other
+        return _new(Vec3, (x - ox, y - oy, z - oz))
 
     def __mul__(self, s: float) -> "Vec3":
-        return Vec3(self.x * s, self.y * s, self.z * s)
+        x, y, z = self
+        return _new(Vec3, (x * s, y * s, z * s))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Vec3":
-        return Vec3(-self.x, -self.y, -self.z)
+        x, y, z = self
+        return _new(Vec3, (-x, -y, -z))
 
     def dot(self, other: "Vec3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
+        x, y, z = self
+        ox, oy, oz = other
+        return x * ox + y * oy + z * oz
 
     def cross(self, other: "Vec3") -> "Vec3":
-        return Vec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
+        x, y, z = self
+        ox, oy, oz = other
+        return _new(Vec3, (y * oz - z * oy, z * ox - x * oz, x * oy - y * ox))
 
     def norm(self) -> float:
-        return math.sqrt(self.dot(self))
+        x, y, z = self
+        return math.sqrt(x * x + y * y + z * z)
 
     def normalized(self) -> "Vec3":
-        n = self.norm()
+        x, y, z = self
+        n = math.sqrt(x * x + y * y + z * z)
         if n <= TOL * TOL:
             raise ValueError("cannot normalize a near-zero vector")
-        return Vec3(self.x / n, self.y / n, self.z / n)
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
+        return _new(Vec3, (x / n, y / n, z / n))
 
 
 def vec(x: float, y: float, z: float) -> Vec3:
@@ -84,17 +111,28 @@ def is_anti_parallel(a: Vec3, b: Vec3) -> bool:
     return a.dot(b) <= -_COS_ANGULAR_TOL
 
 
+_SEED_X = Vec3(1.0, 0.0, 0.0)
+_SEED_Y = Vec3(0.0, 1.0, 0.0)
+_SEED_Z = Vec3(0.0, 0.0, 1.0)
+
+
+# Normals that compare equal differ at most in the sign of a zero component,
+# which changes only the sign of zero-valued projections onto the basis.
+@lru_cache(maxsize=256)
 def plane_basis(normal: Vec3) -> tuple[Vec3, Vec3]:
-    """Right-handed in-plane axes (u, v) with u x v = normal."""
+    """Right-handed in-plane axes (u, v) with u x v = normal.
+
+    Memoised: every planar face asks for its basis at least twice.
+    """
     ax = abs(normal.x)
     ay = abs(normal.y)
     az = abs(normal.z)
     if ax <= ay and ax <= az:
-        seed = Vec3(1.0, 0.0, 0.0)
+        seed = _SEED_X
     elif ay <= az:
-        seed = Vec3(0.0, 1.0, 0.0)
+        seed = _SEED_Y
     else:
-        seed = Vec3(0.0, 0.0, 1.0)
+        seed = _SEED_Z
     u = seed.cross(normal).normalized()
     v = normal.cross(u)
     return u, v

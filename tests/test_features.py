@@ -298,7 +298,7 @@ def test_skins_straddling_a_bucket_edge_pair(shift):
     a, b = (solid.faces[fid].surface.normal for fid in (3, 4))
     # Within ANGULAR_TOL of anti-parallel, yet in different normal cells.
     assert is_anti_parallel(a, b) and (a + b).norm() < ANGULAR_TOL
-    assert features._cell((-a).as_tuple()) != features._cell(b.as_tuple())
+    assert features._cell(-a) != features._cell(b)
     pairing = pair_faces(solid, SheetMetrics(2.0, 1, vec(0, 0, -1), 2))
     assert pairing.pairs == {1: (3, 4)}
     assert pairing.role_of(4) is Role.WALL
