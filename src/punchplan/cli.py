@@ -11,6 +11,7 @@ The PUNCHPLAN_DB_DIR environment variable may point at a directory holding
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -365,9 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first ``main`` call, not at import. Parsing keeps its results
+# in a fresh namespace, so one parser serves every call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; may be called repeatedly in one process."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

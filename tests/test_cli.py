@@ -1,10 +1,14 @@
 """Command-line behaviour: output shapes, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import modelzoo
+import punchplan
 from conftest import fixture_path
 from punchplan.cli import main
 from punchplan.report import CSV_HEADER
@@ -355,3 +359,43 @@ def test_batch_continues_past_corrupt_file(capsys, tmp_path):
     assert statuses == {"bad.json": "error", "good1.json": "ok", "good2.json": "ok"}
     assert (out_dir / "good1.report.json").exists()
     assert (out_dir / "good2.report.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# Repeated calls in one process
+# ---------------------------------------------------------------------------
+
+def _run_alone(argv: list[str]) -> tuple[int, str, str]:
+    src = Path(punchplan.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-m", "punchplan.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_main_calls_match_calls_made_alone(capsys):
+    bridge = str(fixture_path("row4_bridge.json"))
+    sequence = [
+        ["params", bridge, "--kd", "0.5"],
+        ["params", bridge],
+        ["params", bridge, "--format", "csv"],
+        ["params", bridge, "--format", "json"],
+        ["features", str(fixture_path("hole_sheet_r10.json")), "--cut-height", "3"],
+        ["params", bridge, "--no-such-flag"],
+        ["inspect", str(fixture_path("flat_sheet_100x80x2.step"))],
+        ["params", bridge],
+    ]
+    in_process = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert in_process[5][0] == 2
+    alone = {}
+    for argv, result in zip(sequence, in_process):
+        key = tuple(argv)
+        if key not in alone:
+            alone[key] = _run_alone(argv)
+        assert result == alone[key], argv
