@@ -18,9 +18,11 @@ REPLACEMENTS = ("0.", "-0.", "-5.", "1.E9", "#1", "''", "'x'", "$", "*", "()", "
 
 
 def _params_exit(tmp_path, name: str, text: str) -> int:
+    # Each case gets fresh files: replacing an existing file can cost tens of
+    # milliseconds on a journalling file system, creating one does not.
     model = tmp_path / name
     model.write_text(text, encoding="utf-8")
-    return main(["params", str(model), "--out", str(tmp_path / "report.json")])
+    return main(["params", str(model), "--out", str(model.with_suffix(".report.json"))])
 
 
 def _mutate_step(tokens: list[str], rng: random.Random) -> str:
@@ -49,7 +51,7 @@ def test_step_token_mutations_exit_cleanly(tmp_path):
     rng = random.Random(20240521)
     for case in range(CASES):
         text = _mutate_step(tokens, rng)
-        code = _params_exit(tmp_path, "part.step", text)
+        code = _params_exit(tmp_path, f"case{case}.step", text)
         assert code in DOCUMENTED_EXITS, f"case {case}: exit {code}"
 
 
@@ -104,5 +106,5 @@ def test_json_structural_mutations_exit_cleanly(tmp_path):
     rng = random.Random(20240522)
     for case in range(CASES):
         text = json.dumps(_mutate_json(original, rng))
-        code = _params_exit(tmp_path, "part.json", text)
+        code = _params_exit(tmp_path, f"case{case}.json", text)
         assert code in DOCUMENTED_EXITS, f"case {case}: exit {code}"
