@@ -111,28 +111,24 @@ def is_anti_parallel(a: Vec3, b: Vec3) -> bool:
     return a.dot(b) <= -_COS_ANGULAR_TOL
 
 
-_SEED_X = Vec3(1.0, 0.0, 0.0)
-_SEED_Y = Vec3(0.0, 1.0, 0.0)
-_SEED_Z = Vec3(0.0, 0.0, 1.0)
-
-
-# Normals that compare equal differ at most in the sign of a zero component,
-# which changes only the sign of zero-valued projections onto the basis.
 @lru_cache(maxsize=256)
 def plane_basis(normal: Vec3) -> tuple[Vec3, Vec3]:
     """Right-handed in-plane axes (u, v) with u x v = normal.
 
-    Memoised: every planar face asks for its basis at least twice.
+    Memoised, since every planar face asks for its basis at least twice.
+    Normals that compare equal differ at most in the sign of a zero
+    component, so a cached basis differs from a fresh one at most in the
+    signs of its zeros; those reach only comparisons and ``abs``.
     """
     ax = abs(normal.x)
     ay = abs(normal.y)
     az = abs(normal.z)
     if ax <= ay and ax <= az:
-        seed = _SEED_X
+        seed = Vec3(1.0, 0.0, 0.0)
     elif ay <= az:
-        seed = _SEED_Y
+        seed = Vec3(0.0, 1.0, 0.0)
     else:
-        seed = _SEED_Z
+        seed = Vec3(0.0, 0.0, 1.0)
     u = seed.cross(normal).normalized()
     v = normal.cross(u)
     return u, v
