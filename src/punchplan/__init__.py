@@ -1,61 +1,15 @@
-"""punchplan: sheet-metal process parameters from STEP / B-Rep part models."""
+"""punchplan: sheet-metal process parameters from STEP / B-Rep part models.
 
-from .brep import (
-    Circle,
-    Cylinder,
-    Edge,
-    Face,
-    Line,
-    Loop,
-    Plane,
-    Solid,
-    edge_adjacent_faces,
-    edge_length,
-    face_area,
-    face_normal,
-    load_brep_json,
-    validate_manifold,
-)
-from .classify import Classification, EdgeClass, EdgeClassTotals, classify_reference_edges, totals
-from .features import (
-    FacePairing,
-    FeatureKind,
-    Role,
-    SheetFeature,
-    SheetMetrics,
-    compute_thickness,
-    feature_height,
-    group_features,
-    pair_faces,
-    select_reference_face,
-    sheet_metrics,
-)
-from .process import FeatureReport, ProcessParameters, build_report, compute_process_parameters
+The package root exposes the loaders and the two pipeline entry points;
+everything else is reached through its submodule (``punchplan.brep``,
+``punchplan.features``, ``punchplan.classify``, ``punchplan.process``,
+``punchplan.resources``, ``punchplan.step``, ``punchplan.cli``).
+"""
+
+from .brep import load_brep_json
 from .report import analyze_solid, report_document
-from .resources import (
-    MaterialSpec,
-    ToolSpec,
-    builtin_materials,
-    builtin_tools,
-    load_materials,
-    load_tools,
-)
-from .step import ExchangeStructure, load_step, parse_exchange, resolve_brep, serialize_exchange
+from .step import load_step
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Circle", "Cylinder", "Edge", "Face", "Line", "Loop", "Plane", "Solid",
-    "edge_adjacent_faces", "edge_length", "face_area", "face_normal",
-    "load_brep_json", "validate_manifold",
-    "Classification", "EdgeClass", "EdgeClassTotals", "classify_reference_edges", "totals",
-    "FacePairing", "FeatureKind", "Role", "SheetFeature", "SheetMetrics",
-    "compute_thickness", "feature_height", "group_features", "pair_faces",
-    "select_reference_face", "sheet_metrics",
-    "FeatureReport", "ProcessParameters", "build_report", "compute_process_parameters",
-    "analyze_solid", "report_document",
-    "MaterialSpec", "ToolSpec", "builtin_materials", "builtin_tools",
-    "load_materials", "load_tools",
-    "ExchangeStructure", "load_step", "parse_exchange", "resolve_brep", "serialize_exchange",
-    "__version__",
-]
+__all__ = ["load_brep_json", "load_step", "analyze_solid", "report_document", "__version__"]

@@ -173,6 +173,18 @@ def _settings(args) -> ReportSettings:
 def cmd_inspect(args) -> int:
     path = Path(args.input)
     solid, warnings, entity_count = _load_solid(path, args.input_format)
+    try:
+        lines, code = _inspect_lines(solid, warnings, entity_count)
+    except BrepError as exc:
+        # Geometry the face table cannot measure (an arc whose start point
+        # sits on its circle's centre) fails like a manifold violation.
+        raise CliError(EXIT_VALIDATION, str(exc)) from None
+    _write_output("\n".join(lines) + "\n", args.out)
+    return code
+
+
+def _inspect_lines(solid: Solid, warnings: list[str],
+                   entity_count: int | None) -> tuple[list[str], int]:
     lines = [f"part: {solid.name}"]
     if entity_count is not None:
         lines.append(f"entities: {entity_count}")
@@ -198,8 +210,7 @@ def cmd_inspect(args) -> int:
         lines.append(f"manifold: {len(violations)} violation(s)")
         for v in violations:
             lines.append(f"  {v.kind}: {v.message}")
-        _write_output("\n".join(lines) + "\n", args.out)
-        return EXIT_VALIDATION
+        return lines, EXIT_VALIDATION
     lines.append("manifold: OK")
     try:
         metrics = sheet_metrics(solid)
@@ -211,12 +222,10 @@ def cmd_inspect(args) -> int:
         )
     except RecognitionError as exc:
         lines.append(f"sheet metrics: unavailable ({exc})")
-        _write_output("\n".join(lines) + "\n", args.out)
-        return EXIT_VALIDATION
+        return lines, EXIT_VALIDATION
     for w in warnings:
         lines.append(f"warning: {w}")
-    _write_output("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return lines, EXIT_OK
 
 
 def cmd_features(args) -> int:
@@ -283,17 +292,25 @@ def cmd_batch(args) -> int:
         raise CliError(EXIT_PARSE, f"{in_dir}: not a directory")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # A batch's own output is never read back as a model, so an input
+    # directory can also be the output directory.
     model_files = sorted(
         p for p in in_dir.iterdir()
         if p.suffix.lower() in (".step", ".stp", ".json") and p.is_file()
+        and p.name != "index.json" and not p.name.endswith(".report.json")
     )
     results = []
     all_ok = True
+    report_owner: dict[str, str] = {}
     for path in model_files:
         entry = {"file": path.name, "status": "ok", "report": None, "error": None}
+        report_name = path.stem + ".report.json"
         try:
+            if report_name in report_owner:
+                raise CliError(EXIT_PARSE, f"{path}: report name {report_name} is already "
+                                           f"taken by {report_owner[report_name]}")
+            report_owner[report_name] = path.name
             doc = _params_document(path, args)
-            report_name = path.stem + ".report.json"
             _atomic_write(out_dir / report_name, _report.render_json(doc))
             entry["report"] = report_name
         except CliError as exc:

@@ -93,11 +93,6 @@ def vec(x: float, y: float, z: float) -> Vec3:
     return Vec3(float(x), float(y), float(z))
 
 
-def unit(x: float, y: float, z: float) -> Vec3:
-    """Build a unit vector, normalizing the input; rejects near-zero input."""
-    return vec(x, y, z).normalized()
-
-
 def distance(a: Vec3, b: Vec3) -> float:
     return (a - b).norm()
 

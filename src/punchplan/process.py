@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import EdgeClassTotals
-from .features import FeatureKind, SheetFeature
-from .resources import MaterialSpec, ToolSpec
+from .resources import MaterialSpec
 
 DEFAULT_H1_FRACTION = 1.0 / 3.0
 DEFAULT_HOLDING_FRACTION = 0.2
@@ -75,65 +74,3 @@ def compute_process_parameters(
         h1 = 0.0
         h2 = h
     return ProcessParameters(Fs=fs, Fd=fd, Fh=fh, H1=h1, H2=h2)
-
-
-@dataclass(frozen=True)
-class FeatureReport:
-    feature_id: int
-    kind: FeatureKind
-    thickness: float
-    totals: EdgeClassTotals
-    height: float | None
-    params: ProcessParameters | None
-    material: str
-    tool: str
-    capacity_ok: bool | None
-    error: str | None = None
-
-
-def build_report(
-    features: list[tuple[SheetFeature, EdgeClassTotals]],
-    thickness: float,
-    mat: MaterialSpec,
-    tool: ToolSpec,
-    kd: float | None = None,
-    h1_fraction: float = DEFAULT_H1_FRACTION,
-    holding_fraction: float = DEFAULT_HOLDING_FRACTION,
-    height_errors: dict[int, str] | None = None,
-) -> list[FeatureReport]:
-    """One report entry per feature; a failing feature becomes an error entry
-    without disturbing the others."""
-    kd_used = tool.force_coefficient if kd is None else kd
-    height_errors = height_errors or {}
-    out: list[FeatureReport] = []
-    for feat, tot in features:
-        error = height_errors.get(feat.id)
-        params: ProcessParameters | None = None
-        capacity_ok: bool | None = None
-        if error is None:
-            try:
-                if feat.height is None:
-                    raise ProcessError("feature height is unknown")
-                params = compute_process_parameters(
-                    tot, thickness, feat.height, mat, kd_used,
-                    h1_fraction=h1_fraction, holding_fraction=holding_fraction,
-                )
-                peak = max(params.Fs, params.Fd) + params.Fh
-                capacity_ok = tool.max_force == 0 or peak <= tool.max_force
-            except ProcessError as exc:
-                error = str(exc)
-                params = None
-                capacity_ok = None
-        out.append(FeatureReport(
-            feature_id=feat.id,
-            kind=feat.kind,
-            thickness=thickness,
-            totals=tot,
-            height=feat.height,
-            params=params,
-            material=mat.name,
-            tool=tool.name,
-            capacity_ok=capacity_ok,
-            error=error,
-        ))
-    return out

@@ -19,8 +19,8 @@ from .features import FacePairing, SheetFeature, SheetMetrics
 from .process import (
     DEFAULT_H1_FRACTION,
     DEFAULT_HOLDING_FRACTION,
-    FeatureReport,
-    build_report,
+    ProcessError,
+    compute_process_parameters,
 )
 from .resources import MaterialSpec, ToolSpec
 
@@ -78,25 +78,6 @@ class ReportSettings:
     cut_height: float | None = None
 
 
-def feature_reports(
-    analysis: PartAnalysis,
-    mat: MaterialSpec,
-    tool: ToolSpec,
-    settings: ReportSettings,
-) -> list[FeatureReport]:
-    pairs = [(feat, analysis.totals[feat.id]) for feat in analysis.features]
-    return build_report(
-        pairs,
-        analysis.metrics.thickness,
-        mat,
-        tool,
-        kd=settings.kd,
-        h1_fraction=settings.h1_fraction,
-        holding_fraction=settings.holding_fraction,
-        height_errors=analysis.height_errors,
-    )
-
-
 def report_document(
     analysis: PartAnalysis,
     mat: MaterialSpec,
@@ -104,16 +85,37 @@ def report_document(
     settings: ReportSettings,
     warnings: list[str] | None = None,
 ) -> dict:
-    """Assemble the versioned report document (JSON-ready, key order fixed)."""
-    reports = feature_reports(analysis, mat, tool, settings)
-    kd_used = tool.force_coefficient if settings.kd is None else settings.kd
+    """Assemble the versioned report document (JSON-ready, key order fixed).
+
+    A feature that fails (height error, unknown height, or a
+    :class:`ProcessError`) gets an ``error`` with null ``params`` and
+    ``capacity_ok``, and leaves the other features' blocks intact.
+    """
+    kd = tool.force_coefficient if settings.kd is None else settings.kd
+    t = analysis.metrics.thickness
     blocks = []
-    for rep in reports:
-        tot = rep.totals
-        block = {
-            "feature": rep.feature_id,
-            "kind": rep.kind.value,
-            "t": rep.thickness,
+    for feat in analysis.features:
+        tot = analysis.totals[feat.id]
+        error = analysis.height_errors.get(feat.id)
+        params = None
+        capacity_ok = None
+        if error is None:
+            try:
+                if feat.height is None:
+                    raise ProcessError("feature height is unknown")
+                p = compute_process_parameters(
+                    tot, t, feat.height, mat, kd,
+                    h1_fraction=settings.h1_fraction,
+                    holding_fraction=settings.holding_fraction,
+                )
+                params = {"Fs": p.Fs, "Fd": p.Fd, "Fh": p.Fh, "H1": p.H1, "H2": p.H2}
+                capacity_ok = tool.max_force == 0 or max(p.Fs, p.Fd) + p.Fh <= tool.max_force
+            except ProcessError as exc:
+                error = str(exc)
+        blocks.append({
+            "feature": feat.id,
+            "kind": feat.kind.value,
+            "t": t,
             "counts": {
                 "CEE": tot.n_cee,
                 "IEE": tot.n_iee,
@@ -126,18 +128,11 @@ def report_document(
                 "TLCEEs": tot.tl_cee,
                 "TLIEEs": tot.tl_iee,
             },
-            "h": rep.height,
-            "params": None if rep.params is None else {
-                "Fs": rep.params.Fs,
-                "Fd": rep.params.Fd,
-                "Fh": rep.params.Fh,
-                "H1": rep.params.H1,
-                "H2": rep.params.H2,
-            },
-            "capacity_ok": rep.capacity_ok,
-            "error": rep.error,
-        }
-        blocks.append(block)
+            "h": feat.height,
+            "params": params,
+            "capacity_ok": capacity_ok,
+            "error": error,
+        })
     n = analysis.metrics.reference_normal
     return {
         "schema_version": SCHEMA_VERSION,
@@ -160,7 +155,7 @@ def report_document(
             "max_force": tool.max_force,
         },
         "settings": {
-            "kd": kd_used,
+            "kd": kd,
             "h1_fraction": settings.h1_fraction,
             "holding_fraction": settings.holding_fraction,
             "cut_height": settings.cut_height,

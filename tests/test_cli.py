@@ -55,6 +55,23 @@ def test_inspect_open_shell_json(capsys, tmp_path):
     assert "non_manifold_edge" in out
 
 
+@pytest.mark.parametrize("command", ["inspect", "features", "params"])
+def test_arc_starting_on_its_centre_exits_3(capsys, tmp_path, command):
+    # Arc edge 11 of the L-bend starts at vertex 2; move that vertex onto the
+    # arc's circle centre, where no sweep angle can be measured.
+    doc = json.loads(fixture_path("l_bend.json").read_text(encoding="utf-8"))
+    arc = next(e for e in doc["edges"] if e["id"] == 11)
+    start = next(v for v in doc["vertices"] if v["id"] == arc["start"])
+    start["x"], start["y"], start["z"] = arc["curve"]["center"]
+    path = write_doc(tmp_path, doc, "arc_on_centre.json")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+    if command == "inspect":
+        assert err == "error: arc start point coincides with the circle center\n"
+
+
 # ---------------------------------------------------------------------------
 # features
 # ---------------------------------------------------------------------------
@@ -359,6 +376,48 @@ def test_batch_continues_past_corrupt_file(capsys, tmp_path):
     assert statuses == {"bad.json": "error", "good1.json": "ok", "good2.json": "ok"}
     assert (out_dir / "good1.report.json").exists()
     assert (out_dir / "good2.report.json").exists()
+
+
+def test_batch_report_name_taken_by_earlier_file(capsys, tmp_path):
+    src = tmp_path / "models"
+    src.mkdir()
+    src.joinpath("a.json").write_text(fixture_path("row4_bridge.json").read_text())
+    src.joinpath("a.step").write_text(fixture_path("flat_sheet_100x80x2.step").read_text())
+    src.joinpath("b.json").write_text(fixture_path("row2_boss.json").read_text())
+    out_dir = tmp_path / "reports"
+    code, out, _ = run(capsys, "batch", str(src), "--out-dir", str(out_dir))
+    assert code == 1
+    assert out == "processed 3 model(s), 2 ok, 1 failed\n"
+    results = json.loads((out_dir / "index.json").read_text())["results"]
+    assert [(r["file"], r["status"], r["report"]) for r in results] == [
+        ("a.json", "ok", "a.report.json"),
+        ("a.step", "error", None),
+        ("b.json", "ok", "b.report.json"),
+    ]
+    assert "a.report.json" in results[1]["error"]
+    assert "a.json" in results[1]["error"]
+    # The report is a.json's, not overwritten by a.step's.
+    report = json.loads((out_dir / "a.report.json").read_text())
+    assert report["part"] == json.loads(fixture_path("row4_bridge.json").read_text())["name"]
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "a.report.json", "b.report.json", "index.json"]
+
+
+def test_batch_into_its_own_input_directory_twice(capsys, tmp_path):
+    src = tmp_path / "models"
+    src.mkdir()
+    for name in ("row1_shelf", "row4_bridge"):
+        src.joinpath(f"{name}.json").write_text(fixture_path(f"{name}.json").read_text())
+    first = run(capsys, "batch", str(src), "--out-dir", str(src))
+    index = (src / "index.json").read_text()
+    reports = {n: (src / n).read_text() for n in ("row1_shelf.report.json",
+                                                  "row4_bridge.report.json")}
+    second = run(capsys, "batch", str(src), "--out-dir", str(src))
+    assert first == second == (0, "processed 2 model(s), 2 ok, 0 failed\n", "")
+    assert (src / "index.json").read_text() == index
+    assert {n: (src / n).read_text() for n in reports} == reports
+    assert [r["file"] for r in json.loads(index)["results"]] == [
+        "row1_shelf.json", "row4_bridge.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Force and tool-travel computation."""
+"""Force and tool-travel computation, and the report blocks built from it."""
+import dataclasses
 import math
 import random
 
@@ -7,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from punchplan.classify import EdgeClassTotals
-from punchplan.features import FeatureKind, SheetFeature
 from punchplan.process import (
     NegativeTravel,
     NonPositiveThickness,
-    build_report,
     compute_process_parameters,
 )
-from punchplan.resources import MaterialSpec, ToolSpec
+from punchplan.report import ReportSettings, analyze_solid, report_document
+from punchplan.resources import MaterialSpec, ToolSpec, builtin_tools
 
 STEEL = MaterialSpec("low_carbon_steel", shear_stress=100.0, yield_stress=210.0)
 PRESS = ToolSpec("punching_press", "punching_press", force_coefficient=1 / 3, max_force=0.0)
@@ -95,50 +95,69 @@ def test_fraction_overrides():
 
 
 # ---------------------------------------------------------------------------
-# build_report
+# report_document: one block per feature
 # ---------------------------------------------------------------------------
 
-def feature(fid, kind=FeatureKind.MIXED, height=10.0):
-    return SheetFeature(fid, frozenset(), kind, frozenset(), height)
+@pytest.fixture(scope="module")
+def bridge_analysis(bridge_sheet):
+    # One mixed feature of height 10 with the row-4 totals.
+    return analyze_solid(bridge_sheet)
 
 
-def test_capacity_check():
-    row4 = tot(n_cie=2, n_iie=2, tl_iie=100.0, tl_cie=60.0)
-    reports = build_report([(feature(1), row4)], 2.0, STEEL, PRESS)
-    assert reports[0].capacity_ok is True
+def blocks(analysis, tool=PRESS):
+    return report_document(analysis, STEEL, tool, ReportSettings())["features"]
+
+
+def with_features(analysis, *features_and_totals, height_errors=None):
+    """The analysis with its features and totals replaced."""
+    return dataclasses.replace(
+        analysis,
+        features=[feat for feat, _ in features_and_totals],
+        totals={feat.id: t for feat, t in features_and_totals},
+        height_errors=height_errors or {},
+    )
+
+
+def test_capacity_check(bridge_analysis):
+    assert bridge_analysis.totals[1] == tot(n_cie=2, n_iie=2, tl_iie=100.0, tl_cie=60.0)
+    assert blocks(bridge_analysis, builtin_tools()["punching_press"])[0]["capacity_ok"] is True
     small = ToolSpec("small", "press", 1 / 3, max_force=20000.0)
-    reports = build_report([(feature(1), row4)], 2.0, STEEL, small)
     # Peak demand 20000 + 4000 exceeds the 20 kN press.
-    assert reports[0].capacity_ok is False
+    assert blocks(bridge_analysis, small)[0]["capacity_ok"] is False
 
 
-def test_partial_report_on_feature_error():
-    good = tot(n_cie=1, tl_cie=30.0)
-    bad = tot(n_iie=1, tl_iie=10.0)
-    reports = build_report(
-        [(feature(1, height=10.0), good), (feature(2, height=0.1), bad)],
-        2.0, STEEL, PRESS,
-    )
-    assert reports[0].error is None
-    assert reports[0].params is not None
-    assert reports[1].error is not None
-    assert reports[1].params is None
+def test_partial_report_on_feature_error(bridge_analysis):
+    feat = bridge_analysis.features[0]
+    good = (dataclasses.replace(feat, height=10.0), tot(n_cie=1, tl_cie=30.0))
+    bad = (dataclasses.replace(feat, id=2, height=0.1), tot(n_iie=1, tl_iie=10.0))
+    alone = blocks(with_features(bridge_analysis, good))
+    both = blocks(with_features(bridge_analysis, good, bad))
+    assert both[0]["error"] is None
+    assert both[0]["params"] is not None
+    assert both[0] == alone[0]
+    assert both[1]["error"] is not None
+    assert both[1]["params"] is None
 
 
-def test_height_error_entry_preserved():
-    reports = build_report(
-        [(feature(1, height=None), tot(n_cie=1, tl_cie=5.0))],
-        2.0, STEEL, PRESS,
-        height_errors={1: "no measurable height"},
-    )
-    assert reports[0].error == "no measurable height"
-    assert reports[0].capacity_ok is None
+def test_height_error_entry_preserved(bridge_analysis):
+    feat = dataclasses.replace(bridge_analysis.features[0], height=None)
+    failed = with_features(bridge_analysis, (feat, tot(n_cie=1, tl_cie=5.0)),
+                           height_errors={1: "no measurable height"})
+    block = blocks(failed)[0]
+    assert block["error"] == "no measurable height"
+    assert block["params"] is None
+    assert block["capacity_ok"] is None
+    # Without a recorded height error, a missing height still fails the block.
+    unknown = blocks(dataclasses.replace(failed, height_errors={}))[0]
+    assert unknown["error"] == "feature height is unknown"
+    assert unknown["params"] is None
+    assert unknown["capacity_ok"] is None
 
 
-def test_kd_override_takes_precedence():
-    row4 = tot(n_cie=2, n_iie=2, tl_iie=100.0, tl_cie=60.0)
-    reports = build_report([(feature(1), row4)], 2.0, STEEL, PRESS, kd=0.5)
-    assert reports[0].params.Fd == pytest.approx(0.5 * 210 * 2 * 60)
+def test_kd_override_takes_precedence(bridge_analysis):
+    doc = report_document(bridge_analysis, STEEL, PRESS, ReportSettings(kd=0.5))
+    assert doc["settings"]["kd"] == 0.5
+    assert doc["features"][0]["params"]["Fd"] == pytest.approx(0.5 * 210 * 2 * 60)
 
 
 # ---------------------------------------------------------------------------
