@@ -117,6 +117,17 @@ PREFIX = "ISO-10303-21;\nHEADER;\nENDSEC;\nDATA;\n"
     (PREFIX + "#1=A(1)\u00a0;\n", 5, 8, "a Part-21 token"),
     (PREFIX + "#1=A(" + "(" * 5000 + ")" * 5001 + ";\n", 5, 69, "at most 64 nested parameter lists"),
     (PREFIX + "#1=A(" + "B(" * 70 + ")" * 71 + ";\n", 5, 133, "at most 64 nested parameter lists"),
+    (PREFIX + "#1=A(1,);\n", 5, 8, "an argument"),
+    (PREFIX + "#1=A(,1);\n", 5, 6, "an argument"),
+    (PREFIX + "#1=A(1 2);\n", 5, 8, ")"),
+    (PREFIX + "#1=;\n", 5, 4, "entity keyword"),
+    (PREFIX + "#1 A(1);\n", 5, 4, "="),
+    (PREFIX + "A(1);\n", 5, 1, "instance name '#<id>'"),
+    (PREFIX + "#1=(A(1) 2);\n", 5, 10, "entity keyword inside complex instance"),
+    (PREFIX + "#1=A(B 1);\n", 5, 8, "("),
+    (PREFIX + "#1=A(1,", 5, 8, "an argument"),
+    (PREFIX + "#1=A(1);\nENDSEC\nEND-ISO-10303-21;\n", 7, 1, ";"),
+    (PREFIX + "#1=A(1);\nENDSEC;\n", 7, 1, "END-ISO-10303-21"),
 ], ids=[
     "open-comment", "hash-no-digits", "open-string", "open-string-escaped-quote",
     "no-exponent-digits", "no-exponent-digits-after-sign", "lone-plus", "open-enum",
@@ -124,6 +135,9 @@ PREFIX = "ISO-10303-21;\nHEADER;\nENDSEC;\nDATA;\n"
     "missing-paren", "missing-endsec", "plus-dot", "minus-dot", "sign-exponent-only",
     "non-ascii-digit-in-name", "non-ascii-enum", "non-ascii-keyword", "non-ascii-digit",
     "non-ascii-space", "deep-nesting", "deep-typed-nesting",
+    "trailing-comma", "leading-comma", "missing-comma", "no-entity-keyword", "missing-equals",
+    "no-instance-name", "complex-instance-non-keyword", "typed-parameter-without-paren",
+    "eof-in-list", "endsec-without-semicolon", "missing-end-keyword",
 ])
 def test_syntax_error_carries_position(text, line, column, expected):
     with pytest.raises(StepSyntaxError) as exc:
