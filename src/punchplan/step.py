@@ -4,11 +4,13 @@
 interpreting any schema; ``resolve_brep`` then walks the one
 MANIFOLD_SOLID_BREP tree and builds a :class:`punchplan.brep.Solid`.
 
-Tokenizing is one compiled master pattern with a named group per token kind,
-matched from a generator that yields ``(kind, value, offset)`` lazily. Outside
-strings and comments only ASCII is accepted (the Part-21 basic alphabet).
-Line and column are computed from the offset only when a
-:class:`StepSyntaxError` is raised.
+Tokenizing is one compiled master pattern with a named group per token kind.
+The HEADER and DATA sections are each parsed by one loop that pulls tokens
+from the pattern's scanner and keeps the open parameter lists on an explicit
+stack; the fixed keywords around them are read through a generator that
+yields ``(kind, value, offset)`` lazily. Outside strings and comments only
+ASCII is accepted (the Part-21 basic alphabet). Line and column are computed
+from the offset only when a :class:`StepSyntaxError` is raised.
 
 Only the geometry subset needed for sheet-metal parts is resolved
 (points, directions, placements, lines, circles, planes, cylinders, and
@@ -180,7 +182,8 @@ class ExchangeStructure:
 # Python 3.10 has no atomic groups, so lookaheads keep a number or a string
 # from backtracking into a shorter token: ``1.E`` and ``'ab''`` at the end of
 # the text match nothing, and ``_token_error`` says why. Letters and digits
-# are ASCII only (the Part-21 basic alphabet).
+# are ASCII only (the Part-21 basic alphabet). ``eof`` matches only at the
+# end of the text, so the end reaches the parser as one more token.
 _TOKEN = re.compile(r"""
     (?P<skip>[ \t\r\n]+|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
   | (?P<punct>[();,=])
@@ -193,6 +196,7 @@ _TOKEN = re.compile(r"""
   | \.(?P<bool>[TF])\.
   | \.(?P<enum>(?![0-9])[A-Za-z0-9_]*)\.
   | (?P<keyword>[A-Za-z_][A-Za-z0-9_-]*)
+  | (?P<eof>\Z)
 """, re.VERBOSE)
 
 _NUMBER_START = re.compile(r"[+-]|\.?[0-9]")
@@ -208,6 +212,7 @@ _CONVERT = {
     "bool": lambda name: name == "T",
     "enum": Enum,
     "keyword": str,
+    "eof": lambda _: None,
 }
 
 
@@ -235,11 +240,10 @@ def _token_error(text: str, pos: int) -> StepSyntaxError:
     return _syntax_error(text, pos, "a Part-21 token", ch)
 
 
-def _tokens(text: str):
-    """Yield ``(kind, value, offset)`` per token, ending with an ``eof`` token."""
-    pos, end = 0, len(text)
+def _tokens(text: str, pos: int = 0):
+    """Yield ``(kind, value, offset)`` per token from ``pos``, ending with an ``eof`` token."""
     match = _TOKEN.match
-    while pos < end:
+    while True:
         m = match(text, pos)
         if m is None:
             raise _token_error(text, pos)
@@ -248,240 +252,221 @@ def _tokens(text: str):
             yield m[kind], m[kind], pos
         elif kind != "skip":
             yield kind, _CONVERT[kind](m[kind]), pos
+            if kind == "eof":
+                return
         pos = m.end()
-    yield "eof", None, end
+
+
+def _expect_tokens(text: str, pos: int, *expected: str) -> int:
+    """Read the keywords and punctuation ``expected`` from ``pos``; return the
+    offset after them. The token after them is lexed as well, as by a parser
+    that holds one token of lookahead, so text after ``END-ISO-10303-21;``
+    must still begin with a valid token."""
+    tokens = _tokens(text, pos)
+    for want in expected:
+        kind, value, offset = next(tokens)
+        if value != want or kind not in ("keyword", want):
+            if want in ("HEADER", "DATA"):
+                raise MissingSection(want)
+            raise _syntax_error(text, offset, want, str(value))
+    next(tokens)
+    return offset + len(want)
+
+
+def _unexpected(text: str, m: re.Match, expected: str) -> StepSyntaxError:
+    kind = m.lastgroup
+    found = m[kind] if kind == "punct" else str(_CONVERT[kind](m[kind]))
+    return _syntax_error(text, m.start(), expected, found)
 
 
 # Deepest parameter-list nesting the parser accepts. Exchange files nest a
 # few lists deep (B-spline control nets are lists of lists); the bound keeps
-# hostile input from exhausting the interpreter stack, since the parser
-# recurses once per level.
+# hostile input from growing the parser's stack of open lists without limit.
 MAX_NESTING = 64
 
+# What ``_records`` may read next. Inside a parameter list:
+_FIRST = 0    # after '(': a parameter or ')'
+_PARAM = 1    # after ',': a parameter
+_AFTER = 2    # after a parameter: ',' or ')'
+_TYPED = 3    # after a typed parameter's keyword: '('
+# Once per record:
+_OPEN = 4     # after a record's (or complex part's) keyword: '('
+_RECORD = 5   # a record, or ENDSEC
+_EQUALS = 6   # after a DATA instance name: '='
+_ENTITY = 7   # after '=': an entity keyword, or '(' of a complex instance
+_PARTS = 8    # inside a complex instance: a keyword or ')'
+_END = 9      # after a record: ';'
+_ENDSEC = 10  # after ENDSEC: ';'
+# What a syntax error in each state names as expected (_RECORD's depends on the section).
+_EXPECTED = ("an argument", "an argument", ")", "(", "(", None, "=", "entity keyword",
+             "entity keyword inside complex instance", ";", ";")
 
-class _Parser:
-    _LITERALS = frozenset({"string", "integer", "real", "bool", "enum", "unset", "derived"})
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokens(text)
-        self._bump()
+def _records(text: str, pos: int, data: bool) -> tuple[dict[int, EntityRecord] | list, int]:
+    """Parse a DATA (``data``) or HEADER section from ``pos`` through its ``ENDSEC;``.
 
-    def _bump(self) -> None:
-        self.kind, self.value, self.offset = next(self.tokens)
-
-    def _error(self, expected: str, found: str = "") -> StepSyntaxError:
-        return _syntax_error(self.text, self.offset, expected, found)
-
-    def _expect(self, kind: str, what: str | None = None):
-        """Consume a token of ``kind`` and return its value."""
-        if self.kind != kind:
-            raise self._error(what or kind, str(self.value))
-        value = self.value
-        self._bump()
-        return value
-
-    def _at_keyword(self, word: str) -> bool:
-        return self.kind == "keyword" and self.value == word
-
-    def _expect_keyword(self, word: str) -> None:
-        if not self._at_keyword(word):
-            raise self._error(word, str(self.value))
-        self._bump()
-
-    def parse(self) -> ExchangeStructure:
-        self._expect_keyword("ISO-10303-21")
-        self._expect(";")
-        if not self._at_keyword("HEADER"):
-            raise MissingSection("HEADER")
-        self._bump()
-        self._expect(";")
-        header = self._header_section()
-        if not self._at_keyword("DATA"):
-            raise MissingSection("DATA")
-        self._bump()
-        self._expect(";")
-        entities = self._data_section()
-        self._expect_keyword("END-ISO-10303-21")
-        self._expect(";")
-        warnings = _unit_warnings(entities)
-        ignored = Counter()
-        for rec in entities.values():
-            for kw in (p[0] for p in rec.parts) if isinstance(rec, ComplexEntity) else (rec.keyword,):
-                if kw not in SUPPORTED_ENTITIES:
-                    ignored[kw] += 1
-        return ExchangeStructure(header, entities, ignored, warnings)
-
-    def _header_section(self) -> Header:
-        header = Header()
-        while True:
-            if self._at_keyword("ENDSEC"):
-                self._bump()
-                self._expect(";")
-                return header
-            if self.kind == "eof":
-                raise self._error("ENDSEC for HEADER")
-            keyword = self._expect("keyword", "header entity keyword")
-            args = self._arg_list()
-            self._expect(";")
-            header.records.append((keyword, args))
-            if keyword == "FILE_DESCRIPTION" and args:
-                if isinstance(args[0], tuple) and args[0] and isinstance(args[0][0], str):
-                    header.description = args[0][0]
-            elif keyword == "FILE_NAME" and args and isinstance(args[0], str):
-                header.name = args[0]
-            elif keyword == "FILE_SCHEMA" and args and isinstance(args[0], tuple):
-                header.schema = tuple(s for s in args[0] if isinstance(s, str))
-
-    def _data_section(self) -> dict[int, EntityRecord]:
-        entities: dict[int, EntityRecord] = {}
-        while True:
-            if self._at_keyword("ENDSEC"):
-                self._bump()
-                self._expect(";")
-                return entities
-            if self.kind == "eof":
-                raise self._error("ENDSEC for DATA")
-            offset = self.offset
-            eid = self._expect("ref", "instance name '#<id>'")
-            if eid <= 0:
-                raise _syntax_error(self.text, offset, "a positive instance name", f"#{eid}")
-            self._expect("=")
-            if eid in entities:
-                raise DuplicateEntityId(eid)
-            if self.kind == "(":
-                entities[eid] = self._complex_instance()
+    Returns the id -> entity map of DATA, or the ``(keyword, args)`` list of
+    HEADER, and the offset after the ``;``. One loop pulls the tokens from the
+    scanner, with no recursion and no parser method per token; the enclosing
+    parameter lists wait on ``stack``, each with whether the list inside it is
+    a typed parameter.
+    """
+    records: dict[int, EntityRecord] | list = {} if data else []
+    stack: list[tuple[list, bool]] = []
+    cur: list = []
+    parts: list | None = None
+    state = _RECORD
+    m = None
+    for m in iter(_TOKEN.scanner(text, pos).match, None):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        if kind == "punct":
+            kind = m[kind]
+            if kind == "," and state == _AFTER:
+                state = _PARAM
+                continue
+            if kind == ")" and (state == _AFTER or state == _FIRST):
+                value = tuple(cur)
+                if stack:
+                    cur, typed = stack.pop()
+                    # A typed parameter such as PARAMETER_VALUE(0.5) keeps its payload.
+                    cur.append(value[0] if typed and len(value) == 1 else value)
+                    state = _AFTER
+                elif parts is not None:
+                    parts.append((keyword, value))
+                    state = _PARTS
+                elif data:
+                    records[eid] = SimpleEntity(keyword, value)
+                    state = _END
+                else:
+                    records.append((keyword, value))
+                    state = _END
+                continue
+        elif state <= _PARAM:
+            if kind == "ref":
+                cur.append(Ref(int(m[kind])))
+            elif kind == "real":
+                cur.append(float(m[kind]))
+            elif kind == "string":
+                cur.append(m[kind].replace("''", "'"))  # backslash escapes pass through
+            elif kind == "derived":
+                cur.append(DERIVED)
+            elif kind == "bool":
+                cur.append(m[kind] == "T")
+            elif kind == "integer":
+                cur.append(int(m[kind]))
+            elif kind == "unset":
+                cur.append(UNSET)
+            elif kind == "enum":
+                cur.append(Enum(m[kind]))
+            elif kind == "keyword":
+                state = _TYPED
+                continue
             else:
-                keyword = self._expect("keyword", "entity keyword")
-                entities[eid] = SimpleEntity(keyword, self._arg_list())
-            self._expect(";")
+                break
+            state = _AFTER
+            continue
+        if state == _OPEN:
+            if kind != "(":
+                break
+            cur = []
+            state = _FIRST
+        elif state == _RECORD:
+            if kind == "keyword" and m[kind] == "ENDSEC":
+                state = _ENDSEC
+            elif kind != ("ref" if data else "keyword"):
+                break
+            elif data:
+                instance = m
+                state = _EQUALS
+            else:
+                keyword = m[kind]
+                state = _OPEN
+        elif state == _EQUALS:
+            eid = int(instance["ref"])
+            if eid <= 0:
+                raise _syntax_error(text, instance.start(), "a positive instance name", f"#{eid}")
+            if kind != "=":
+                break
+            state = _ENTITY
+        elif state == _ENTITY:
+            if eid in records:
+                raise DuplicateEntityId(eid)
+            if kind == "keyword":
+                keyword = m[kind]
+                parts = None
+                state = _OPEN
+            elif kind == "(":
+                parts = []
+                state = _PARTS
+            else:
+                break
+        elif state == _PARTS:
+            if kind == "keyword":
+                keyword = m[kind]
+                state = _OPEN
+            elif kind == ")":
+                records[eid] = ComplexEntity(tuple(parts))
+                state = _END
+            else:
+                break
+        elif state == _TYPED or state <= _PARAM and kind == "(":
+            if len(stack) + 1 >= MAX_NESTING:
+                raise _syntax_error(text, m.start(),
+                                    f"at most {MAX_NESTING} nested parameter lists", "(")
+            if kind != "(":
+                break
+            stack.append((cur, state == _TYPED))
+            cur = []
+            state = _FIRST
+        elif state >= _END and kind == ";":
+            if state == _ENDSEC:
+                return records, m.end()
+            state = _RECORD
+        else:
+            break
+    else:
+        raise _token_error(text, m.end() if m else pos)
+    if state == _RECORD:
+        if m.lastgroup == "eof":
+            raise _syntax_error(text, m.start(), f"ENDSEC for {'DATA' if data else 'HEADER'}")
+        raise _unexpected(text, m, "instance name '#<id>'" if data else "header entity keyword")
+    raise _unexpected(text, m, _EXPECTED[state])
 
-    def _complex_instance(self) -> ComplexEntity:
-        self._expect("(")
-        parts: list[tuple[str, tuple]] = []
-        while self.kind != ")":
-            keyword = self._expect("keyword", "entity keyword inside complex instance")
-            parts.append((keyword, self._arg_list()))
-        self._expect(")")
-        return ComplexEntity(tuple(parts))
 
-    def _arg_list(self, depth: int = 0) -> tuple:
-        if depth >= MAX_NESTING:
-            raise self._error(f"at most {MAX_NESTING} nested parameter lists", "(")
-        self._expect("(")
-        args: list = []
-        if self.kind == ")":
-            self._bump()
-            return tuple(args)
-        while True:
-            args.append(self._argument(depth + 1))
-            if self.kind == ",":
-                self._bump()
-                continue
-            self._expect(")")
-            return tuple(args)
-
-    def _argument(self, depth: int):
-        kind = self.kind
-        if kind in self._LITERALS:
-            value = self.value
-            self._bump()
-            return value
-        if kind == "ref":
-            return Ref(self._expect("ref"))
-        if kind == "(":
-            return self._arg_list(depth)
-        if kind == "keyword":
-            # Typed parameter such as PARAMETER_VALUE(0.5): keep the payload.
-            self._bump()
-            inner = self._arg_list(depth)
-            return inner[0] if len(inner) == 1 else inner
-        raise self._error("an argument", str(self.value))
-
-
-def _unit_warnings(entities: dict[int, EntityRecord]) -> list[str]:
-    warnings: list[str] = []
-    for eid, rec in entities.items():
-        parts = rec.parts if isinstance(rec, ComplexEntity) else ((rec.keyword, rec.args),)
-        for kw, args in parts:
-            if kw != "SI_UNIT":
-                continue
-            names = [a.name for a in args if isinstance(a, Enum)]
-            if "METRE" in names and "MILLI" not in names:
-                warnings.append(
-                    f"entity #{eid}: SI_UNIT declares a non-millimetre length unit"
-                    " (coordinates are read as millimetres regardless)"
-                )
-    return warnings
+def _header(records: list[tuple[str, tuple]]) -> Header:
+    header = Header(records=records)
+    for keyword, args in records:
+        if keyword == "FILE_DESCRIPTION" and args:
+            if isinstance(args[0], tuple) and args[0] and isinstance(args[0][0], str):
+                header.description = args[0][0]
+        elif keyword == "FILE_NAME" and args and isinstance(args[0], str):
+            header.name = args[0]
+        elif keyword == "FILE_SCHEMA" and args and isinstance(args[0], tuple):
+            header.schema = tuple(s for s in args[0] if isinstance(s, str))
+    return header
 
 
 def parse_exchange(text: str) -> ExchangeStructure:
     """Parse a Part-21 exchange file into header fields and the entity map."""
-    return _Parser(text).parse()
-
-
-# ---------------------------------------------------------------------------
-# Serialization (round-trip support)
-# ---------------------------------------------------------------------------
-
-def _fmt_real(x: float) -> str:
-    s = repr(x)
-    if "e" in s or "E" in s:
-        mantissa, _, exp = s.partition("e" if "e" in s else "E")
-        if "." not in mantissa:
-            mantissa += "."
-        return f"{mantissa}E{exp}"
-    if "." not in s:
-        s += "."
-    return s
-
-
-def _fmt_arg(value) -> str:
-    if value is UNSET:
-        return "$"
-    if value is DERIVED:
-        return "*"
-    if isinstance(value, bool):
-        return ".T." if value else ".F."
-    if isinstance(value, Enum):
-        return f".{value.name}."
-    if isinstance(value, Ref):
-        return f"#{value.id}"
-    if isinstance(value, str):
-        return "'" + value.replace("'", "''") + "'"
-    if isinstance(value, float):
-        return _fmt_real(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, tuple):
-        return "(" + ",".join(_fmt_arg(a) for a in value) + ")"
-    raise TypeError(f"cannot serialize argument {value!r}")
-
-
-def _fmt_entity(rec: EntityRecord) -> str:
-    if isinstance(rec, SimpleEntity):
-        return f"{rec.keyword}({','.join(_fmt_arg(a) for a in rec.args)})"
-    inner = " ".join(f"{kw}({','.join(_fmt_arg(a) for a in args)})" for kw, args in rec.parts)
-    return f"( {inner} )"
-
-
-def serialize_exchange(xs: ExchangeStructure) -> str:
-    """Write the structure back to Part-21 text (stable entity-id order)."""
-    lines = ["ISO-10303-21;", "HEADER;"]
-    records = xs.header.records or [
-        ("FILE_DESCRIPTION", ((xs.header.description,), "2;1")),
-        ("FILE_NAME", (xs.header.name, "", ("",), ("",), "", "", "")),
-        ("FILE_SCHEMA", (xs.header.schema,)),
-    ]
-    for kw, args in records:
-        lines.append(f"{kw}({','.join(_fmt_arg(a) for a in args)});")
-    lines.append("ENDSEC;")
-    lines.append("DATA;")
-    for eid in sorted(xs.entities):
-        lines.append(f"#{eid}={_fmt_entity(xs.entities[eid])};")
-    lines.append("ENDSEC;")
-    lines.append("END-ISO-10303-21;")
-    return "\n".join(lines) + "\n"
+    pos = _expect_tokens(text, 0, "ISO-10303-21", ";", "HEADER", ";")
+    records, pos = _records(text, pos, False)
+    entities, pos = _records(text, _expect_tokens(text, pos, "DATA", ";"), True)
+    _expect_tokens(text, pos, "END-ISO-10303-21", ";")
+    ignored = Counter()
+    warnings: list[str] = []
+    for eid, rec in entities.items():
+        for kw, args in rec.parts if isinstance(rec, ComplexEntity) else ((rec.keyword, rec.args),):
+            if kw in SUPPORTED_ENTITIES:
+                continue
+            ignored[kw] += 1
+            if kw == "SI_UNIT":
+                names = [a.name for a in args if isinstance(a, Enum)]
+                if "METRE" in names and "MILLI" not in names:
+                    warnings.append(f"entity #{eid}: SI_UNIT declares a non-millimetre length unit"
+                                    " (coordinates are read as millimetres regardless)")
+    return ExchangeStructure(_header(records), entities, ignored, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -565,15 +550,16 @@ class _Resolver:
         return point, axis
 
     def _vertex(self, from_id: int, ref) -> int:
+        if isinstance(ref, Ref) and ref.id in self.vertices:
+            return ref.id
         eid, rec = self._expect(from_id, ref, ("VERTEX_POINT",))
-        if eid not in self.vertices:
-            self.vertices[eid] = self._point(eid, rec.args[1])
+        self.vertices[eid] = self._point(eid, rec.args[1])
         return eid
 
     def _edge(self, from_id: int, ref) -> int:
+        if isinstance(ref, Ref) and ref.id in self.edges:
+            return ref.id
         eid, rec = self._expect(from_id, ref, ("EDGE_CURVE",))
-        if eid in self.edges:
-            return eid
         v1 = self._vertex(eid, rec.args[1])
         v2 = self._vertex(eid, rec.args[2])
         curve_id, curve_rec = self._entity(eid, rec.args[3])
@@ -618,9 +604,9 @@ class _Resolver:
         return eid
 
     def _face(self, from_id: int, ref) -> int:
+        if isinstance(ref, Ref) and ref.id in self.faces:
+            return ref.id
         eid, rec = self._expect(from_id, ref, ("ADVANCED_FACE",))
-        if eid in self.faces:
-            return eid
         bounds: list[tuple[int, bool]] = []
         for bref in _items(eid, rec):
             bid, brec = self._expect(eid, bref, ("FACE_BOUND", "FACE_OUTER_BOUND"))

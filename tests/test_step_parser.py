@@ -19,8 +19,8 @@ from punchplan.step import (
     load_step,
     parse_exchange,
     resolve_brep,
-    serialize_exchange,
 )
+from step_serialize import serialize_exchange
 
 MINIMAL = (
     "ISO-10303-21;\nHEADER;\n"
