@@ -55,11 +55,14 @@ class NonManifoldEdge(BrepError):
 
 
 class NotManifold(BrepError):
-    """The solid fails :func:`validate_manifold`; carries every violation found."""
+    """The solid fails :func:`validate_manifold`; carries every violation found.
+
+    The message is one line: the count and the first violation."""
 
     def __init__(self, violations: list["Violation"]):
-        lines = "\n".join(f"  {v.kind}: {v.message}" for v in violations)
-        super().__init__(f"model is not a closed manifold:\n{lines}")
+        first = violations[0]
+        super().__init__(f"model is not a closed manifold: {len(violations)} violation(s), "
+                         f"first {first.kind}: {first.message}")
         self.violations = violations
 
 

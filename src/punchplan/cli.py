@@ -20,6 +20,7 @@ from pathlib import Path
 from . import report as _report
 from .brep import (
     BrepError,
+    NotManifold,
     SchemaError,
     Solid,
     edge_length,
@@ -174,17 +175,21 @@ def cmd_inspect(args) -> int:
     path = Path(args.input)
     solid, warnings, entity_count = _load_solid(path, args.input_format)
     try:
-        lines, code = _inspect_lines(solid, warnings, entity_count)
+        lines, failure = _inspect_lines(solid, warnings, entity_count)
     except BrepError as exc:
         # Geometry the face table cannot measure (an arc whose start point
         # sits on its circle's centre) fails like a manifold violation.
         raise CliError(EXIT_VALIDATION, str(exc)) from None
     _write_output("\n".join(lines) + "\n", args.out)
-    return code
+    if failure is not None:
+        # The listing shows every finding; the error line sums them up.
+        raise CliError(EXIT_VALIDATION, failure)
+    return EXIT_OK
 
 
 def _inspect_lines(solid: Solid, warnings: list[str],
-                   entity_count: int | None) -> tuple[list[str], int]:
+                   entity_count: int | None) -> tuple[list[str], str | None]:
+    """The diagnostic listing, and the validation failure message if any."""
     lines = [f"part: {solid.name}"]
     if entity_count is not None:
         lines.append(f"entities: {entity_count}")
@@ -210,7 +215,7 @@ def _inspect_lines(solid: Solid, warnings: list[str],
         lines.append(f"manifold: {len(violations)} violation(s)")
         for v in violations:
             lines.append(f"  {v.kind}: {v.message}")
-        return lines, EXIT_VALIDATION
+        return lines, str(NotManifold(violations))
     lines.append("manifold: OK")
     try:
         metrics = sheet_metrics(solid)
@@ -222,10 +227,10 @@ def _inspect_lines(solid: Solid, warnings: list[str],
         )
     except RecognitionError as exc:
         lines.append(f"sheet metrics: unavailable ({exc})")
-        return lines, EXIT_VALIDATION
+        return lines, str(exc)
     for w in warnings:
         lines.append(f"warning: {w}")
-    return lines, EXIT_OK
+    return lines, None
 
 
 def cmd_features(args) -> int:

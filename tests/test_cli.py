@@ -1,5 +1,6 @@
 """Command-line behaviour: output shapes, exit codes, determinism."""
 import json
+import re
 import os
 import subprocess
 import sys
@@ -50,9 +51,10 @@ def test_inspect_open_shell_json(capsys, tmp_path):
     doc = modelzoo.box_doc()
     doc["faces"] = doc["faces"][:-1]
     path = write_doc(tmp_path, doc, "open.json")
-    code, out, _ = run(capsys, "inspect", str(path))
+    code, out, err = run(capsys, "inspect", str(path))
     assert code == 3
     assert "non_manifold_edge" in out
+    assert re.fullmatch(r"error: model is not a closed manifold: [^\n]*\n", err)
 
 
 @pytest.mark.parametrize("command", ["inspect", "features", "params"])
@@ -277,7 +279,8 @@ def _step_sheet_with_face_twice(tmp_path) -> Path:
 def test_params_shell_not_manifold_exits_3(capsys, tmp_path, build):
     code, _, err = run(capsys, "params", str(build(tmp_path)))
     assert code == 3
-    assert err.startswith("error: model is not a closed manifold:\n  non_manifold_edge: ")
+    assert re.fullmatch(r"error: model is not a closed manifold: \d+ violation\(s\), "
+                        r"first non_manifold_edge: [^\n]*\n", err)
 
 
 def test_params_slit_in_reference_face_exits_3(capsys, tmp_path):

@@ -1,15 +1,19 @@
-"""Seeded fuzzing of ``punchplan params``: every mutated model must end with a
-documented exit code (0/2/3/4/5), never with an escaped exception."""
+"""Seeded fuzzing of the CLI: every mutated model must end with a documented
+exit code (0/2/3/4/5), never with an escaped exception. Exits 2-4 write
+exactly one ``error:`` line on stderr; exit 5 writes its report, which names
+each feature's error, and nothing on stderr."""
 import copy
 import json
 import random
 import re
 
 from conftest import fixture_path
-from punchplan.cli import main
+from punchplan.cli import EXIT_NO_FEATURE, main
 
 DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
 CASES = 300
+COMMANDS = ("params", "inspect", "features")
+ONE_ERROR_LINE = re.compile(r"error: [^\n]*\n")
 
 # Tokens of the fixture text, coarse enough to mutate one argument at a time.
 STEP_TOKEN = re.compile(r"'(?:[^']|'')*'|#\d+|\.[A-Z_]+\.|[-+.\dE]+|[A-Z_][A-Z0-9_-]*|\s+|.")
@@ -17,12 +21,25 @@ NUMBER = re.compile(r"[-+]?\d*\.\d*(?:E[-+]?\d+)?|[-+]?\d+")
 REPLACEMENTS = ("0.", "-0.", "-5.", "1.E9", "#1", "''", "'x'", "$", "*", "()", ".T.", ".F.")
 
 
-def _params_exit(tmp_path, name: str, text: str) -> int:
+def _exits(capsys, tmp_path, name: str, text: str, commands: tuple[str, ...]) -> dict[str, int]:
+    """Run ``commands`` on the model; check each failure's stderr; return the exit codes."""
     # Each case gets fresh files: replacing an existing file can cost tens of
     # milliseconds on a journalling file system, creating one does not.
     model = tmp_path / name
     model.write_text(text, encoding="utf-8")
-    return main(["params", str(model), "--out", str(model.with_suffix(".report.json"))])
+    codes = {}
+    for command in commands:
+        argv = [command, str(model)]
+        if command == "params":
+            argv += ["--out", str(model.with_suffix(".report.json"))]
+        codes[command] = main(argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, f"{name} {command}: {err}"
+        if codes[command] == EXIT_NO_FEATURE:
+            assert err == "", f"{name} {command}: {err!r}"  # the report names each feature's error
+        elif codes[command]:
+            assert ONE_ERROR_LINE.fullmatch(err), f"{name} {command}: {err!r}"
+    return codes
 
 
 def _mutate_step(tokens: list[str], rng: random.Random) -> str:
@@ -46,13 +63,14 @@ def _mutate_step(tokens: list[str], rng: random.Random) -> str:
     return "".join(tokens)
 
 
-def test_step_token_mutations_exit_cleanly(tmp_path):
+def test_step_token_mutations_exit_cleanly(capsys, tmp_path):
     tokens = STEP_TOKEN.findall(fixture_path("flat_sheet_100x80x2.step").read_text(encoding="utf-8"))
     rng = random.Random(20240521)
     for case in range(CASES):
         text = _mutate_step(tokens, rng)
-        code = _params_exit(tmp_path, f"case{case}.step", text)
-        assert code in DOCUMENTED_EXITS, f"case {case}: exit {code}"
+        codes = _exits(capsys, tmp_path, f"case{case}.step", text, COMMANDS)
+        for command, code in codes.items():
+            assert code in DOCUMENTED_EXITS, f"case {case} {command}: exit {code}"
 
 
 def _lists(node, out: list) -> list:
@@ -101,10 +119,11 @@ def _mutate_json(text: str, rng: random.Random) -> dict:
     return doc
 
 
-def test_json_structural_mutations_exit_cleanly(tmp_path):
+def test_json_structural_mutations_exit_cleanly(capsys, tmp_path):
     original = fixture_path("row4_bridge.json").read_text(encoding="utf-8")
     rng = random.Random(20240522)
     for case in range(CASES):
         text = json.dumps(_mutate_json(original, rng))
-        code = _params_exit(tmp_path, f"case{case}.json", text)
-        assert code in DOCUMENTED_EXITS, f"case {case}: exit {code}"
+        codes = _exits(capsys, tmp_path, f"case{case}.json", text, COMMANDS)
+        for command, code in codes.items():
+            assert code in DOCUMENTED_EXITS, f"case {case} {command}: exit {code}"
