@@ -473,12 +473,6 @@ def parse_exchange(text: str) -> ExchangeStructure:
 # Resolver
 # ---------------------------------------------------------------------------
 
-def _check_arity(eid: int, rec: SimpleEntity) -> None:
-    needed = _MIN_ARGS.get(rec.keyword, 0)
-    if len(rec.args) < needed:
-        raise UnsupportedGeometry(eid, f"{rec.keyword} (needs {needed} arguments)")
-
-
 def _finite_number(value) -> bool:
     """A finite real or integer parameter (bools are enumerations, not numbers)."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -508,26 +502,28 @@ def _items(eid: int, rec: SimpleEntity) -> tuple:
 
 class _Resolver:
     def __init__(self, xs: ExchangeStructure):
-        self.xs = xs
+        self.entities = xs.entities
         self.vertices: dict[int, Vec3] = {}
         self.edges: dict[int, Edge] = {}
         self.loops: dict[int, Loop] = {}
         self.faces: dict[int, Face] = {}
 
-    def _entity(self, from_id: int, ref) -> tuple[int, SimpleEntity]:
+    def _expect(self, from_id: int, ref, keywords: tuple[str, ...] | None = None
+                ) -> tuple[int, SimpleEntity]:
+        """The simple entity that ``ref`` names, with the arguments the resolver
+        reads and, unless ``keywords`` is None, one of ``keywords``."""
         if not isinstance(ref, Ref):
             raise UnsupportedGeometry(from_id, f"expected entity reference, got {ref!r}")
-        rec = self.xs.entities.get(ref.id)
+        eid = ref.id
+        rec = self.entities.get(eid)
         if rec is None:
-            raise DanglingReference(from_id, ref.id)
+            raise DanglingReference(from_id, eid)
         if isinstance(rec, ComplexEntity):
-            raise UnsupportedGeometry(ref.id, rec.keyword)
-        _check_arity(ref.id, rec)
-        return ref.id, rec
-
-    def _expect(self, from_id: int, ref, keywords: tuple[str, ...]) -> tuple[int, SimpleEntity]:
-        eid, rec = self._entity(from_id, ref)
-        if rec.keyword not in keywords:
+            raise UnsupportedGeometry(eid, rec.keyword)
+        needed = _MIN_ARGS.get(rec.keyword, 0)
+        if len(rec.args) < needed:
+            raise UnsupportedGeometry(eid, f"{rec.keyword} (needs {needed} arguments)")
+        if keywords is not None and rec.keyword not in keywords:
             raise UnsupportedGeometry(eid, rec.keyword)
         return eid, rec
 
@@ -562,7 +558,7 @@ class _Resolver:
         eid, rec = self._expect(from_id, ref, ("EDGE_CURVE",))
         v1 = self._vertex(eid, rec.args[1])
         v2 = self._vertex(eid, rec.args[2])
-        curve_id, curve_rec = self._entity(eid, rec.args[3])
+        curve_id, curve_rec = self._expect(eid, rec.args[3])
         same_sense = rec.args[4] if len(rec.args) > 4 else True
         if curve_rec.keyword == "LINE":
             pnt = self._point(curve_id, curve_rec.args[1])
@@ -613,7 +609,7 @@ class _Resolver:
             orientation = brec.args[2] if len(brec.args) > 2 else True
             loop_id = self._loop(bid, brec.args[1], reverse=orientation is False)
             bounds.append((loop_id, brec.keyword == "FACE_OUTER_BOUND"))
-        surf_id, surf_rec = self._entity(eid, rec.args[2])
+        surf_id, surf_rec = self._expect(eid, rec.args[2])
         if surf_rec.keyword == "PLANE":
             origin, normal = self._axis2(surf_id, surf_rec.args[1])
             surface = Plane(origin, normal)
@@ -631,15 +627,14 @@ class _Resolver:
 
     def resolve(self, default_name: str) -> Solid:
         solids = [
-            (eid, rec) for eid, rec in self.xs.entities.items()
+            eid for eid, rec in self.entities.items()
             if isinstance(rec, SimpleEntity) and rec.keyword == "MANIFOLD_SOLID_BREP"
         ]
         if not solids:
             raise MissingSolid()
         if len(solids) > 1:
-            raise MultipleSolids(sorted(eid for eid, _ in solids))
-        brep_id, brep_rec = solids[0]
-        _check_arity(brep_id, brep_rec)
+            raise MultipleSolids(sorted(solids))
+        brep_id, brep_rec = self._expect(solids[0], Ref(solids[0]))
         name = brep_rec.args[0] if isinstance(brep_rec.args[0], str) else ""
         shell_id, shell_rec = self._expect(brep_id, brep_rec.args[1], ("CLOSED_SHELL",))
         for fref in _items(shell_id, shell_rec):
