@@ -183,19 +183,22 @@ class ExchangeStructure:
 # from backtracking into a shorter token: ``1.E`` and ``'ab''`` at the end of
 # the text match nothing, and ``_token_error`` says why. Letters and digits
 # are ASCII only (the Part-21 basic alphabet). ``eof`` matches only at the
-# end of the text, so the end reaches the parser as one more token.
+# end of the text, so the end reaches the parser as one more token. The
+# alternatives are tried in order, most frequent first; only integer and real,
+# and bool and enum, can start with the same character, and each such pair
+# keeps its order.
 _TOKEN = re.compile(r"""
-    (?P<skip>[ \t\r\n]+|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
-  | (?P<punct>[();,=])
-  | (?P<unset>\$)
-  | (?P<derived>\*)
+    (?P<punct>[();,=])
   | \#(?P<ref>[0-9]+)
   | '(?P<string>[^']*(?:''[^']*)*)'(?!')
+  | (?P<keyword>[A-Za-z_][A-Za-z0-9_-]*)
+  | (?P<skip>[ \t\r\n]+|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
   | (?P<integer>[+-]?[0-9]+(?![.eE0-9]))
   | (?P<real>[+-]?(?=\.?[0-9])[0-9]*(?:\.[0-9]*|(?!\.))(?:[eE][+-]?[0-9]+|(?![eE0-9])))
+  | (?P<derived>\*)
   | \.(?P<bool>[TF])\.
   | \.(?P<enum>(?![0-9])[A-Za-z0-9_]*)\.
-  | (?P<keyword>[A-Za-z_][A-Za-z0-9_-]*)
+  | (?P<unset>\$)
   | (?P<eof>\Z)
 """, re.VERBOSE)
 
