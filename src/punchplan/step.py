@@ -184,9 +184,8 @@ class ExchangeStructure:
 # the text match nothing, and ``_token_error`` says why. Letters and digits
 # are ASCII only (the Part-21 basic alphabet). ``eof`` matches only at the
 # end of the text, so the end reaches the parser as one more token. The
-# alternatives are tried in order, most frequent first; only integer and real,
-# and bool and enum, can start with the same character, and each such pair
-# keeps its order.
+# alternatives are tried in order, most frequent first; the only ones that can
+# start with the same character (integer, real, bool, enum) keep that order.
 _TOKEN = re.compile(r"""
     (?P<punct>[();,=])
   | \#(?P<ref>[0-9]+)
@@ -282,9 +281,10 @@ def _unexpected(text: str, m: re.Match, expected: str) -> StepSyntaxError:
     return _syntax_error(text, m.start(), expected, found)
 
 
-# Deepest parameter-list nesting the parser accepts. Exchange files nest a
-# few lists deep (B-spline control nets are lists of lists); the bound keeps
-# hostile input from growing the parser's stack of open lists without limit.
+# Deepest parameter-list nesting the parser accepts, tested against the depth
+# of its stack of open lists. Exchange files nest a few lists deep (B-spline
+# control nets are lists of lists); a list that would pass the bound is a
+# syntax error at its '('.
 MAX_NESTING = 64
 
 # What ``_records`` may read next. Inside a parameter list:

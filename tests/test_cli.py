@@ -1,7 +1,7 @@
 """Command-line behaviour: output shapes, exit codes, determinism."""
 import json
-import re
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
