@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .geom import TOL, Vec3, distance, plane_basis, vec
+from .geom import TOL, Vec3, distance, plane_basis
 
 
 class BrepError(Exception):
@@ -159,30 +159,29 @@ class Solid:
         self.edges = dict(edges)
         self.loops = dict(loops)
         self.faces = dict(faces)
-        self._check_references()
         # Adjacency counts every loop use; a well-formed solid has two uses per edge.
-        uses: dict[int, list[int]] = {eid: [] for eid in self.edges}
-        for f in self.faces.values():
-            for lid, _ in f.bounds:
-                for eid, _sense in self.loops[lid].oriented_edges:
-                    uses[eid].append(f.id)
-        self.edge_uses: dict[int, tuple[int, ...]] = {
-            eid: tuple(fids) for eid, fids in uses.items()
-        }
-
-    def _check_references(self) -> None:
-        for e in self.edges.values():
+        # Building it checks each reference once: edge vertices, loop edges, face loops.
+        uses: dict[int, list[int]] = {}
+        for eid, e in self.edges.items():
             for vid in (e.start, e.end):
                 if vid not in self.vertices:
                     raise BrepError(f"edge {e.id} references unknown vertex {vid}")
-        for lp in self.loops.values():
-            for eid, _ in lp.oriented_edges:
-                if eid not in self.edges:
-                    raise BrepError(f"loop {lp.id} references unknown edge {eid}")
+            uses[eid] = []
+        loop_uses: dict[int, list[list[int]]] = {}
+        for lid, lp in self.loops.items():
+            try:
+                loop_uses[lid] = [uses[eid] for eid, _ in lp.oriented_edges]
+            except KeyError as exc:
+                raise BrepError(f"loop {lp.id} references unknown edge {exc.args[0]}") from None
         for f in self.faces.values():
             for lid, _ in f.bounds:
-                if lid not in self.loops:
+                if lid not in loop_uses:
                     raise BrepError(f"face {f.id} references unknown loop {lid}")
+                for fids in loop_uses[lid]:
+                    fids.append(f.id)
+        self.edge_uses: dict[int, tuple[int, ...]] = {
+            eid: tuple(fids) for eid, fids in uses.items()
+        }
 
     def vertex(self, vid: int) -> Vec3:
         return self.vertices[vid]
@@ -302,128 +301,182 @@ class Violation:
     subject_id: int | None = None
 
 
-def _loop_chains(solid: Solid, loop: Loop) -> bool:
-    if not loop.oriented_edges:
-        return False
-    ends: list[tuple[int, int]] = []
-    for eid, sense in loop.oriented_edges:
-        e = solid.edges[eid]
-        ends.append((e.start, e.end) if sense else (e.end, e.start))
-    for (_, cur_end), (nxt_start, _) in zip(ends, ends[1:] + ends[:1]):
-        if cur_end != nxt_start:
-            return False
-    return True
+def _from_axis(p: Vec3, origin: Vec3, axis: Vec3) -> tuple[float, float]:
+    """``(p - origin) . axis`` and the distance of p from the axis line."""
+    (x, y, z), (ox, oy, oz), (ax, ay, az) = p, origin, axis
+    x, y, z = x - ox, y - oy, z - oz
+    along = x * ax + y * ay + z * az
+    x, y, z = x - ax * along, y - ay * along, z - az * along
+    return along, math.sqrt(x * x + y * y + z * z)
 
 
 def validate_manifold(solid: Solid) -> list[Violation]:
-    """Topology and incidence report; empty means the solid is a closed 2-manifold."""
+    """Topology and incidence report; empty means the solid is a closed 2-manifold.
+    Offsets are spelled out on coordinates in Vec3's operand order: the doubles Vec3 gives."""
     out: list[Violation] = []
+    add = out.append
+    vertices, edges = solid.vertices, solid.edges
     for eid, uses in solid.edge_uses.items():
         if len(uses) != 2:
-            out.append(Violation(
-                "non_manifold_edge",
-                f"edge {eid} used by {len(uses)} face loops (faces {sorted(set(uses))})",
-                eid,
-            ))
+            add(Violation("non_manifold_edge", f"edge {eid} used by {len(uses)} face loops "
+                          f"(faces {sorted(set(uses))})", eid))
     for lp in solid.loops.values():
-        if not _loop_chains(solid, lp):
-            out.append(Violation("open_loop", f"loop {lp.id} does not chain into a closed cycle", lp.id))
+        # Each edge, taken in its sense, must end where the next one starts.
+        tails, heads = [], []
+        for eid, sense in lp.oriented_edges:
+            e = edges[eid]
+            tails.append(e.start if sense else e.end)
+            heads.append(e.end if sense else e.start)
+        if not tails or heads != tails[1:] + tails[:1]:
+            add(Violation("open_loop", f"loop {lp.id} does not chain into a closed cycle", lp.id))
     for f in solid.faces.values():
         n_outer = len(f.outer_loops())
         if n_outer != 1:
-            out.append(Violation("bad_outer_bound", f"face {f.id} has {n_outer} outer bounds, expected 1", f.id))
-    for e in solid.edges.values():
+            add(Violation("bad_outer_bound",
+                          f"face {f.id} has {n_outer} outer bounds, expected 1", f.id))
+    for e in edges.values():
+        curve = e.curve
         for vid in (e.start, e.end):
-            p = solid.vertex(vid)
-            if isinstance(e.curve, Line):
-                off = (p - e.curve.point).cross(e.curve.direction).norm()
+            p = vertices[vid]
+            if not isinstance(curve, Line):
+                along, dist = _from_axis(p, curve.center, curve.axis)
+                off_plane, off_radius = abs(along), abs(dist - curve.radius)
+                if off_plane > TOL or off_radius > TOL:
+                    add(Violation("endpoint_off_curve",
+                                  f"edge {e.id}: vertex {vid} is off its circle by "
+                                  f"(plane {off_plane:.3g}, radius {off_radius:.3g}) mm", e.id))
+            elif p is not curve.point:  # (p - p) x d is 0 or NaN: JSON lines start at a vertex
+                (x, y, z), (qx, qy, qz), (dx, dy, dz) = p, curve.point, curve.direction
+                x, y, z = x - qx, y - qy, z - qz
+                x, y, z = y * dz - z * dy, z * dx - x * dz, x * dy - y * dx
+                off = math.sqrt(x * x + y * y + z * z)
                 if off > TOL:
-                    out.append(Violation(
-                        "endpoint_off_curve",
-                        f"edge {e.id}: vertex {vid} is {off:.3g} mm off its line",
-                        e.id,
-                    ))
-                continue
-            circ = e.curve
-            radial = p - circ.center
-            off_plane = abs(radial.dot(circ.axis))
-            off_radius = abs((radial - circ.axis * radial.dot(circ.axis)).norm() - circ.radius)
-            if off_plane > TOL or off_radius > TOL:
-                out.append(Violation(
-                    "endpoint_off_curve",
-                    f"edge {e.id}: vertex {vid} is off its circle by "
-                    f"(plane {off_plane:.3g}, radius {off_radius:.3g}) mm",
-                    e.id,
-                ))
+                    add(Violation("endpoint_off_curve",
+                                  f"edge {e.id}: vertex {vid} is {off:.3g} mm off its line", e.id))
     # Planar faces: boundary vertices must lie on the plane; cylinders: at radius.
     for f in solid.faces.values():
         vids: set[int] = set()
         for lid, _ in f.bounds:
             for eid, _ in solid.loops[lid].oriented_edges:
-                e = solid.edges[eid]
+                e = edges[eid]
                 vids.update((e.start, e.end))
-        if isinstance(f.surface, Plane):
-            pl = f.surface
+        surface = f.surface
+        if isinstance(surface, Plane):
+            (ox, oy, oz), (nx, ny, nz) = surface.origin, surface.normal
             for vid in vids:
-                d = abs((solid.vertex(vid) - pl.origin).dot(pl.normal))
+                x, y, z = vertices[vid]
+                d = abs((x - ox) * nx + (y - oy) * ny + (z - oz) * nz)
                 if d > TOL:
-                    out.append(Violation(
-                        "vertex_off_surface",
-                        f"face {f.id}: vertex {vid} is {d:.3g} mm off the face plane",
-                        f.id,
-                    ))
-        else:
-            cyl = f.surface
-            for vid in vids:
-                r = solid.vertex(vid) - cyl.axis_point
-                rad = (r - cyl.axis_dir * r.dot(cyl.axis_dir)).norm()
-                if abs(rad - cyl.radius) > TOL:
-                    out.append(Violation(
-                        "vertex_off_surface",
-                        f"face {f.id}: vertex {vid} is {abs(rad - cyl.radius):.3g} mm off the cylinder",
-                        f.id,
-                    ))
+                    add(Violation("vertex_off_surface", f"face {f.id}: vertex {vid} is "
+                                  f"{d:.3g} mm off the face plane", f.id))
+            continue
+        for vid in vids:
+            _, dist = _from_axis(vertices[vid], surface.axis_point, surface.axis_dir)
+            d = abs(dist - surface.radius)
+            if d > TOL:
+                add(Violation("vertex_off_surface",
+                              f"face {f.id}: vertex {vid} is {d:.3g} mm off the cylinder", f.id))
     return out
 
 
 # ---------------------------------------------------------------------------
 # Native JSON interchange
 # ---------------------------------------------------------------------------
+# The loader checks every value inline, on its type, in document order. A
+# failing check formats its JSON pointer from the parts of the path it holds.
 
-def _req(obj: dict, key: str, path: str):
-    if not isinstance(obj, dict):
-        raise SchemaError(path, f"expected object, got {type(obj).__name__}")
-    if key not in obj:
-        raise SchemaError(f"{path}/{key}", "missing required key")
-    return obj[key]
+_ABSENT = object()  # what ``dict.get`` gives for a key the document lacks
+_finite = math.isfinite
 
 
-def _num(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"expected number, got {type(value).__name__}")
-    if not math.isfinite(value):
-        raise SchemaError(path, "number must be finite")
-    return float(value)
+def _error(value, reason: str, *where) -> SchemaError:
+    """The error for ``value`` at the pointer ``/where[0]/where[1]...``: missing or ``reason``."""
+    path = "".join(f"/{part}" for part in where)
+    return SchemaError(path, "missing required key" if value is _ABSENT else reason)
 
 
-def _vec3(value, path: str) -> Vec3:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise SchemaError(path, "expected [x, y, z]")
-    return vec(*(_num(c, f"{path}/{i}") for i, c in enumerate(value)))
+def _not_id(value, *where) -> SchemaError:
+    return _error(value, f"expected integer id, got {value!r}", *where)
 
 
-def _unit3(value, path: str) -> Vec3:
-    v = _vec3(value, path)
+def _num(value, *where) -> float:
+    """``value`` as a finite float, else its SchemaError; the inline checks call
+    this for every value but a finite float."""
+    if type(value) is not float and type(value) is not int:  # bool is neither
+        raise _error(value, f"expected number, got {type(value).__name__}", *where)
     try:
-        return v.normalized()
+        number = float(value)
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if not _finite(number):
+        raise _error(value, "number must be finite", *where)
+    return number
+
+
+def _coords(x, y, z, keys, *where) -> Vec3:
+    """Three JSON numbers as a Vec3; ``keys`` name them in an error's path."""
+    if not (type(x) is float and type(y) is float and type(z) is float
+            and _finite(x) and _finite(y) and _finite(z)):
+        x, y, z = (_num(c, *where, k) for c, k in zip((x, y, z), keys))
+    return Vec3(x, y, z)
+
+
+def _vec3(value, *where) -> Vec3:
+    if type(value) is not list or len(value) != 3:
+        raise _error(value, "expected [x, y, z]", *where)
+    return _coords(*value, range(3), *where)
+
+
+def _unit3(value, *where) -> Vec3:
+    try:
+        return _vec3(value, *where).normalized()
     except ValueError:
-        raise SchemaError(path, "direction must be non-zero") from None
+        raise _error(value, "direction must be non-zero", *where) from None
 
 
-def _int_id(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected integer id, got {value!r}")
-    return value
+def _radius(value, *where) -> float:
+    radius = _num(value, *where)
+    if radius <= 0:
+        raise _error(value, "radius must be > 0", *where)
+    return radius
+
+
+def _elements(doc: dict, key: str, kind: str, seen: dict):
+    """``(index, item, id)`` per item of the list ``doc[key]``: an object with an id new to ``seen``."""
+    items = doc.get(key, _ABSENT)
+    if type(items) is not list:
+        raise _error(items, "expected list", key)
+    for i, item in enumerate(items):
+        if type(item) is not dict:
+            raise _error(item, f"expected object, got {type(item).__name__}", key, i)
+        iid = item.get("id", _ABSENT)
+        if type(iid) is not int:
+            raise _not_id(iid, key, i, "id")
+        if iid in seen:
+            raise SchemaError(f"/{key}/{i}/id", f"duplicate {kind} id {iid}")
+        yield i, item, iid
+
+
+def _uses(owner: dict, key: str, ref: str, flag: str, table: dict,
+          *where) -> tuple[tuple[int, bool], ...]:
+    """``owner[key]``, a non-empty list of ``{ref: <id in table>, flag: <bool>}``
+    objects, as ``(id, flag)`` pairs: a loop's oriented edges, a face's bounds."""
+    raw = owner.get(key, _ABSENT)
+    if type(raw) is not list or not raw:
+        raise _error(raw, "expected non-empty list", *where, key)
+    pairs = []
+    for j, item in enumerate(raw):
+        if type(item) is not dict:
+            raise _error(item, f"expected object, got {type(item).__name__}", *where, key, j)
+        rid, value = item.get(ref, _ABSENT), item.get(flag, _ABSENT)
+        if type(rid) is not int:
+            raise _not_id(rid, *where, key, j, ref)
+        if rid not in table:
+            raise _error(rid, f"unknown {ref} {rid}", *where, key, j, ref)
+        if type(value) is not bool:
+            raise _error(value, "expected boolean", *where, key, j, flag)
+        pairs.append((rid, value))
+    return tuple(pairs)
 
 
 def load_brep_json(text: str, default_name: str = "") -> Solid:
@@ -435,133 +488,80 @@ def load_brep_json(text: str, default_name: str = "") -> Solid:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise SchemaError("/", "not valid JSON: nested too deeply") from None
+    except ValueError as exc:  # malformed, or an integer past the digit limit
         raise SchemaError("/", f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
+    if type(doc) is not dict:
         raise SchemaError("/", "top level must be an object")
     name = doc.get("name", "")
-    if not isinstance(name, str):
+    if type(name) is not str:
         raise SchemaError("/name", "expected string")
 
     vertices: dict[int, Vec3] = {}
-    for i, v in enumerate(_list(doc, "vertices")):
-        path = f"/vertices/{i}"
-        vid = _int_id(_req(v, "id", path), f"{path}/id")
-        if vid in vertices:
-            raise SchemaError(f"{path}/id", f"duplicate vertex id {vid}")
-        vertices[vid] = vec(
-            _num(_req(v, "x", path), f"{path}/x"),
-            _num(_req(v, "y", path), f"{path}/y"),
-            _num(_req(v, "z", path), f"{path}/z"),
-        )
+    for i, v, vid in _elements(doc, "vertices", "vertex", vertices):
+        vertices[vid] = _coords(v.get("x", _ABSENT), v.get("y", _ABSENT), v.get("z", _ABSENT),
+                                "xyz", "vertices", i)
 
     edges: dict[int, Edge] = {}
-    for i, e in enumerate(_list(doc, "edges")):
-        path = f"/edges/{i}"
-        eid = _int_id(_req(e, "id", path), f"{path}/id")
-        if eid in edges:
-            raise SchemaError(f"{path}/id", f"duplicate edge id {eid}")
-        start = _int_id(_req(e, "start", path), f"{path}/start")
-        end = _int_id(_req(e, "end", path), f"{path}/end")
-        for vid, key in ((start, "start"), (end, "end")):
-            if vid not in vertices:
-                raise SchemaError(f"{path}/{key}", f"unknown vertex {vid}")
-        cobj = _req(e, "curve", path)
-        ckind = _req(cobj, "kind", f"{path}/curve")
+    for i, e, eid in _elements(doc, "edges", "edge", edges):
+        start, end = e.get("start", _ABSENT), e.get("end", _ABSENT)
+        if type(start) is not int:
+            raise _not_id(start, "edges", i, "start")
+        if type(end) is not int:
+            raise _not_id(end, "edges", i, "end")
+        if start not in vertices:
+            raise SchemaError(f"/edges/{i}/start", f"unknown vertex {start}")
+        if end not in vertices:
+            raise SchemaError(f"/edges/{i}/end", f"unknown vertex {end}")
+        cobj = e.get("curve", _ABSENT)
+        if type(cobj) is not dict:
+            raise _error(cobj, f"expected object, got {type(cobj).__name__}", "edges", i, "curve")
+        ckind = cobj.get("kind", _ABSENT)
         if ckind == "line":
+            a = vertices[start]
             try:
-                direction = (vertices[end] - vertices[start]).normalized()
+                curve: CurveGeometry = Line(a, (vertices[end] - a).normalized())
             except ValueError:
-                raise SchemaError(path, "line edge with coincident endpoints") from None
-            curve: CurveGeometry = Line(vertices[start], direction)
+                raise SchemaError(f"/edges/{i}", "line edge with coincident endpoints") from None
         elif ckind == "circle":
-            radius = _num(_req(cobj, "radius", f"{path}/curve"), f"{path}/curve/radius")
-            if radius <= 0:
-                raise SchemaError(f"{path}/curve/radius", "radius must be > 0")
-            curve = Circle(
-                _vec3(_req(cobj, "center", f"{path}/curve"), f"{path}/curve/center"),
-                _unit3(_req(cobj, "axis", f"{path}/curve"), f"{path}/curve/axis"),
-                radius,
-            )
+            radius = _radius(cobj.get("radius", _ABSENT), "edges", i, "curve", "radius")
+            curve = Circle(_vec3(cobj.get("center", _ABSENT), "edges", i, "curve", "center"),
+                           _unit3(cobj.get("axis", _ABSENT), "edges", i, "curve", "axis"), radius)
         else:
-            raise SchemaError(f"{path}/curve/kind", f"unknown curve kind {ckind!r}")
+            raise _error(ckind, f"unknown curve kind {ckind!r}", "edges", i, "curve", "kind")
         edges[eid] = Edge(eid, curve, start, end)
 
     loops: dict[int, Loop] = {}
-    for i, lp in enumerate(_list(doc, "loops")):
-        path = f"/loops/{i}"
-        lid = _int_id(_req(lp, "id", path), f"{path}/id")
-        if lid in loops:
-            raise SchemaError(f"{path}/id", f"duplicate loop id {lid}")
-        oriented: list[tuple[int, bool]] = []
-        raw = _req(lp, "oriented_edges", path)
-        if not isinstance(raw, list) or not raw:
-            raise SchemaError(f"{path}/oriented_edges", "expected non-empty list")
-        for j, oe in enumerate(raw):
-            opath = f"{path}/oriented_edges/{j}"
-            eid = _int_id(_req(oe, "edge", opath), f"{opath}/edge")
-            if eid not in edges:
-                raise SchemaError(f"{opath}/edge", f"unknown edge {eid}")
-            sense = _req(oe, "sense", opath)
-            if not isinstance(sense, bool):
-                raise SchemaError(f"{opath}/sense", "expected boolean")
-            oriented.append((eid, sense))
-        loops[lid] = Loop(lid, tuple(oriented))
+    for i, lp, lid in _elements(doc, "loops", "loop", loops):
+        loops[lid] = Loop(lid, _uses(lp, "oriented_edges", "edge", "sense", edges, "loops", i))
 
     faces: dict[int, Face] = {}
-    for i, f in enumerate(_list(doc, "faces")):
-        path = f"/faces/{i}"
-        fid = _int_id(_req(f, "id", path), f"{path}/id")
-        if fid in faces:
-            raise SchemaError(f"{path}/id", f"duplicate face id {fid}")
-        sobj = _req(f, "surface", path)
-        skind = _req(sobj, "kind", f"{path}/surface")
+    for i, f, fid in _elements(doc, "faces", "face", faces):
+        sobj = f.get("surface", _ABSENT)
+        if type(sobj) is not dict:
+            raise _error(sobj, f"expected object, got {type(sobj).__name__}", "faces", i, "surface")
+        skind = sobj.get("kind", _ABSENT)
         if skind == "plane":
             surface: SurfaceGeometry = Plane(
-                _vec3(_req(sobj, "origin", f"{path}/surface"), f"{path}/surface/origin"),
-                _unit3(_req(sobj, "normal", f"{path}/surface"), f"{path}/surface/normal"),
-            )
+                _vec3(sobj.get("origin", _ABSENT), "faces", i, "surface", "origin"),
+                _unit3(sobj.get("normal", _ABSENT), "faces", i, "surface", "normal"))
         elif skind == "cylinder":
-            radius = _num(_req(sobj, "radius", f"{path}/surface"), f"{path}/surface/radius")
-            if radius <= 0:
-                raise SchemaError(f"{path}/surface/radius", "radius must be > 0")
+            radius = _radius(sobj.get("radius", _ABSENT), "faces", i, "surface", "radius")
             surface = Cylinder(
-                _vec3(_req(sobj, "axis_point", f"{path}/surface"), f"{path}/surface/axis_point"),
-                _unit3(_req(sobj, "axis_dir", f"{path}/surface"), f"{path}/surface/axis_dir"),
-                radius,
-            )
+                _vec3(sobj.get("axis_point", _ABSENT), "faces", i, "surface", "axis_point"),
+                _unit3(sobj.get("axis_dir", _ABSENT), "faces", i, "surface", "axis_dir"), radius)
         else:
-            raise SchemaError(f"{path}/surface/kind", f"unknown surface kind {skind!r}")
-        same_sense = _req(f, "same_sense", path)
-        if not isinstance(same_sense, bool):
-            raise SchemaError(f"{path}/same_sense", "expected boolean")
-        bounds: list[tuple[int, bool]] = []
-        braw = _req(f, "bounds", path)
-        if not isinstance(braw, list) or not braw:
-            raise SchemaError(f"{path}/bounds", "expected non-empty list")
-        for j, b in enumerate(braw):
-            bpath = f"{path}/bounds/{j}"
-            lid = _int_id(_req(b, "loop", bpath), f"{bpath}/loop")
-            if lid not in loops:
-                raise SchemaError(f"{bpath}/loop", f"unknown loop {lid}")
-            outer = _req(b, "outer", bpath)
-            if not isinstance(outer, bool):
-                raise SchemaError(f"{bpath}/outer", "expected boolean")
-            bounds.append((lid, outer))
-        if sum(1 for _, outer in bounds if outer) != 1:
-            raise SchemaError(f"{path}/bounds", "exactly one outer bound required")
-        faces[fid] = Face(fid, surface, same_sense, tuple(bounds))
+            raise _error(skind, f"unknown surface kind {skind!r}", "faces", i, "surface", "kind")
+        same_sense = f.get("same_sense", _ABSENT)
+        if type(same_sense) is not bool:
+            raise _error(same_sense, "expected boolean", "faces", i, "same_sense")
+        bounds = _uses(f, "bounds", "loop", "outer", loops, "faces", i)
+        if sum(outer for _, outer in bounds) != 1:
+            raise SchemaError(f"/faces/{i}/bounds", "exactly one outer bound required")
+        faces[fid] = Face(fid, surface, same_sense, bounds)
 
     return Solid(name or default_name, vertices, edges, loops, faces)
-
-
-def _list(doc: dict, key: str) -> list:
-    if key not in doc:
-        raise SchemaError(f"/{key}", "missing required key")
-    value = doc[key]
-    if not isinstance(value, list):
-        raise SchemaError(f"/{key}", "expected list")
-    return value
 
 
 def planar_faces(solid: Solid) -> list[Face]:

@@ -172,10 +172,12 @@ def _face_sample_points(solid: Solid, face: Face) -> list[Vec3]:
                 u = a - circ.center
                 u = (u - circ.axis * u.dot(circ.axis)).normalized()
                 v = circ.axis.cross(u)
+                # center + u * (r cos) + v * (r sin), on coordinates in Vec3's operand order.
+                (cx, cy, cz), (ux, uy, uz), (vx, vy, vz) = circ.center, u, v
                 for k in range(1, 8):
                     ang = sweep * k / 8.0
-                    pts.append(circ.center + u * (circ.radius * math.cos(ang))
-                               + v * (circ.radius * math.sin(ang)))
+                    c, s = circ.radius * math.cos(ang), circ.radius * math.sin(ang)
+                    pts.append(Vec3(cx + ux * c + vx * s, cy + uy * c + vy * s, cz + uz * c + vz * s))
     pts += [solid.vertices[vid] for vid in vids]
     return pts
 

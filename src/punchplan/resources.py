@@ -75,20 +75,31 @@ def builtin_tools() -> dict[str, ToolSpec]:
     return dict(_BUILTIN_TOOLS)
 
 
-def _positive(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+def _finite(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ResourceSchemaError(path, f"expected a finite number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # the integer itself may be too long to print
+        raise ResourceSchemaError(path, "expected a finite number, got an integer too large "
+                                        "for a float") from None
+    if not math.isfinite(number):
+        raise ResourceSchemaError(path, f"expected a finite number, got {value!r}")
+    return number
+
+
+def _positive(value, path: str) -> float:
+    number = _finite(value, path)
     if value <= 0:
         raise ResourceSchemaError(path, f"must be > 0, got {value}")
-    return float(value)
+    return number
 
 
 def _non_negative(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ResourceSchemaError(path, f"expected a finite number, got {value!r}")
+    number = _finite(value, path)
     if value < 0:
         raise ResourceSchemaError(path, f"must be >= 0, got {value}")
-    return float(value)
+    return number
 
 
 def _name(entry: dict, path: str) -> str:
@@ -101,7 +112,9 @@ def _name(entry: dict, path: str) -> str:
 def _entries(text: str, key: str) -> list:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise ResourceSchemaError("/", "not valid JSON: nested too deeply") from None
+    except ValueError as exc:  # malformed, or an integer past the digit limit
         raise ResourceSchemaError("/", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or key not in doc:
         raise ResourceSchemaError(f"/{key}", "missing required key")

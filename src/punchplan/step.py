@@ -37,8 +37,14 @@ class StepError(Exception):
 
 
 class StepSyntaxError(StepError):
-    def __init__(self, line: int, column: int, expected: str, found: str = ""):
-        detail = f" (found {found!r})" if found else ""
+    """``found`` is the offending token's text, None at the end of the text,
+    or empty when there is no token to name."""
+
+    def __init__(self, line: int, column: int, expected: str, found: str | None = ""):
+        if found is None:
+            detail = " (found end of input)"
+        else:
+            detail = f" (found {found!r})" if found else ""
         super().__init__(f"line {line}, column {column}: expected {expected}{detail}")
         self.line = line
         self.column = column
@@ -218,7 +224,7 @@ _CONVERT = {
 }
 
 
-def _syntax_error(text: str, offset: int, expected: str, found: str = "") -> StepSyntaxError:
+def _syntax_error(text: str, offset: int, expected: str, found: str | None = "") -> StepSyntaxError:
     line = text.count("\n", 0, offset) + 1
     return StepSyntaxError(line, offset - text.rfind("\n", 0, offset), expected, found)
 
@@ -270,13 +276,15 @@ def _expect_tokens(text: str, pos: int, *expected: str) -> int:
         if value != want or kind not in ("keyword", want):
             if want in ("HEADER", "DATA"):
                 raise MissingSection(want)
-            raise _syntax_error(text, offset, want, str(value))
+            raise _syntax_error(text, offset, want, None if kind == "eof" else str(value))
     next(tokens)
     return offset + len(want)
 
 
 def _unexpected(text: str, m: re.Match, expected: str) -> StepSyntaxError:
     kind = m.lastgroup
+    if kind == "eof":
+        return _syntax_error(text, m.start(), expected, None)
     found = m[kind] if kind == "punct" else str(_CONVERT[kind](m[kind]))
     return _syntax_error(text, m.start(), expected, found)
 

@@ -307,6 +307,75 @@ def test_params_json_line_between_coincident_vertices_exits_2(capsys, tmp_path):
     assert "line edge with coincident endpoints" in err
 
 
+HUGE_INT = "1" + "0" * 400  # a JSON integer past the float range
+ONE_ERROR_LINE = re.compile(r"error: [^\n]*\n")
+
+
+@pytest.mark.parametrize("command", ["params", "inspect"])
+def test_json_integer_past_float_range_exits_2(capsys, tmp_path, command):
+    text = json.dumps(modelzoo.box_doc()).replace('"x": 0.0', f'"x": {HUGE_INT}', 1)
+    path = tmp_path / "huge.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: /vertices/0/x: number must be finite\n"
+
+
+@pytest.mark.parametrize("option", [None, "--materials-db"], ids=["model", "materials-db"])
+def test_json_integer_past_digit_limit_exits_cleanly(capsys, tmp_path, option):
+    # Interpreters with an integer digit limit refuse such a number while
+    # decoding ("not valid JSON"); others read it and find it too large.
+    digits = "1" + "0" * 5000
+    if option is None:
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(modelzoo.box_doc()).replace('"x": 0.0', f'"x": {digits}', 1))
+        code, out, err = run(capsys, "params", str(path))
+        expected_code = 2
+    else:
+        db = tmp_path / "db.json"
+        db.write_text(f'{{"materials": [{{"name": "m", "shear_stress": {digits}, "yield_stress": 1}}]}}')
+        code, out, err = run(capsys, "params", str(fixture_path("row4_bridge.json")), option, str(db))
+        expected_code = 4
+    assert (code, out) == (expected_code, "")
+    assert ONE_ERROR_LINE.fullmatch(err)
+    assert "not valid JSON" in err or "finite" in err
+
+
+@pytest.mark.parametrize("command", ["params", "inspect", "features"])
+def test_deeply_nested_json_model_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: /: not valid JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize("option, text, message", [
+    ("--materials-db",
+     f'{{"materials": [{{"name": "m", "shear_stress": {HUGE_INT}, "yield_stress": 1}}]}}',
+     "/materials/0/shear_stress: expected a finite number, got an integer too large for a float"),
+    ("--tools-db",
+     f'{{"tools": [{{"name": "t", "force_coefficient": 0.3, "max_force": {HUGE_INT}}}]}}',
+     "/tools/0/max_force: expected a finite number, got an integer too large for a float"),
+    ("--materials-db", "[" * 100000, "/: not valid JSON: nested too deeply"),
+    ("--tools-db", '{"tools": ' + "[" * 100000, "/: not valid JSON: nested too deeply"),
+], ids=["material-huge-int", "tool-huge-int", "materials-deep", "tools-deep"])
+def test_resource_db_number_and_nesting_errors_exit_4(capsys, tmp_path, option, text, message):
+    db = tmp_path / "db.json"
+    db.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "params", str(fixture_path("row4_bridge.json")), option, str(db))
+    assert (code, out) == (4, "")
+    assert err == f"error: {message}\n"
+
+
+def test_step_cut_off_mid_list_names_end_of_input(capsys, tmp_path):
+    path = tmp_path / "cut.step"
+    path.write_text("ISO-10303-21;\nHEADER;\nENDSEC;\nDATA;\n#1=A(1,", encoding="utf-8")
+    code, out, err = run(capsys, "inspect", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: line 5, column 8: expected an argument (found end of input)\n"
+
+
 def test_params_env_db_dir(capsys, tmp_path, monkeypatch):
     (tmp_path / "materials.json").write_text(json.dumps({"materials": [
         {"name": "copper", "shear_stress": 45, "yield_stress": 70},

@@ -145,6 +145,18 @@ def test_syntax_error_carries_position(text, line, column, expected):
     assert (exc.value.line, exc.value.column, exc.value.expected) == (line, column, expected)
 
 
+@pytest.mark.parametrize("text, message", [
+    (PREFIX + "#1=A(1,", "line 5, column 8: expected an argument (found end of input)"),
+    ("ISO-10303-21;\nHEADER", "line 2, column 7: expected ; (found end of input)"),
+    (PREFIX + "#1=A(1);\nENDSEC;\n", "line 7, column 1: expected END-ISO-10303-21 (found end of input)"),
+    (PREFIX + "#1=A(1 2);\n", "line 5, column 8: expected ) (found '2')"),
+], ids=["eof-in-list", "eof-after-keyword", "eof-before-end-keyword", "token-found"])
+def test_syntax_error_message_names_what_was_found(text, message):
+    with pytest.raises(StepSyntaxError) as exc:
+        parse_exchange(text)
+    assert str(exc.value) == message
+
+
 def test_nesting_up_to_the_limit_parses():
     nested = "(" * (MAX_NESTING - 1) + "1" + ")" * (MAX_NESTING - 1)
     xs = parse_exchange(wrap(f"#1=A({nested});\n"))
