@@ -128,6 +128,8 @@ PREFIX = "ISO-10303-21;\nHEADER;\nENDSEC;\nDATA;\n"
     (PREFIX + "#1=A(1,", 5, 8, "an argument"),
     (PREFIX + "#1=A(1);\nENDSEC\nEND-ISO-10303-21;\n", 7, 1, ";"),
     (PREFIX + "#1=A(1);\nENDSEC;\n", 7, 1, "END-ISO-10303-21"),
+    (PREFIX + "#1=A(1);\nENDSEC;\nEND-ISO-10303-21;\n@", 8, 1, "a Part-21 token"),
+    ("'HEADER';", 1, 1, "ISO-10303-21"),
 ], ids=[
     "open-comment", "hash-no-digits", "open-string", "open-string-escaped-quote",
     "no-exponent-digits", "no-exponent-digits-after-sign", "lone-plus", "open-enum",
@@ -138,6 +140,7 @@ PREFIX = "ISO-10303-21;\nHEADER;\nENDSEC;\nDATA;\n"
     "trailing-comma", "leading-comma", "missing-comma", "no-entity-keyword", "missing-equals",
     "no-instance-name", "complex-instance-non-keyword", "typed-parameter-without-paren",
     "eof-in-list", "endsec-without-semicolon", "missing-end-keyword",
+    "bad-token-after-end", "string-for-start-keyword",
 ])
 def test_syntax_error_carries_position(text, line, column, expected):
     with pytest.raises(StepSyntaxError) as exc:
@@ -155,6 +158,23 @@ def test_syntax_error_message_names_what_was_found(text, message):
     with pytest.raises(StepSyntaxError) as exc:
         parse_exchange(text)
     assert str(exc.value) == message
+
+
+def test_header_keyword_written_as_string_is_missing_section():
+    with pytest.raises(MissingSection) as exc:
+        parse_exchange("ISO-10303-21;'HEADER';")
+    assert exc.value.section == "HEADER"
+
+
+def test_one_valid_token_after_end_keyword_is_enough():
+    xs = parse_exchange(PREFIX + "#1=A(1);\nENDSEC;\nEND-ISO-10303-21;\nfoo @")
+    assert set(xs.entities) == {1}
+
+
+def test_open_string_after_end_keyword_is_an_error():
+    with pytest.raises(StepSyntaxError) as exc:
+        parse_exchange(PREFIX + "#1=A(1);\nENDSEC;\nEND-ISO-10303-21;\n'open")
+    assert (exc.value.line, exc.value.column, exc.value.expected) == (8, 1, "closing ' for string")
 
 
 def test_nesting_up_to_the_limit_parses():
