@@ -47,13 +47,6 @@ class UnknownEdge(BrepError):
         self.edge_id = edge_id
 
 
-class NonManifoldEdge(BrepError):
-    def __init__(self, edge_id: int, count: int):
-        super().__init__(f"edge {edge_id} is used by {count} face loops, expected 2")
-        self.edge_id = edge_id
-        self.count = count
-
-
 class NotManifold(BrepError):
     """The solid fails :func:`validate_manifold`; carries every violation found.
 
@@ -282,16 +275,6 @@ def face_area(face: Face, solid: Solid) -> float:
         else:
             holes += area
     return outer - holes
-
-
-def edge_adjacent_faces(solid: Solid, edge_id: int) -> tuple[int, int]:
-    """The exactly-two faces whose loops use edge_id."""
-    if edge_id not in solid.edges:
-        raise UnknownEdge(edge_id)
-    uses = solid.edge_uses[edge_id]
-    if len(uses) != 2:
-        raise NonManifoldEdge(edge_id, len(uses))
-    return (uses[0], uses[1])
 
 
 @dataclass(frozen=True)

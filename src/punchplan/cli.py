@@ -2,8 +2,9 @@
 
 Commands: ``inspect`` (model diagnostics), ``features`` (feature and edge
 listing), ``params`` (process-parameter report), ``batch`` (directory of
-models). Exit codes: 0 success, 2 parse failure, 3 validation failure,
-4 unknown material/tool or invalid override, 5 no feature produced parameters.
+models). Exit codes: 0 success, 2 parse failure or usage error, 3 validation
+failure, 4 unknown material/tool or invalid override, 5 no feature produced
+parameters. Exits 2 to 5 write one ``error:`` line on stderr.
 
 The PUNCHPLAN_DB_DIR environment variable may point at a directory holding
 ``materials.json`` / ``tools.json`` used as default databases.
@@ -16,6 +17,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import NoReturn
 
 from . import report as _report
 from .brep import (
@@ -287,7 +289,9 @@ def cmd_params(args) -> int:
     _write_output(text, args.out)
     feature_blocks = doc["features"]
     if feature_blocks and all(b["error"] for b in feature_blocks):
-        return EXIT_NO_FEATURE
+        # The report names each feature's error; the error line sums them up.
+        raise CliError(EXIT_NO_FEATURE, f"none of {len(feature_blocks)} feature(s) produced "
+                                        f"parameters; first: {feature_blocks[0]['error']}")
     return EXIT_OK
 
 
@@ -358,8 +362,15 @@ def _add_param_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv", "table"), default="json")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line (subparsers inherit the class)."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="punchplan",
         description="Extract sheet-metal process parameters from part models.",
     )

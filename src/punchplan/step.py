@@ -5,12 +5,12 @@ interpreting any schema; ``resolve_brep`` then walks the one
 MANIFOLD_SOLID_BREP tree and builds a :class:`punchplan.brep.Solid`.
 
 Tokenizing is one compiled master pattern with a named group per token kind.
-The HEADER and DATA sections are each parsed by one loop that pulls tokens
-from the pattern's scanner and keeps the open parameter lists on an explicit
-stack; the fixed keywords around them are read through a generator that
-yields ``(kind, value, offset)`` lazily. Outside strings and comments only
-ASCII is accepted (the Part-21 basic alphabet). Line and column are computed
-from the offset only when a :class:`StepSyntaxError` is raised.
+One loop reads the whole file from the pattern's scanner: the fixed keywords
+around the HEADER and DATA sections are one more state of that loop, and the
+open parameter lists wait on an explicit stack. Outside strings and comments
+only ASCII is accepted (the Part-21 basic alphabet). Line and column are
+computed from the offset only when a :class:`StepSyntaxError` is raised, whose
+message quotes the offending token as it is written.
 
 Only the geometry subset needed for sheet-metal parts is resolved
 (points, directions, placements, lines, circles, planes, cylinders, and
@@ -22,6 +22,7 @@ A warning is recorded if the file declares a non-millimetre length unit.
 """
 from __future__ import annotations
 
+import enum
 import re
 import sys
 from collections import Counter
@@ -98,36 +99,19 @@ _MIN_ARGS = {
 SUPPORTED_ENTITIES = frozenset(_MIN_ARGS)
 
 
-class Unset:
-    """The ``$`` placeholder."""
+class Placeholder(enum.Enum):
+    """The ``$`` (unset) and ``*`` (derived) parameters. Each is one object:
+    copying or unpickling it gives it back."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    UNSET = "$"
+    DERIVED = "*"
 
     def __repr__(self) -> str:
-        return "$"
+        return self.value
 
 
-class Derived:
-    """The ``*`` placeholder."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "*"
-
-
-UNSET = Unset()
-DERIVED = Derived()
+UNSET = Placeholder.UNSET
+DERIVED = Placeholder.DERIVED
 
 
 @dataclass(frozen=True)
@@ -210,19 +194,6 @@ _TOKEN = re.compile(r"""
 _NUMBER_START = re.compile(r"[+-]|\.?[0-9]")
 _EXPONENT = re.compile(r"[+-]?[0-9]*(?:\.[0-9]*)?[eE][+-]?(?P<digit>[0-9]?)")
 
-_CONVERT = {
-    "unset": lambda _: UNSET,
-    "derived": lambda _: DERIVED,
-    "ref": int,
-    "string": lambda s: s.replace("''", "'"),  # backslash escapes pass through
-    "integer": int,
-    "real": float,
-    "bool": lambda name: name == "T",
-    "enum": Enum,
-    "keyword": str,
-    "eof": lambda _: None,
-}
-
 
 def _syntax_error(text: str, offset: int, expected: str, found: str | None = "") -> StepSyntaxError:
     line = text.count("\n", 0, offset) + 1
@@ -248,54 +219,17 @@ def _token_error(text: str, pos: int) -> StepSyntaxError:
     return _syntax_error(text, pos, "a Part-21 token", ch)
 
 
-def _tokens(text: str, pos: int = 0):
-    """Yield ``(kind, value, offset)`` per token from ``pos``, ending with an ``eof`` token."""
-    match = _TOKEN.match
-    while True:
-        m = match(text, pos)
-        if m is None:
-            raise _token_error(text, pos)
-        kind = m.lastgroup
-        if kind == "punct":
-            yield m[kind], m[kind], pos
-        elif kind != "skip":
-            yield kind, _CONVERT[kind](m[kind]), pos
-            if kind == "eof":
-                return
-        pos = m.end()
-
-
-def _expect_tokens(text: str, pos: int, *expected: str) -> int:
-    """Read the keywords and punctuation ``expected`` from ``pos``; return the
-    offset after them. The token after them is lexed as well, as by a parser
-    that holds one token of lookahead, so text after ``END-ISO-10303-21;``
-    must still begin with a valid token."""
-    tokens = _tokens(text, pos)
-    for want in expected:
-        kind, value, offset = next(tokens)
-        if value != want or kind not in ("keyword", want):
-            if want in ("HEADER", "DATA"):
-                raise MissingSection(want)
-            raise _syntax_error(text, offset, want, None if kind == "eof" else str(value))
-    next(tokens)
-    return offset + len(want)
-
-
-def _unexpected(text: str, m: re.Match, expected: str) -> StepSyntaxError:
-    kind = m.lastgroup
-    if kind == "eof":
-        return _syntax_error(text, m.start(), expected, None)
-    found = m[kind] if kind == "punct" else str(_CONVERT[kind](m[kind]))
-    return _syntax_error(text, m.start(), expected, found)
-
-
 # Deepest parameter-list nesting the parser accepts, tested against the depth
 # of its stack of open lists. Exchange files nest a few lists deep (B-spline
 # control nets are lists of lists); a list that would pass the bound is a
 # syntax error at its '('.
 MAX_NESTING = 64
 
-# What ``_records`` may read next. Inside a parameter list:
+# The fixed tokens around the two sections. HEADER's records follow the
+# ``HEADER ;`` (index 3) and DATA's the ``DATA ;`` (index 5).
+_FRAME_TOKENS = ("ISO-10303-21", ";", "HEADER", ";", "DATA", ";", "END-ISO-10303-21", ";")
+
+# What ``_read`` may read next. Inside a parameter list:
 _FIRST = 0    # after '(': a parameter or ')'
 _PARAM = 1    # after ',': a parameter
 _AFTER = 2    # after a parameter: ',' or ')'
@@ -306,29 +240,36 @@ _RECORD = 5   # a record, or ENDSEC
 _EQUALS = 6   # after a DATA instance name: '='
 _ENTITY = 7   # after '=': an entity keyword, or '(' of a complex instance
 _PARTS = 8    # inside a complex instance: a keyword or ')'
-_END = 9      # after a record: ';'
-_ENDSEC = 10  # after ENDSEC: ';'
-# What a syntax error in each state names as expected (_RECORD's depends on the section).
+_FRAME = 9    # outside the sections: _FRAME_TOKENS[step], or any token after the last
+_END = 10     # after a record: ';'
+_ENDSEC = 11  # after ENDSEC: ';'
+# What a syntax error in each state names as expected (_RECORD's and _FRAME's vary).
 _EXPECTED = ("an argument", "an argument", ")", "(", "(", None, "=", "entity keyword",
-             "entity keyword inside complex instance", ";", ";")
+             "entity keyword inside complex instance", None, ";", ";")
 
 
-def _records(text: str, pos: int, data: bool) -> tuple[dict[int, EntityRecord] | list, int]:
-    """Parse a DATA (``data``) or HEADER section from ``pos`` through its ``ENDSEC;``.
+def _read(text: str) -> tuple[list[tuple[str, tuple]], dict[int, EntityRecord]]:
+    """Read a whole exchange file: the HEADER's ``(keyword, args)`` records and
+    the DATA section's id -> entity map.
 
-    Returns the id -> entity map of DATA, or the ``(keyword, args)`` list of
-    HEADER, and the offset after the ``;``. One loop pulls the tokens from the
-    scanner, with no recursion and no parser method per token; the enclosing
-    parameter lists wait on ``stack``, each with whether the list inside it is
-    a typed parameter.
+    One loop pulls the tokens from the scanner, with no recursion and no
+    parser method per token. The fixed frame around the sections is its
+    ``_FRAME`` state, which walks ``_FRAME_TOKENS``; after their last ``;`` it
+    reads one more token, as a parser that holds one token of lookahead would,
+    so the text after ``END-ISO-10303-21;`` must begin with a valid token. The
+    enclosing parameter lists wait on ``stack``, each with whether the list
+    inside it is a typed parameter.
     """
-    records: dict[int, EntityRecord] | list = {} if data else []
+    header: list[tuple[str, tuple]] = []
+    records: dict[int, EntityRecord] | list = header
+    data = False
     stack: list[tuple[list, bool]] = []
     cur: list = []
     parts: list | None = None
-    state = _RECORD
+    state = _FRAME
+    step = 0
     m = None
-    for m in iter(_TOKEN.scanner(text, pos).match, None):
+    for m in iter(_TOKEN.scanner(text).match, None):
         kind = m.lastgroup
         if kind == "skip":
             continue
@@ -432,18 +373,32 @@ def _records(text: str, pos: int, data: bool) -> tuple[dict[int, EntityRecord] |
             cur = []
             state = _FIRST
         elif state >= _END and kind == ";":
-            if state == _ENDSEC:
-                return records, m.end()
-            state = _RECORD
+            state = _FRAME if state == _ENDSEC else _RECORD
+        elif state == _FRAME:
+            if step == len(_FRAME_TOKENS):
+                return header, records
+            if m[0] != _FRAME_TOKENS[step]:
+                break
+            step += 1
+            if step == 4:
+                state = _RECORD
+            elif step == 6:
+                records, data, state = {}, True, _RECORD
         else:
             break
     else:
-        raise _token_error(text, m.end() if m else pos)
-    if state == _RECORD:
+        raise _token_error(text, m.end() if m else 0)
+    if state == _FRAME:
+        expected = _FRAME_TOKENS[step]
+        if expected == "HEADER" or expected == "DATA":
+            raise MissingSection(expected)
+    elif state == _RECORD:
         if m.lastgroup == "eof":
             raise _syntax_error(text, m.start(), f"ENDSEC for {'DATA' if data else 'HEADER'}")
-        raise _unexpected(text, m, "instance name '#<id>'" if data else "header entity keyword")
-    raise _unexpected(text, m, _EXPECTED[state])
+        expected = "instance name '#<id>'" if data else "header entity keyword"
+    else:
+        expected = _EXPECTED[state]
+    raise _syntax_error(text, m.start(), expected, None if m.lastgroup == "eof" else m[0])
 
 
 def _header(records: list[tuple[str, tuple]]) -> Header:
@@ -461,10 +416,7 @@ def _header(records: list[tuple[str, tuple]]) -> Header:
 
 def parse_exchange(text: str) -> ExchangeStructure:
     """Parse a Part-21 exchange file into header fields and the entity map."""
-    pos = _expect_tokens(text, 0, "ISO-10303-21", ";", "HEADER", ";")
-    records, pos = _records(text, pos, False)
-    entities, pos = _records(text, _expect_tokens(text, pos, "DATA", ";"), True)
-    _expect_tokens(text, pos, "END-ISO-10303-21", ";")
+    records, entities = _read(text)
     ignored = Counter()
     warnings: list[str] = []
     for eid, rec in entities.items():

@@ -20,13 +20,11 @@ from punchplan.brep import (
     Face,
     Line,
     Loop,
-    NonManifoldEdge,
     NonPlanarFace,
     Plane,
     SchemaError,
     Solid,
     UnknownEdge,
-    edge_adjacent_faces,
     edge_length,
     face_area,
     face_normal,
@@ -194,25 +192,25 @@ def test_face_normal_rejects_cylinder(hole_sheet):
 
 def test_box_edge_adjacency(flat_sheet):
     # Edge 1 is the bottom y=0 edge, bounded by the bottom face and the y=0 wall.
-    assert set(edge_adjacent_faces(flat_sheet, 1)) == {1, 3}
+    assert sorted(flat_sheet.edge_uses[1]) == [1, 3]
 
 
 def test_hole_edge_adjacency(hole_sheet):
     circle_edge = next(e for e in hole_sheet.edges.values() if isinstance(e.curve, Circle))
-    faces = set(edge_adjacent_faces(hole_sheet, circle_edge.id))
+    uses = sorted(hole_sheet.edge_uses[circle_edge.id])
     wall = next(f.id for f in hole_sheet.faces.values() if not isinstance(f.surface, Plane))
-    assert faces == {1, wall} or faces == {2, wall}
+    assert uses in (sorted([1, wall]), sorted([2, wall]))
 
 
 def test_unknown_and_non_manifold_edge(flat_sheet):
+    stray = Edge(999, Line(vec(0, 0, 0), vec(1, 0, 0)), 1, 2)
     with pytest.raises(UnknownEdge):
-        edge_adjacent_faces(flat_sheet, 999)
+        edge_length(stray, flat_sheet)
     doc = modelzoo.box_doc()
     doc["faces"] = doc["faces"][:-1]
     open_shell = solid_from(doc)
     bad = next(eid for eid, uses in open_shell.edge_uses.items() if len(uses) != 2)
-    with pytest.raises(NonManifoldEdge):
-        edge_adjacent_faces(open_shell, bad)
+    assert len(open_shell.edge_uses[bad]) == 1
 
 
 def test_validate_clean_box(flat_sheet):

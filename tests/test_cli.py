@@ -159,10 +159,25 @@ def test_params_unknown_material_suggests(capsys, tmp_path):
 
 
 def test_params_exit_5_when_no_feature_succeeds(capsys):
-    code, out, _ = run(capsys, "params", str(fixture_path("l_bend.json")))
+    code, out, err = run(capsys, "params", str(fixture_path("l_bend.json")))
     assert code == 5
     doc = json.loads(out)
     assert doc["features"][0]["error"]
+    assert err == ("error: none of 1 feature(s) produced parameters; first: "
+                   f"{doc['features'][0]['error']}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["params", "MODEL", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+    (["params"], "the following arguments are required: input"),
+], ids=["unknown-flag", "missing-input"])
+def test_usage_error_is_one_line(capsys, argv, message):
+    argv = [str(fixture_path("row4_bridge.json")) if a == "MODEL" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_params_flat_sheet_empty_report(capsys):

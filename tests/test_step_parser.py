@@ -1,4 +1,6 @@
 """Part-21 grammar, serialization round-trip, and the geometry resolver."""
+import copy
+import pickle
 import re
 
 import pytest
@@ -65,6 +67,15 @@ def test_placeholders_and_enums():
     xs = parse_exchange(wrap("#1=ORIENTED_EDGE('',*,*,#2,.F.);\n#2=SI_UNIT($,.METRE.);\n"))
     assert xs.entities[1].args == ("", DERIVED, DERIVED, Ref(2), False)
     assert xs.entities[2].args == (UNSET, Enum("METRE"))
+
+
+@pytest.mark.parametrize("placeholder, text", [(UNSET, "$"), (DERIVED, "*")], ids=["unset", "derived"])
+def test_placeholders_are_singletons(placeholder, text):
+    assert repr(placeholder) == text
+    assert copy.copy(placeholder) is placeholder
+    assert copy.deepcopy(placeholder) is placeholder
+    assert pickle.loads(pickle.dumps(placeholder)) is placeholder
+    assert UNSET is not DERIVED
 
 
 def test_si_unit_warning_for_non_millimetre():
@@ -153,7 +164,20 @@ def test_syntax_error_carries_position(text, line, column, expected):
     ("ISO-10303-21;\nHEADER", "line 2, column 7: expected ; (found end of input)"),
     (PREFIX + "#1=A(1);\nENDSEC;\n", "line 7, column 1: expected END-ISO-10303-21 (found end of input)"),
     (PREFIX + "#1=A(1 2);\n", "line 5, column 8: expected ) (found '2')"),
-], ids=["eof-in-list", "eof-after-keyword", "eof-before-end-keyword", "token-found"])
+    ("ISO-10303-21 #12;", "line 1, column 14: expected ; (found '#12')"),
+    (PREFIX + "#1=A(1 +5);\n", "line 5, column 8: expected ) (found '+5')"),
+    (PREFIX + "#1=A(B 1.);\n", "line 5, column 8: expected ( (found '1.')"),
+    (PREFIX + "#1 'it''s'=A();\n", "line 5, column 4: expected = (found \"'it''s'\")"),
+    (PREFIX + "#1=.T.;\n", "line 5, column 4: expected entity keyword (found '.T.')"),
+    ("ISO-10303-21;\nHEADER;\n.METRE.;\n",
+     "line 3, column 1: expected header entity keyword (found '.METRE.')"),
+    (PREFIX + "#1=A(1)B;\n", "line 5, column 8: expected ; (found 'B')"),
+    (PREFIX + "$\n", "line 5, column 1: expected instance name '#<id>' (found '$')"),
+    (PREFIX + "#1=(A(1)*);\n",
+     "line 5, column 9: expected entity keyword inside complex instance (found '*')"),
+], ids=["eof-in-list", "eof-after-keyword", "eof-before-end-keyword", "token-found",
+        "ref", "signed-integer", "real", "string-with-quote-escape", "bool", "enum", "keyword",
+        "unset", "derived"])
 def test_syntax_error_message_names_what_was_found(text, message):
     with pytest.raises(StepSyntaxError) as exc:
         parse_exchange(text)
