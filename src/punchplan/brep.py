@@ -546,7 +546,3 @@ def load_brep_json(text: str, default_name: str = "") -> Solid:
 
     return Solid(name or default_name, vertices, edges, loops, faces)
 
-
-def planar_faces(solid: Solid) -> list[Face]:
-    return [f for f in solid.faces.values() if isinstance(f.surface, Plane)]
-

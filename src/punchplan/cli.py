@@ -23,13 +23,12 @@ from . import report as _report
 from .brep import (
     BrepError,
     NotManifold,
-    SchemaError,
+    Plane,
     Solid,
     edge_length,
     face_area,
     face_normal,
     load_brep_json,
-    planar_faces,
     validate_manifold,
 )
 from .classify import ClassificationError
@@ -93,7 +92,7 @@ def _load_solid(path: Path, requested: str) -> tuple[Solid, list[str], int | Non
                 warnings.append(f"ignored {count} {kw} entities")
             return resolve_brep(xs, path.stem), warnings, len(xs.entities)
         return load_brep_json(text, path.stem), [], None
-    except (StepError, SchemaError, BrepError) as exc:
+    except (StepError, BrepError) as exc:
         raise CliError(EXIT_PARSE, f"{path}: {exc}") from None
 
 
@@ -137,9 +136,7 @@ def _load_dbs(args) -> tuple[dict, dict]:
             materials = merge(materials, load_materials(Path(mat_path).read_text(encoding="utf-8")))
         if tool_path is not None:
             tools = merge(tools, load_tools(Path(tool_path).read_text(encoding="utf-8")))
-    except OSError as exc:
-        raise CliError(EXIT_RESOURCE, str(exc)) from None
-    except ResourceError as exc:
+    except (OSError, ResourceError) as exc:
         raise CliError(EXIT_RESOURCE, str(exc)) from None
     return materials, tools
 
@@ -195,17 +192,16 @@ def _inspect_lines(solid: Solid, warnings: list[str],
     lines = [f"part: {solid.name}"]
     if entity_count is not None:
         lines.append(f"entities: {entity_count}")
-    n_planar = len(planar_faces(solid))
+    planar = {fid for fid, f in solid.faces.items() if isinstance(f.surface, Plane)}
     lines.append(
-        f"faces: {len(solid.faces)} ({n_planar} planar, {len(solid.faces) - n_planar} cylindrical)"
+        f"faces: {len(solid.faces)} ({len(planar)} planar, {len(solid.faces) - len(planar)} cylindrical)"
     )
     lines.append(f"edges: {len(solid.edges)}   vertices: {len(solid.vertices)}   loops: {len(solid.loops)}")
     lines.append("face table:")
     lines.append("  id    kind      area_mm2      outward_normal")
-    planar_ids = {pf.id for pf in planar_faces(solid)}
     for fid in sorted(solid.faces):
         f = solid.faces[fid]
-        if fid in planar_ids:
+        if fid in planar:
             n = face_normal(f)
             lines.append(
                 f"  {fid:<5} plane     {face_area(f, solid):<13.6g} ({n.x:.3g},{n.y:.3g},{n.z:.3g})"

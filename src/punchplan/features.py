@@ -89,21 +89,15 @@ class Role(enum.Enum):
 
 
 @dataclass(frozen=True)
-class FaceRole:
-    role: Role
-    pair_id: int | None = None
-
-
-@dataclass(frozen=True)
 class FacePairing:
-    roles: dict[int, FaceRole]
+    roles: dict[int, Role]
     pairs: dict[int, tuple[int, int]]  # pair id -> the two face ids
 
     def role_of(self, face_id: int) -> Role:
-        return self.roles[face_id].role
+        return self.roles[face_id]
 
     def is_member(self, face_id: int) -> bool:
-        return self.roles[face_id].role in (Role.WALL, Role.BEND)
+        return self.roles[face_id] in (Role.WALL, Role.BEND)
 
 
 class FeatureKind(enum.Enum):
@@ -390,7 +384,7 @@ def compute_thickness(solid: Solid) -> float:
 # Reference face
 # ---------------------------------------------------------------------------
 
-def select_reference_face(solid: Solid, thickness: float) -> int:
+def select_reference_face(solid: Solid) -> int:
     """Largest planar face; co-maximal areas tie-break toward the smaller id."""
     areas = [(g.area, g.id) for g in face_table(solid).planes]
     if not areas:
@@ -418,7 +412,7 @@ def _opposite_face(solid: Solid, rf_id: int, thickness: float) -> int:
 def sheet_metrics(solid: Solid) -> SheetMetrics:
     """Thickness, reference face, its outward normal, and its opposite face."""
     t = compute_thickness(solid)
-    rf = select_reference_face(solid, t)
+    rf = select_reference_face(solid)
     return SheetMetrics(
         thickness=t,
         reference_face=rf,
@@ -464,10 +458,7 @@ def pair_faces(solid: Solid, metrics: SheetMetrics) -> FacePairing:
     """
     t = metrics.thickness
     table = face_table(solid)
-    roles: dict[int, FaceRole] = {
-        metrics.reference_face: FaceRole(Role.REFERENCE),
-        metrics.opposite_face: FaceRole(Role.REFERENCE),
-    }
+    roles = {metrics.reference_face: Role.REFERENCE, metrics.opposite_face: Role.REFERENCE}
     pairs: dict[int, tuple[int, int]] = {}
     remaining = [table.faces[fid] for fid in solid.faces if fid not in roles]
     remaining.sort(key=lambda g: (-g.measure, g.id))
@@ -498,15 +489,13 @@ def pair_faces(solid: Solid, metrics: SheetMetrics) -> FacePairing:
             raise AmbiguousPairing(f.id, [g.id for g in candidates])
         if candidates:
             g = candidates[0]
-            kind = Role.WALL if f.normal is not None else Role.BEND
-            roles[f.id] = FaceRole(kind, next_pair)
-            roles[g.id] = FaceRole(kind, next_pair)
+            roles[f.id] = roles[g.id] = Role.WALL if f.normal is not None else Role.BEND
             pairs[next_pair] = (f.id, g.id)
             unpaired.difference_update((f.id, g.id))
             next_pair += 1
     for f in remaining:
         if f.id in unpaired:
-            roles[f.id] = FaceRole(Role.SIDE)
+            roles[f.id] = Role.SIDE
     return FacePairing(roles, pairs)
 
 
@@ -528,11 +517,6 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _adjacent_non_rf_face(solid: Solid, edge_id: int, rf_id: int) -> int | None:
-    others = [fid for fid in solid.edge_uses[edge_id] if fid != rf_id]
-    return others[0] if others else None
 
 
 def group_features(solid: Solid, pairing: FacePairing, metrics: SheetMetrics) -> list[SheetFeature]:
@@ -563,8 +547,8 @@ def group_features(solid: Solid, pairing: FacePairing, metrics: SheetMetrics) ->
         attached_root: int | None = None
         sheared = False
         for eid, _ in sorted(solid.loops[lid].oriented_edges):
-            other = _adjacent_non_rf_face(solid, eid, rf.id)
-            if other is not None and other in member_set:
+            other = next((fid for fid in solid.edge_uses[eid] if fid != rf.id), None)
+            if other in member_set:
                 if attached_root is None:
                     attached_root = uf.find(other)
             else:
@@ -609,19 +593,15 @@ def feature_height(
     """
     if feature.kind is FeatureKind.CUT:
         return cut_height if cut_height is not None else metrics.thickness
-    rf = solid.faces[metrics.reference_face]
-    assert isinstance(rf.surface, Plane)
-    n = metrics.reference_normal
-    origin = rf.surface.origin
     table = face_table(solid)
+    rf = table.faces[metrics.reference_face]
+    n = metrics.reference_normal
     best: float | None = None
     for fid in sorted(feature.member_faces):
-        f = solid.faces[fid]
-        if not isinstance(f.surface, Plane):
+        g = table.faces[fid]
+        if g.normal is None or g.normal.dot(n) <= FACING_DOT:
             continue
-        if table.faces[fid].normal.dot(n) <= FACING_DOT:
-            continue
-        d = abs((f.surface.origin - origin).dot(n))
+        d = abs(_signed_separation(rf, g))
         if best is None or d > best:
             best = d
     if best is None:

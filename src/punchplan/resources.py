@@ -75,7 +75,10 @@ def builtin_tools() -> dict[str, ToolSpec]:
     return dict(_BUILTIN_TOOLS)
 
 
-def _finite(value, path: str) -> float:
+def _number(entry: dict, field: str, path: str, positive: bool = True) -> float:
+    """``entry[field]`` (0 when absent) as a finite float, > 0 or, if not positive, >= 0."""
+    value = entry.get(field, 0.0)
+    path = f"{path}/{field}"
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ResourceSchemaError(path, f"expected a finite number, got {value!r}")
     try:
@@ -85,31 +88,13 @@ def _finite(value, path: str) -> float:
                                         "for a float") from None
     if not math.isfinite(number):
         raise ResourceSchemaError(path, f"expected a finite number, got {value!r}")
+    if value < 0 or (positive and value == 0):
+        raise ResourceSchemaError(path, f"must be {'>' if positive else '>='} 0, got {value}")
     return number
 
 
-def _positive(value, path: str) -> float:
-    number = _finite(value, path)
-    if value <= 0:
-        raise ResourceSchemaError(path, f"must be > 0, got {value}")
-    return number
-
-
-def _non_negative(value, path: str) -> float:
-    number = _finite(value, path)
-    if value < 0:
-        raise ResourceSchemaError(path, f"must be >= 0, got {value}")
-    return number
-
-
-def _name(entry: dict, path: str) -> str:
-    name = entry.get("name")
-    if not isinstance(name, str) or not name.strip():
-        raise ResourceSchemaError(f"{path}/name", "expected a non-empty string")
-    return name.strip().lower()
-
-
-def _entries(text: str, key: str) -> list:
+def _load(text: str, key: str, required: tuple[str, ...], build) -> dict:
+    """Decode ``{key: [...]}``; ``build`` each entry, keyed by its stripped, lower-cased name."""
     try:
         doc = json.loads(text)
     except RecursionError:
@@ -118,56 +103,47 @@ def _entries(text: str, key: str) -> list:
         raise ResourceSchemaError("/", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or key not in doc:
         raise ResourceSchemaError(f"/{key}", "missing required key")
-    entries = doc[key]
-    if not isinstance(entries, list):
+    if not isinstance(doc[key], list):
         raise ResourceSchemaError(f"/{key}", "expected a list")
-    return entries
+    out: dict = {}
+    for i, entry in enumerate(doc[key]):
+        path = f"/{key}/{i}"
+        if not isinstance(entry, dict):
+            raise ResourceSchemaError(path, "expected an object")
+        name = entry.get("name")
+        if not isinstance(name, str) or not name.strip():
+            raise ResourceSchemaError(f"{path}/name", "expected a non-empty string")
+        name = name.strip().lower()
+        if name in out:
+            raise DuplicateName(name)
+        for field in required:
+            if field not in entry:
+                raise ResourceSchemaError(f"{path}/{field}", "missing required key")
+        out[name] = build(name, entry, path)
+    return out
+
+
+def _material(name: str, entry: dict, path: str) -> MaterialSpec:
+    return MaterialSpec(name, _number(entry, "shear_stress", path),
+                        _number(entry, "yield_stress", path))
+
+
+def _tool(name: str, entry: dict, path: str) -> ToolSpec:
+    kind = entry.get("kind", "punching_press")
+    if not isinstance(kind, str):
+        raise ResourceSchemaError(f"{path}/kind", "expected a string")
+    return ToolSpec(name, kind, _number(entry, "force_coefficient", path),
+                    _number(entry, "max_force", path, positive=False))
 
 
 def load_materials(text: str) -> dict[str, MaterialSpec]:
     """Parse {"materials": [...]} into a name-keyed map (names lower-cased)."""
-    out: dict[str, MaterialSpec] = {}
-    for i, entry in enumerate(_entries(text, "materials")):
-        path = f"/materials/{i}"
-        if not isinstance(entry, dict):
-            raise ResourceSchemaError(path, "expected an object")
-        name = _name(entry, path)
-        if name in out:
-            raise DuplicateName(name)
-        if "shear_stress" not in entry:
-            raise ResourceSchemaError(f"{path}/shear_stress", "missing required key")
-        if "yield_stress" not in entry:
-            raise ResourceSchemaError(f"{path}/yield_stress", "missing required key")
-        out[name] = MaterialSpec(
-            name=name,
-            shear_stress=_positive(entry["shear_stress"], f"{path}/shear_stress"),
-            yield_stress=_positive(entry["yield_stress"], f"{path}/yield_stress"),
-        )
-    return out
+    return _load(text, "materials", ("shear_stress", "yield_stress"), _material)
 
 
 def load_tools(text: str) -> dict[str, ToolSpec]:
     """Parse {"tools": [...]} into a name-keyed map (names lower-cased)."""
-    out: dict[str, ToolSpec] = {}
-    for i, entry in enumerate(_entries(text, "tools")):
-        path = f"/tools/{i}"
-        if not isinstance(entry, dict):
-            raise ResourceSchemaError(path, "expected an object")
-        name = _name(entry, path)
-        if name in out:
-            raise DuplicateName(name)
-        if "force_coefficient" not in entry:
-            raise ResourceSchemaError(f"{path}/force_coefficient", "missing required key")
-        kind = entry.get("kind", "punching_press")
-        if not isinstance(kind, str):
-            raise ResourceSchemaError(f"{path}/kind", "expected a string")
-        out[name] = ToolSpec(
-            name=name,
-            kind=kind,
-            force_coefficient=_positive(entry["force_coefficient"], f"{path}/force_coefficient"),
-            max_force=_non_negative(entry.get("max_force", 0.0), f"{path}/max_force"),
-        )
-    return out
+    return _load(text, "tools", ("force_coefficient",), _tool)
 
 
 def merge(base: dict, extra: dict) -> dict:

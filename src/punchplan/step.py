@@ -269,125 +269,129 @@ def _read(text: str) -> tuple[list[tuple[str, tuple]], dict[int, EntityRecord]]:
     state = _FRAME
     step = 0
     m = None
-    for m in iter(_TOKEN.scanner(text).match, None):
-        kind = m.lastgroup
-        if kind == "skip":
-            continue
-        if kind == "punct":
-            kind = m[kind]
-            if kind == "," and state == _AFTER:
-                state = _PARAM
+    try:
+        for m in iter(_TOKEN.scanner(text).match, None):
+            kind = m.lastgroup
+            if kind == "skip":
                 continue
-            if kind == ")" and (state == _AFTER or state == _FIRST):
-                value = tuple(cur)
-                if stack:
-                    cur, typed = stack.pop()
-                    # A typed parameter such as PARAMETER_VALUE(0.5) keeps its payload.
-                    cur.append(value[0] if typed and len(value) == 1 else value)
-                    state = _AFTER
-                elif parts is not None:
-                    parts.append((keyword, value))
-                    state = _PARTS
+            if kind == "punct":
+                kind = m[kind]
+                if kind == "," and state == _AFTER:
+                    state = _PARAM
+                    continue
+                if kind == ")" and (state == _AFTER or state == _FIRST):
+                    value = tuple(cur)
+                    if stack:
+                        cur, typed = stack.pop()
+                        # A typed parameter such as PARAMETER_VALUE(0.5) keeps its payload.
+                        cur.append(value[0] if typed and len(value) == 1 else value)
+                        state = _AFTER
+                    elif parts is not None:
+                        parts.append((keyword, value))
+                        state = _PARTS
+                    elif data:
+                        records[eid] = SimpleEntity(keyword, value)
+                        state = _END
+                    else:
+                        records.append((keyword, value))
+                        state = _END
+                    continue
+            elif state <= _PARAM:
+                if kind == "ref":
+                    cur.append(Ref(int(m[kind])))
+                elif kind == "real":
+                    cur.append(float(m[kind]))
+                elif kind == "string":
+                    cur.append(m[kind].replace("''", "'"))  # backslash escapes pass through
+                elif kind == "derived":
+                    cur.append(DERIVED)
+                elif kind == "bool":
+                    cur.append(m[kind] == "T")
+                elif kind == "integer":
+                    cur.append(int(m[kind]))
+                elif kind == "unset":
+                    cur.append(UNSET)
+                elif kind == "enum":
+                    cur.append(Enum(m[kind]))
+                elif kind == "keyword":
+                    state = _TYPED
+                    continue
+                else:
+                    break
+                state = _AFTER
+                continue
+            if state == _OPEN:
+                if kind != "(":
+                    break
+                cur = []
+                state = _FIRST
+            elif state == _RECORD:
+                if kind == "keyword" and m[kind] == "ENDSEC":
+                    state = _ENDSEC
+                elif kind != ("ref" if data else "keyword"):
+                    break
                 elif data:
-                    records[eid] = SimpleEntity(keyword, value)
+                    instance = m
+                    state = _EQUALS
+                else:
+                    keyword = m[kind]
+                    state = _OPEN
+            elif state == _EQUALS:
+                eid = int(instance["ref"])
+                if eid <= 0:
+                    raise _syntax_error(text, instance.start(), "a positive instance name", f"#{eid}")
+                if kind != "=":
+                    break
+                state = _ENTITY
+            elif state == _ENTITY:
+                if eid in records:
+                    raise DuplicateEntityId(eid)
+                if kind == "keyword":
+                    keyword = m[kind]
+                    parts = None
+                    state = _OPEN
+                elif kind == "(":
+                    parts = []
+                    state = _PARTS
+                else:
+                    break
+            elif state == _PARTS:
+                if kind == "keyword":
+                    keyword = m[kind]
+                    state = _OPEN
+                elif kind == ")":
+                    records[eid] = ComplexEntity(tuple(parts))
                     state = _END
                 else:
-                    records.append((keyword, value))
-                    state = _END
-                continue
-        elif state <= _PARAM:
-            if kind == "ref":
-                cur.append(Ref(int(m[kind])))
-            elif kind == "real":
-                cur.append(float(m[kind]))
-            elif kind == "string":
-                cur.append(m[kind].replace("''", "'"))  # backslash escapes pass through
-            elif kind == "derived":
-                cur.append(DERIVED)
-            elif kind == "bool":
-                cur.append(m[kind] == "T")
-            elif kind == "integer":
-                cur.append(int(m[kind]))
-            elif kind == "unset":
-                cur.append(UNSET)
-            elif kind == "enum":
-                cur.append(Enum(m[kind]))
-            elif kind == "keyword":
-                state = _TYPED
-                continue
+                    break
+            elif state == _TYPED or state <= _PARAM and kind == "(":
+                if len(stack) + 1 >= MAX_NESTING:
+                    raise _syntax_error(text, m.start(),
+                                        f"at most {MAX_NESTING} nested parameter lists", "(")
+                if kind != "(":
+                    break
+                stack.append((cur, state == _TYPED))
+                cur = []
+                state = _FIRST
+            elif state >= _END and kind == ";":
+                state = _FRAME if state == _ENDSEC else _RECORD
+            elif state == _FRAME:
+                if step == len(_FRAME_TOKENS):
+                    return header, records
+                if m[0] != _FRAME_TOKENS[step]:
+                    break
+                step += 1
+                if step == 4:
+                    state = _RECORD
+                elif step == 6:
+                    records, data, state = {}, True, _RECORD
             else:
                 break
-            state = _AFTER
-            continue
-        if state == _OPEN:
-            if kind != "(":
-                break
-            cur = []
-            state = _FIRST
-        elif state == _RECORD:
-            if kind == "keyword" and m[kind] == "ENDSEC":
-                state = _ENDSEC
-            elif kind != ("ref" if data else "keyword"):
-                break
-            elif data:
-                instance = m
-                state = _EQUALS
-            else:
-                keyword = m[kind]
-                state = _OPEN
-        elif state == _EQUALS:
-            eid = int(instance["ref"])
-            if eid <= 0:
-                raise _syntax_error(text, instance.start(), "a positive instance name", f"#{eid}")
-            if kind != "=":
-                break
-            state = _ENTITY
-        elif state == _ENTITY:
-            if eid in records:
-                raise DuplicateEntityId(eid)
-            if kind == "keyword":
-                keyword = m[kind]
-                parts = None
-                state = _OPEN
-            elif kind == "(":
-                parts = []
-                state = _PARTS
-            else:
-                break
-        elif state == _PARTS:
-            if kind == "keyword":
-                keyword = m[kind]
-                state = _OPEN
-            elif kind == ")":
-                records[eid] = ComplexEntity(tuple(parts))
-                state = _END
-            else:
-                break
-        elif state == _TYPED or state <= _PARAM and kind == "(":
-            if len(stack) + 1 >= MAX_NESTING:
-                raise _syntax_error(text, m.start(),
-                                    f"at most {MAX_NESTING} nested parameter lists", "(")
-            if kind != "(":
-                break
-            stack.append((cur, state == _TYPED))
-            cur = []
-            state = _FIRST
-        elif state >= _END and kind == ";":
-            state = _FRAME if state == _ENDSEC else _RECORD
-        elif state == _FRAME:
-            if step == len(_FRAME_TOKENS):
-                return header, records
-            if m[0] != _FRAME_TOKENS[step]:
-                break
-            step += 1
-            if step == 4:
-                state = _RECORD
-            elif step == 6:
-                records, data, state = {}, True, _RECORD
         else:
-            break
-    else:
-        raise _token_error(text, m.end() if m else 0)
+            raise _token_error(text, m.end() if m else 0)
+    except ValueError:  # int() of a number past the interpreter's digit limit
+        raise _syntax_error(text, (instance if state == _EQUALS else m).start(),
+                            f"an integer of at most {sys.get_int_max_str_digits()} digits") from None
     if state == _FRAME:
         expected = _FRAME_TOKENS[step]
         if expected == "HEADER" or expected == "DATA":

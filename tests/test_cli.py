@@ -271,6 +271,25 @@ def test_params_deeply_nested_step_exits_2(capsys, tmp_path):
     assert "expected at most 64 nested parameter lists" in err
 
 
+LONG_DIGITS = "9" * (sys.get_int_max_str_digits() + 1)  # one past the int() digit limit
+
+
+@pytest.mark.parametrize("command", ["params", "inspect"])
+@pytest.mark.parametrize("old, new, column", [
+    ("#1=CARTESIAN_POINT(", f"#{LONG_DIGITS}=CARTESIAN_POINT(", 1),
+    ("#9=VERTEX_POINT('',#1);", f"#9=VERTEX_POINT('',#{LONG_DIGITS});", 20),
+    ("#1=CARTESIAN_POINT('',(0.0,", f"#1=CARTESIAN_POINT('',({LONG_DIGITS},", 24),
+], ids=["instance-name", "reference", "integer"])
+def test_step_integer_past_digit_limit_exits_2(capsys, tmp_path, command, old, new, column):
+    path = _step_fixture_with(tmp_path, old, new)
+    text = path.read_text(encoding="utf-8")
+    line = text.count("\n", 0, text.index(new)) + 1
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}: line {line}, column {column}: expected an integer "
+                   f"of at most {sys.get_int_max_str_digits()} digits\n")
+
+
 def _json_box_without_last_face(tmp_path) -> Path:
     doc = modelzoo.box_doc()
     doc["faces"].pop()

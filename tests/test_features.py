@@ -172,7 +172,7 @@ def test_thickness_scales_with_model(bridge_sheet):
     doc = modelzoo.scale_doc(modelzoo.fixture_row4_bridge(), 3.0)
     scaled = solid_from(doc)
     assert compute_thickness(scaled) == pytest.approx(6.0, abs=1e-9)
-    assert select_reference_face(scaled, 6.0) == select_reference_face(bridge_sheet, 2.0)
+    assert select_reference_face(scaled) == select_reference_face(bridge_sheet)
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +181,12 @@ def test_thickness_scales_with_model(bridge_sheet):
 
 def test_flat_sheet_reference_tie_break(flat_sheet):
     # Both large faces measure 8000; the smaller id wins.
-    assert select_reference_face(flat_sheet, 2.0) == 1
+    assert select_reference_face(flat_sheet) == 1
 
 
 def test_bridge_reference_is_larger_bottom(bridge_sheet):
     # Bottom keeps more area than the top (leg footprints shrink the opening).
-    assert select_reference_face(bridge_sheet, 2.0) == 1
+    assert select_reference_face(bridge_sheet) == 1
     m = sheet_metrics(bridge_sheet)
     assert m.opposite_face == 2
     assert (m.reference_normal.x, m.reference_normal.y, m.reference_normal.z) == \
@@ -197,7 +197,7 @@ def test_no_planar_face():
     cyl = Face(1, Cylinder(vec(0, 0, 0), vec(0, 0, 1), 5.0), True, ((1, True),))
     solid = Solid("c", {1: vec(5, 0, 0)}, {}, {1: Loop(1, ())}, {1: cyl})
     with pytest.raises(NoPlanarFace):
-        select_reference_face(solid, 2.0)
+        select_reference_face(solid)
 
 
 def test_no_opposite_face():
@@ -226,7 +226,7 @@ def test_lbend_roles(l_bend):
         counts[pairing.role_of(fid)] = counts.get(pairing.role_of(fid), 0) + 1
     assert counts == {Role.REFERENCE: 2, Role.WALL: 2, Role.BEND: 2, Role.SIDE: 4}
     bend_pair = next(p for p, (a, b) in pairing.pairs.items()
-                     if pairing.roles[a].role is Role.BEND)
+                     if pairing.roles[a] is Role.BEND)
     a, b = pairing.pairs[bend_pair]
     radii = sorted(l_bend.faces[f].surface.radius for f in (a, b))
     assert radii == pytest.approx([5.0, 7.0])
@@ -243,10 +243,12 @@ def test_roles_partition_faces(bridge_sheet, boss_sheet, shelf_sheet):
     for solid in (bridge_sheet, boss_sheet, shelf_sheet):
         pairing = pair_faces(solid, sheet_metrics(solid))
         assert set(pairing.roles) == set(solid.faces)
-        assert sum(1 for r in pairing.roles.values() if r.role is Role.REFERENCE) == 2
-        for pid, (a, b) in pairing.pairs.items():
-            assert pairing.roles[a].pair_id == pid
-            assert pairing.roles[b].pair_id == pid
+        assert sum(1 for r in pairing.roles.values() if r is Role.REFERENCE) == 2
+        paired = [fid for pair in pairing.pairs.values() for fid in pair]
+        assert len(paired) == len(set(paired))
+        for a, b in pairing.pairs.values():
+            assert pairing.roles[a] is pairing.roles[b]
+            assert pairing.is_member(a)
 
 
 def test_ambiguous_pairing_reported():

@@ -1,7 +1,8 @@
 """Seeded fuzzing of the CLI: every mutated model must end with a documented
 exit code (0/2/3/4/5), never with an escaped exception. Exits 2-5 write
 exactly one ``error:`` line on stderr; exit 5 also writes its report, which
-names each feature's error."""
+names each feature's error. A ``batch`` run over each corpus agrees with the
+``params`` run of every model in it."""
 import copy
 import json
 import random
@@ -40,6 +41,27 @@ def _exits(capsys, tmp_path, name: str, text: str, commands: tuple[str, ...]) ->
     return codes
 
 
+def _check_batch(capsys, tmp_path, params_exits: dict[str, int]) -> None:
+    """``batch`` the case directory; its index and reports must match each ``params`` run."""
+    # A separate output directory (batch reads only files): batch then creates
+    # its reports instead of replacing the ones params wrote, which costs far more.
+    out_dir = tmp_path / "batch"
+    code = main(["batch", str(tmp_path), "--out-dir", str(out_dir)])
+    assert "Traceback" not in capsys.readouterr().err
+    assert code in (0, 1)
+    index = json.loads((out_dir / "index.json").read_text(encoding="utf-8"))
+    assert [entry["file"] for entry in index["results"]] == sorted(params_exits)
+    for entry in index["results"]:
+        name = entry["file"]
+        assert (entry["status"] == "ok") == (params_exits[name] in (0, 5)), name
+        if entry["status"] == "ok":
+            report = f"{name.rsplit('.', 1)[0]}.report.json"
+            assert (out_dir / report).read_bytes() == (tmp_path / report).read_bytes(), name
+        else:
+            assert "\n" not in entry["error"], name
+    assert code == (0 if all(entry["status"] == "ok" for entry in index["results"]) else 1)
+
+
 def _mutate_step(tokens: list[str], rng: random.Random) -> str:
     tokens = list(tokens)
     for _ in range(rng.choice((1, 1, 2, 3))):
@@ -64,11 +86,14 @@ def _mutate_step(tokens: list[str], rng: random.Random) -> str:
 def test_step_token_mutations_exit_cleanly(capsys, tmp_path):
     tokens = STEP_TOKEN.findall(fixture_path("flat_sheet_100x80x2.step").read_text(encoding="utf-8"))
     rng = random.Random(20240521)
+    params_exits = {}
     for case in range(CASES):
         text = _mutate_step(tokens, rng)
         codes = _exits(capsys, tmp_path, f"case{case}.step", text, COMMANDS)
         for command, code in codes.items():
             assert code in DOCUMENTED_EXITS, f"case {case} {command}: exit {code}"
+        params_exits[f"case{case}.step"] = codes["params"]
+    _check_batch(capsys, tmp_path, params_exits)
 
 
 def _lists(node, out: list) -> list:
@@ -120,8 +145,11 @@ def _mutate_json(text: str, rng: random.Random) -> dict:
 def test_json_structural_mutations_exit_cleanly(capsys, tmp_path):
     original = fixture_path("row4_bridge.json").read_text(encoding="utf-8")
     rng = random.Random(20240522)
+    params_exits = {}
     for case in range(CASES):
         text = json.dumps(_mutate_json(original, rng))
         codes = _exits(capsys, tmp_path, f"case{case}.json", text, COMMANDS)
         for command, code in codes.items():
             assert code in DOCUMENTED_EXITS, f"case {case} {command}: exit {code}"
+        params_exits[f"case{case}.json"] = codes["params"]
+    _check_batch(capsys, tmp_path, params_exits)

@@ -2,6 +2,7 @@
 import copy
 import pickle
 import re
+import sys
 
 import pytest
 
@@ -101,6 +102,9 @@ def test_duplicate_instance_name_is_hard_error():
 
 
 PREFIX = "ISO-10303-21;\nHEADER;\nENDSEC;\nDATA;\n"
+# One digit more than the interpreter converts to an int.
+LONG_DIGITS = "9" * (sys.get_int_max_str_digits() + 1)
+LONG_INT = f"an integer of at most {sys.get_int_max_str_digits()} digits"
 
 
 @pytest.mark.parametrize("text, line, column, expected", [
@@ -141,6 +145,9 @@ PREFIX = "ISO-10303-21;\nHEADER;\nENDSEC;\nDATA;\n"
     (PREFIX + "#1=A(1);\nENDSEC;\n", 7, 1, "END-ISO-10303-21"),
     (PREFIX + "#1=A(1);\nENDSEC;\nEND-ISO-10303-21;\n@", 8, 1, "a Part-21 token"),
     ("'HEADER';", 1, 1, "ISO-10303-21"),
+    (PREFIX + f"#{LONG_DIGITS}=A(1);\n", 5, 1, LONG_INT),
+    (PREFIX + f"#1=A(2,#{LONG_DIGITS});\n", 5, 8, LONG_INT),
+    (PREFIX + f"#1=A(\n-{LONG_DIGITS});\n", 6, 1, LONG_INT),
 ], ids=[
     "open-comment", "hash-no-digits", "open-string", "open-string-escaped-quote",
     "no-exponent-digits", "no-exponent-digits-after-sign", "lone-plus", "open-enum",
@@ -152,6 +159,7 @@ PREFIX = "ISO-10303-21;\nHEADER;\nENDSEC;\nDATA;\n"
     "no-instance-name", "complex-instance-non-keyword", "typed-parameter-without-paren",
     "eof-in-list", "endsec-without-semicolon", "missing-end-keyword",
     "bad-token-after-end", "string-for-start-keyword",
+    "instance-name-past-digit-limit", "reference-past-digit-limit", "integer-past-digit-limit",
 ])
 def test_syntax_error_carries_position(text, line, column, expected):
     with pytest.raises(StepSyntaxError) as exc:
