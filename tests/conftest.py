@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,11 @@ import modelzoo
 from punchplan import load_brep_json
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
+# How many digits int() converts: 0 when there is no limit (Python before
+# 3.10.7, or PYTHONINTMAXSTRDIGITS=0), and then no digit string is refused.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not INT_DIGIT_LIMIT,
+                                       reason="this interpreter has no int() digit limit")
 
 
 def solid_from(doc: dict):

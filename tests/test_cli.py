@@ -10,7 +10,7 @@ import pytest
 
 import modelzoo
 import punchplan
-from conftest import fixture_path
+from conftest import INT_DIGIT_LIMIT, fixture_path, needs_digit_limit
 from punchplan.cli import main
 from punchplan.report import CSV_HEADER
 
@@ -271,7 +271,7 @@ def test_params_deeply_nested_step_exits_2(capsys, tmp_path):
     assert "expected at most 64 nested parameter lists" in err
 
 
-LONG_DIGITS = "9" * (sys.get_int_max_str_digits() + 1)  # one past the int() digit limit
+LONG_DIGITS = "9" * (INT_DIGIT_LIMIT + 1)  # one past the int() digit limit
 
 
 @pytest.mark.parametrize("command", ["params", "inspect"])
@@ -280,6 +280,7 @@ LONG_DIGITS = "9" * (sys.get_int_max_str_digits() + 1)  # one past the int() dig
     ("#9=VERTEX_POINT('',#1);", f"#9=VERTEX_POINT('',#{LONG_DIGITS});", 20),
     ("#1=CARTESIAN_POINT('',(0.0,", f"#1=CARTESIAN_POINT('',({LONG_DIGITS},", 24),
 ], ids=["instance-name", "reference", "integer"])
+@needs_digit_limit
 def test_step_integer_past_digit_limit_exits_2(capsys, tmp_path, command, old, new, column):
     path = _step_fixture_with(tmp_path, old, new)
     text = path.read_text(encoding="utf-8")
@@ -287,7 +288,7 @@ def test_step_integer_past_digit_limit_exits_2(capsys, tmp_path, command, old, n
     code, out, err = run(capsys, command, str(path))
     assert (code, out) == (2, "")
     assert err == (f"error: {path}: line {line}, column {column}: expected an integer "
-                   f"of at most {sys.get_int_max_str_digits()} digits\n")
+                   f"of at most {INT_DIGIT_LIMIT} digits\n")
 
 
 def _json_box_without_last_face(tmp_path) -> Path:

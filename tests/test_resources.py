@@ -1,9 +1,9 @@
 """Material and tool databases: defaults, schema checks, lookup, merging."""
 import json
-import sys
 
 import pytest
 
+from conftest import INT_DIGIT_LIMIT, needs_digit_limit
 from punchplan.resources import (
     DEFAULT_KD,
     DuplicateName,
@@ -120,7 +120,7 @@ TOOL = {"name": '"p"', "force_coefficient": "0.5"}
 NUMBERS = {"shear_stress": MATERIAL, "yield_stress": MATERIAL,
            "force_coefficient": TOOL, "max_force": TOOL}
 HUGE_INT = "1" + "0" * 400
-LIMIT_DIGITS = "1" * (sys.get_int_max_str_digits() + 1)
+LIMIT_DIGITS = "1" * (INT_DIGIT_LIMIT + 1)
 
 
 def _entry(base: dict, **edits) -> str:
@@ -134,11 +134,12 @@ def _doc(key: str, *entries: str) -> str:
 
 
 def _int_limit_message(digits: str) -> str:
+    """What int() says of ``digits``; empty if it converts them."""
     try:
         int(digits)
     except ValueError as exc:
         return str(exc)
-    raise AssertionError("expected the interpreter's integer digit limit")
+    return ""
 
 
 LOADERS = {"materials": load_materials, "tools": load_tools}
@@ -149,9 +150,11 @@ LOADER_CASES = {
                        "/: not valid JSON: Expecting value: line 1 column 12 (char 11)"),
     "nested-too-deeply": ("materials", "[" * 100_000, ResourceSchemaError,
                           "/: not valid JSON: nested too deeply"),
-    "int-past-digit-limit": ("materials", _doc("materials", _entry(MATERIAL, shear_stress=LIMIT_DIGITS)),
-                             ResourceSchemaError,
-                             f"/: not valid JSON: {_int_limit_message(LIMIT_DIGITS)}"),
+    "int-past-digit-limit": pytest.param("materials",
+                                         _doc("materials", _entry(MATERIAL, shear_stress=LIMIT_DIGITS)),
+                                         ResourceSchemaError,
+                                         f"/: not valid JSON: {_int_limit_message(LIMIT_DIGITS)}",
+                                         marks=needs_digit_limit),
     "top-level-list": ("materials", "[]", ResourceSchemaError, "/materials: missing required key"),
     "top-level-string": ("tools", '"tools"', ResourceSchemaError, "/tools: missing required key"),
     "missing-list-key": ("materials", '{"tools": []}', ResourceSchemaError,

@@ -1,10 +1,10 @@
 """The STEP path and the JSON path give the same report on posed modelzoo shapes.
 
-Each example takes a ``modelzoo.random_sheet`` document and the named
-``modelzoo.FIXTURES`` shapes (flat box, holed sheet, L-bend, the four fixture
-rows), scales them, turns them by quarter turns and moves them by one random
-rigid motion; each posed shape is then read twice: as native
-JSON, and as Part-21 text from the benchmark's STEP writer (which writes
+Each example takes a ``modelzoo.random_sheet`` document, and when its seed is
+even also the named ``modelzoo.FIXTURES`` shapes (flat box, holed sheet,
+L-bend, the four fixture rows), scales them, turns them by quarter turns and
+moves them by one random rigid motion; each posed shape is then read twice: as
+native JSON, and as Part-21 text from the benchmark's STEP writer (which writes
 every other edge and plane reversed). Face and feature ids differ between the
 two encodings, so the reports are compared without them, with the feature
 blocks as a multiset.
@@ -60,14 +60,16 @@ def _report(read):
     return doc
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 100.0),
        turn_axis=st.sampled_from(sorted(QUARTER_TURNS)), turns=st.integers(0, 3),
        axis=axes, angle=angles, offset=offsets)
 def test_step_and_json_reports_agree_under_poses(seed, scale, turn_axis, turns, axis, angle, offset):
-    # Every example poses every shape: drawing the shape instead leaves some
-    # named shapes with few or no examples, since Hypothesis repeats draws.
-    for doc in [modelzoo.random_sheet(random.Random(seed))[0], *NAMED_SHAPES]:
+    # Examples with an even seed pose every named shape too: drawing one shape
+    # per example instead leaves some named shapes with few or no examples,
+    # since Hypothesis repeats draws.
+    named = NAMED_SHAPES if seed % 2 == 0 else []
+    for doc in [modelzoo.random_sheet(random.Random(seed))[0], *named]:
         doc = modelzoo.scale_doc(doc, scale)
         for _ in range(turns):
             doc = modelzoo.transform_doc(doc, QUARTER_TURNS[turn_axis])
