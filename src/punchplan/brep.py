@@ -68,13 +68,13 @@ class SchemaError(BrepError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Line:
     point: Vec3
     direction: Vec3  # unit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Circle:
     center: Vec3
     axis: Vec3  # unit
@@ -88,13 +88,13 @@ class Circle:
 CurveGeometry = Union[Line, Circle]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plane:
     origin: Vec3
     normal: Vec3  # unit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cylinder:
     axis_point: Vec3
     axis_dir: Vec3  # unit
@@ -108,7 +108,7 @@ class Cylinder:
 SurfaceGeometry = Union[Plane, Cylinder]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     id: int
     curve: CurveGeometry
@@ -116,13 +116,13 @@ class Edge:
     end: int    # vertex id; start == end only for full circles
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Loop:
     id: int
     oriented_edges: tuple[tuple[int, bool], ...]  # (edge id, sense)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
     id: int
     surface: SurfaceGeometry
@@ -277,7 +277,7 @@ def face_area(face: Face, solid: Solid) -> float:
     return outer - holes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     kind: str
     message: str
@@ -425,8 +425,10 @@ def _radius(value, *where) -> float:
 
 
 def _elements(doc: dict, key: str, kind: str, seen: dict):
-    """``(index, item, id)`` per item of the list ``doc[key]``: an object with an id new to ``seen``."""
-    items = doc.get(key, _ABSENT)
+    """``(index, item, id)`` per item of the list ``doc[key]``: an object with an id new to ``seen``.
+
+    The list is taken out of ``doc``, so a section is freed once its items are read."""
+    items = doc.pop(key, _ABSENT)
     if type(items) is not list:
         raise _error(items, "expected list", key)
     for i, item in enumerate(items):
@@ -468,6 +470,10 @@ def load_brep_json(text: str, default_name: str = "") -> Solid:
     Top-level keys: name, vertices, edges, loops, faces. See the README for
     the full schema. Violations raise SchemaError with a JSON-pointer path.
     A missing or empty name becomes ``default_name``.
+
+    Only one full copy of the part is kept alive: the text is dropped once
+    decoded, and each section of the decoded document once read. A caller
+    that passes the text without keeping it lets it be freed here.
     """
     try:
         doc = json.loads(text)
@@ -475,6 +481,7 @@ def load_brep_json(text: str, default_name: str = "") -> Solid:
         raise SchemaError("/", "not valid JSON: nested too deeply") from None
     except ValueError as exc:  # malformed, or an integer past the digit limit
         raise SchemaError("/", f"not valid JSON: {exc}") from None
+    del text
     if type(doc) is not dict:
         raise SchemaError("/", "top level must be an object")
     name = doc.get("name", "")

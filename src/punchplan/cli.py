@@ -74,26 +74,40 @@ def _detect_format(path: Path, requested: str) -> str:
                                "use --input-format")
 
 
+def _read_text(path: Path, code: int) -> str:
+    """The text of a model or database file; text that is not UTF-8 exits with ``code``.
+    An OSError is left to the caller."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(code, f"{path}: not valid UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
 def _load_solid(path: Path, requested: str) -> tuple[Solid, list[str], int | None]:
     """Read a model file; returns (solid, warnings, entity count for STEP input).
 
-    A model without a name of its own is named after the file's stem.
+    A model without a name of its own is named after the file's stem. The
+    text goes straight to its reader and is not kept here, so it is freed
+    once decoded, before the Solid is built.
     """
     fmt = _detect_format(path, requested)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(EXIT_PARSE, f"{path}: {exc}") from None
-    try:
         if fmt == "step":
-            xs = parse_exchange(text)
+            xs = parse_exchange(_read_text(path, EXIT_PARSE))
             warnings = list(xs.warnings)
             for kw, count in sorted(xs.ignored_keywords.items()):
                 warnings.append(f"ignored {count} {kw} entities")
             return resolve_brep(xs, path.stem), warnings, len(xs.entities)
-        return load_brep_json(text, path.stem), [], None
-    except (StepError, BrepError) as exc:
+        return load_brep_json(_read_text(path, EXIT_PARSE), path.stem), [], None
+    except (OSError, StepError, BrepError) as exc:
         raise CliError(EXIT_PARSE, f"{path}: {exc}") from None
+
+
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(EXIT_PARSE, f"{path}: cannot create directory: {exc.strerror}") from None
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -101,22 +115,27 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     target = Path(out)
-    target.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(target.parent)
     _atomic_write(target, text)
 
 
 def _atomic_write(target: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=str(target.parent), prefix=target.name, suffix=".tmp")
+    """Replace ``target`` by way of a temporary file beside it. A target that
+    cannot be written exits 2 and leaves no temporary file."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=str(target.parent), prefix=target.name, suffix=".tmp")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise CliError(EXIT_PARSE, f"{target}: cannot write: {exc.strerror}") from None
 
 
 def _load_dbs(args) -> tuple[dict, dict]:
@@ -133,9 +152,9 @@ def _load_dbs(args) -> tuple[dict, dict]:
             tool_path = str(base / "tools.json")
     try:
         if mat_path is not None:
-            materials = merge(materials, load_materials(Path(mat_path).read_text(encoding="utf-8")))
+            materials = merge(materials, load_materials(_read_text(Path(mat_path), EXIT_RESOURCE)))
         if tool_path is not None:
-            tools = merge(tools, load_tools(Path(tool_path).read_text(encoding="utf-8")))
+            tools = merge(tools, load_tools(_read_text(Path(tool_path), EXIT_RESOURCE)))
     except (OSError, ResourceError) as exc:
         raise CliError(EXIT_RESOURCE, str(exc)) from None
     return materials, tools
@@ -296,7 +315,7 @@ def cmd_batch(args) -> int:
     if not in_dir.is_dir():
         raise CliError(EXIT_PARSE, f"{in_dir}: not a directory")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     # A batch's own output is never read back as a model, so an input
     # directory can also be the output directory.
     model_files = sorted(

@@ -114,7 +114,7 @@ UNSET = Placeholder.UNSET
 DERIVED = Placeholder.DERIVED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ref:
     id: int
 
@@ -122,7 +122,7 @@ class Ref:
         return f"#{self.id}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Enum:
     name: str
 
@@ -130,13 +130,13 @@ class Enum:
         return f".{self.name}."
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimpleEntity:
     keyword: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplexEntity:
     parts: tuple[tuple[str, tuple], ...]
 
@@ -258,8 +258,10 @@ def _read(text: str) -> tuple[list[tuple[str, tuple]], dict[int, EntityRecord]]:
     reads one more token, as a parser that holds one token of lookahead would,
     so the text after ``END-ISO-10303-21;`` must begin with a valid token. The
     enclosing parameter lists wait on ``stack``, each with whether the list
-    inside it is a typed parameter.
+    inside it is a typed parameter. Record keywords are interned: a file
+    holds a few distinct ones over many records.
     """
+    intern = sys.intern
     header: list[tuple[str, tuple]] = []
     records: dict[int, EntityRecord] | list = header
     data = False
@@ -334,7 +336,7 @@ def _read(text: str) -> tuple[list[tuple[str, tuple]], dict[int, EntityRecord]]:
                     instance = m
                     state = _EQUALS
                 else:
-                    keyword = m[kind]
+                    keyword = intern(m[kind])
                     state = _OPEN
             elif state == _EQUALS:
                 eid = int(instance["ref"])
@@ -347,7 +349,7 @@ def _read(text: str) -> tuple[list[tuple[str, tuple]], dict[int, EntityRecord]]:
                 if eid in records:
                     raise DuplicateEntityId(eid)
                 if kind == "keyword":
-                    keyword = m[kind]
+                    keyword = intern(m[kind])
                     parts = None
                     state = _OPEN
                 elif kind == "(":
@@ -357,7 +359,7 @@ def _read(text: str) -> tuple[list[tuple[str, tuple]], dict[int, EntityRecord]]:
                     break
             elif state == _PARTS:
                 if kind == "keyword":
-                    keyword = m[kind]
+                    keyword = intern(m[kind])
                     state = _OPEN
                 elif kind == ")":
                     records[eid] = ComplexEntity(tuple(parts))

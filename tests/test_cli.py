@@ -403,6 +403,95 @@ def test_resource_db_number_and_nesting_errors_exit_4(capsys, tmp_path, option, 
     assert err == f"error: {message}\n"
 
 
+def _undecodable(path: Path, data: bytes, at: int) -> Path:
+    """Write ``data`` with a 0xff byte, which UTF-8 never uses, inserted at offset ``at``."""
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    return path
+
+
+@pytest.mark.parametrize("fixture", ["row4_bridge.json", "flat_sheet_100x80x2.step"])
+@pytest.mark.parametrize("command", ["params", "inspect", "features"])
+def test_undecodable_model_exits_2(capsys, tmp_path, command, fixture):
+    path = _undecodable(tmp_path / fixture, fixture_path(fixture).read_bytes(), 40)
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: not valid UTF-8: invalid start byte at byte 40\n"
+
+
+@pytest.mark.parametrize("source", ["--materials-db", "--tools-db", "PUNCHPLAN_DB_DIR"])
+def test_undecodable_database_exits_4(capsys, tmp_path, monkeypatch, source):
+    # A Latin-1 "e acute" (0xe9) followed by ASCII is a broken UTF-8 sequence.
+    if source == "--tools-db":
+        text = b'{"tools": [{"name": "pr\xe9ss", "force_coefficient": 0.3}]}'
+    else:
+        text = b'{"materials": [{"name": "st\xe9el", "shear_stress": 1, "yield_stress": 1}]}'
+    db = tmp_path / "materials.json"
+    db.write_bytes(text)
+    argv = ["params", str(fixture_path("row4_bridge.json"))]
+    if source == "PUNCHPLAN_DB_DIR":
+        monkeypatch.setenv(source, str(tmp_path))
+    else:
+        argv += [source, str(db)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == f"error: {db}: not valid UTF-8: invalid continuation byte at byte {text.index(0xe9)}\n"
+
+
+def _leftovers(directory: Path) -> list[str]:
+    return sorted(p.name for p in directory.iterdir() if p.name.endswith(".tmp"))
+
+
+@pytest.mark.parametrize("command", ["params", "inspect", "features"])
+def test_out_naming_a_directory_exits_2(capsys, tmp_path, command):
+    target = tmp_path / "reports"
+    target.mkdir()
+    code, out, err = run(capsys, command, str(fixture_path("row4_bridge.json")), "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: {target}: cannot write: Is a directory\n"
+    assert _leftovers(tmp_path) == [] and list(target.iterdir()) == []
+
+
+def test_out_under_a_regular_file_exits_2(capsys, tmp_path):
+    blocker = tmp_path / "notes.txt"
+    blocker.write_text("a file, not a directory\n")
+    code, out, err = run(capsys, "params", str(fixture_path("row4_bridge.json")),
+                         "--out", str(blocker / "report.json"))
+    assert (code, out) == (2, "")
+    assert err == f"error: {blocker}: cannot create directory: File exists\n"
+    assert blocker.read_text() == "a file, not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.txt"]
+
+
+def test_batch_out_dir_naming_a_file_exits_2(capsys, tmp_path):
+    src = tmp_path / "models"
+    src.mkdir()
+    src.joinpath("row4_bridge.json").write_bytes(fixture_path("row4_bridge.json").read_bytes())
+    blocker = tmp_path / "reports"
+    blocker.write_text("")
+    code, out, err = run(capsys, "batch", str(src), "--out-dir", str(blocker))
+    assert (code, out) == (2, "")
+    assert err == f"error: {blocker}: cannot create directory: File exists\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["models", "reports"]
+
+
+def test_batch_report_that_cannot_be_written_is_an_error_entry(capsys, tmp_path):
+    src = tmp_path / "models"
+    src.mkdir()
+    for name in ("row1_shelf", "row4_bridge"):
+        src.joinpath(f"{name}.json").write_bytes(fixture_path(f"{name}.json").read_bytes())
+    out_dir = tmp_path / "reports"
+    (out_dir / "row1_shelf.report.json").mkdir(parents=True)
+    code, out, err = run(capsys, "batch", str(src), "--out-dir", str(out_dir))
+    assert (code, out, err) == (1, "processed 2 model(s), 1 ok, 1 failed\n", "")
+    results = json.loads((out_dir / "index.json").read_text())["results"]
+    assert [(r["file"], r["status"], r["error"]) for r in results] == [
+        ("row1_shelf.json", "error",
+         f"{out_dir / 'row1_shelf.report.json'}: cannot write: Is a directory"),
+        ("row4_bridge.json", "ok", None),
+    ]
+    assert _leftovers(out_dir) == []
+
+
 def test_step_cut_off_mid_list_names_end_of_input(capsys, tmp_path):
     path = tmp_path / "cut.step"
     path.write_text("ISO-10303-21;\nHEADER;\nENDSEC;\nDATA;\n#1=A(1,", encoding="utf-8")
@@ -475,12 +564,16 @@ def test_batch_continues_past_corrupt_file(capsys, tmp_path):
     src.joinpath("good1.json").write_text(fixture_path("row4_bridge.json").read_text())
     src.joinpath("bad.json").write_text("{ not json")
     src.joinpath("good2.json").write_text(fixture_path("row2_boss.json").read_text())
+    undecodable = _undecodable(src / "latin1.json", fixture_path("row1_shelf.json").read_bytes(), 9)
     out_dir = tmp_path / "reports"
     code, out, _ = run(capsys, "batch", str(src), "--out-dir", str(out_dir))
     assert code == 1
     index = json.loads((out_dir / "index.json").read_text())
     statuses = {r["file"]: r["status"] for r in index["results"]}
-    assert statuses == {"bad.json": "error", "good1.json": "ok", "good2.json": "ok"}
+    assert statuses == {"bad.json": "error", "good1.json": "ok", "good2.json": "ok",
+                        "latin1.json": "error"}
+    assert index["results"][-1]["error"] == (
+        f"{undecodable}: not valid UTF-8: invalid start byte at byte 9")
     assert (out_dir / "good1.report.json").exists()
     assert (out_dir / "good2.report.json").exists()
 

@@ -2,7 +2,8 @@
 exit code (0/2/3/4/5), never with an escaped exception. Exits 2-5 write
 exactly one ``error:`` line on stderr; exit 5 also writes its report, which
 names each feature's error. A ``batch`` run over each corpus agrees with the
-``params`` run of every model in it."""
+``params`` run of every model in it. Models are mutated by Part-21 token, by
+JSON structure, and by byte, which can leave text that is not UTF-8."""
 import copy
 import json
 import random
@@ -22,12 +23,12 @@ NUMBER = re.compile(r"[-+]?\d*\.\d*(?:E[-+]?\d+)?|[-+]?\d+")
 REPLACEMENTS = ("0.", "-0.", "-5.", "1.E9", "#1", "''", "'x'", "$", "*", "()", ".T.", ".F.")
 
 
-def _exits(capsys, tmp_path, name: str, text: str, commands: tuple[str, ...]) -> dict[str, int]:
+def _exits(capsys, tmp_path, name: str, data: bytes, commands: tuple[str, ...]) -> dict[str, int]:
     """Run ``commands`` on the model; check each failure's stderr; return the exit codes."""
     # Each case gets fresh files: replacing an existing file can cost tens of
     # milliseconds on a journalling file system, creating one does not.
     model = tmp_path / name
-    model.write_text(text, encoding="utf-8")
+    model.write_bytes(data)
     codes = {}
     for command in commands:
         argv = [command, str(model)]
@@ -89,7 +90,7 @@ def test_step_token_mutations_exit_cleanly(capsys, tmp_path):
     params_exits = {}
     for case in range(CASES):
         text = _mutate_step(tokens, rng)
-        codes = _exits(capsys, tmp_path, f"case{case}.step", text, COMMANDS)
+        codes = _exits(capsys, tmp_path, f"case{case}.step", text.encode(), COMMANDS)
         for command, code in codes.items():
             assert code in DOCUMENTED_EXITS, f"case {case} {command}: exit {code}"
         params_exits[f"case{case}.step"] = codes["params"]
@@ -148,8 +149,47 @@ def test_json_structural_mutations_exit_cleanly(capsys, tmp_path):
     params_exits = {}
     for case in range(CASES):
         text = json.dumps(_mutate_json(original, rng))
-        codes = _exits(capsys, tmp_path, f"case{case}.json", text, COMMANDS)
+        codes = _exits(capsys, tmp_path, f"case{case}.json", text.encode(), COMMANDS)
         for command, code in codes.items():
             assert code in DOCUMENTED_EXITS, f"case {case} {command}: exit {code}"
         params_exits[f"case{case}.json"] = codes["params"]
+    _check_batch(capsys, tmp_path, params_exits)
+
+
+# Byte sequences to splice in: valid UTF-8 (e acute, euro sign, a byte-order
+# mark), and sequences UTF-8 never makes (a lone continuation byte, 0xff, an
+# overlong slash, an encoded surrogate, a cut-off three-byte sequence).
+BYTE_INSERTS = (b"\xc3\xa9", b"\xe2\x82\xac", b"\xef\xbb\xbf", b"\x80", b"\xff",
+                b"\xc0\xaf", b"\xed\xa0\x80", b"\xe2\x82")
+
+
+def _mutate_bytes(data: bytes, rng: random.Random) -> bytes:
+    data = bytearray(data)
+    # Just past a quote: inside a string (or a JSON key) half of the time,
+    # where valid UTF-8 is accepted.
+    quoted = [i + 1 for i, byte in enumerate(data) if byte in b"'\""]
+    for _ in range(rng.choice((1, 1, 2))):
+        op = rng.randrange(4)
+        if op < 2:
+            i = rng.choice(quoted) if op == 0 else rng.randrange(len(data) + 1)
+            data[i:i] = rng.choice(BYTE_INSERTS)
+        elif op == 2:
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        else:
+            del data[rng.randrange(1, len(data) + 1):]  # keeps a byte; may cut a sequence short
+    return bytes(data)
+
+
+def test_byte_mutations_exit_cleanly(capsys, tmp_path):
+    rng = random.Random(20240523)
+    params_exits = {}
+    for fixture in ("flat_sheet_100x80x2.step", "row4_bridge.json"):
+        original = fixture_path(fixture).read_bytes()
+        suffix = fixture.rsplit(".", 1)[1]
+        for case in range(CASES // 2):
+            name = f"{suffix}{case}.{suffix}"  # distinct stems: one report name each
+            codes = _exits(capsys, tmp_path, name, _mutate_bytes(original, rng), COMMANDS)
+            for command, code in codes.items():
+                assert code in DOCUMENTED_EXITS, f"{name} {command}: exit {code}"
+            params_exits[name] = codes["params"]
     _check_batch(capsys, tmp_path, params_exits)
