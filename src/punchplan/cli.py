@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
+import math
 import os
 import sys
 import tempfile
@@ -168,11 +170,17 @@ def _analyze_validated(solid: Solid, cut_height: float | None) -> PartAnalysis:
 
 
 def _check_overrides(args) -> None:
-    """Reject non-positive numeric overrides of the ``features`` and ``params`` commands."""
+    """Reject non-finite and non-positive numeric overrides of the ``features``,
+    ``params`` and ``batch`` commands."""
     for name in ("kd", "h1_fraction", "holding_fraction", "cut_height"):
         value = getattr(args, name, None)
-        if value is not None and value <= 0:
-            raise CliError(EXIT_RESOURCE, f"--{name.replace('_', '-')} must be > 0")
+        if value is None:
+            continue
+        flag = "--" + name.replace("_", "-")
+        if not math.isfinite(value):
+            raise CliError(EXIT_RESOURCE, f"{flag} must be a finite number, got {value}")
+        if value <= 0:
+            raise CliError(EXIT_RESOURCE, f"{flag} must be > 0")
 
 
 def _settings(args) -> ReportSettings:
@@ -311,6 +319,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_batch(args) -> int:
+    _check_overrides(args)
     in_dir = Path(args.input)
     if not in_dir.is_dir():
         raise CliError(EXIT_PARSE, f"{in_dir}: not a directory")
@@ -374,7 +383,6 @@ def _add_param_args(p: argparse.ArgumentParser) -> None:
                    help="blank holding force as a fraction of the peak force")
     p.add_argument("--cut-height", type=float,
                    help="tool travel for through cuts (default: sheet thickness)")
-    p.add_argument("--format", choices=("json", "csv", "table"), default="json")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -403,6 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_params = sub.add_parser("params", help="compute the process-parameter report")
     _add_input_args(p_params)
     _add_param_args(p_params)
+    p_params.add_argument("--format", choices=("json", "csv", "table"), default="json")
     p_params.set_defaults(func=cmd_params)
 
     p_batch = sub.add_parser("batch", help="process every model file in a directory")
@@ -420,13 +429,26 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; may be called repeatedly in one process."""
+    """Run one command; may be called repeatedly in one process.
+
+    The process-wide cyclic garbage collector is paused while the command
+    runs and restored to its state on entry however the command ends. A run
+    makes no reference cycles, so reference counting alone frees what it
+    builds; the collector would only scan the part's many objects again and
+    again. Other threads' cyclic garbage waits for the next collection after
+    the call.
+    """
     args = _parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def entry() -> None:

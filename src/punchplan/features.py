@@ -203,7 +203,7 @@ class FaceGeometry:
     """
 
     __slots__ = ("face", "id", "measure", "normal", "origin", "offset", "area", "u", "v",
-                 "u_lo", "u_hi", "v_lo", "v_hi", "opposite", "radius", "axis",
+                 "u_lo", "u_hi", "v_lo", "v_hi", "radius", "axis",
                  "axis_lo", "axis_hi")
 
     def __init__(self, solid: Solid, face: Face):
@@ -256,6 +256,12 @@ class FaceTable:
     distance from the coordinate origin. ``cylinders`` lists the cylindrical
     faces by id. Shortlisted pairs still go through the exact tests, so the
     table changes no decision, only how many pairs are tried.
+
+    ``opposite`` maps each planar face id to the buckets that may hold its
+    anti-parallel partners. The table holds them, not the faces: a face that
+    pointed at buckets holding faces that point back would make a reference
+    cycle, which only the cyclic garbage collector could free. The table has
+    no cycle, so a solid and its table are freed as soon as they are dropped.
     """
 
     def __init__(self, solid: Solid):
@@ -273,16 +279,18 @@ class FaceTable:
             members.sort(key=lambda g: (g.offset, g.id))
             buckets[cell] = ([g.offset for g in members], members)
         shared: dict[tuple, list] = {}
+        self.opposite: dict[int, list] = {}
         for g in self.planes:
             keys = _cells_near(-g.normal)
             if keys not in shared:
                 shared[keys] = [buckets[k] for k in keys if k in buckets]
-            g.opposite = shared[keys]
+            self.opposite[g.id] = shared[keys]
 
     def opposed_at(self, a: FaceGeometry, distance: float):
         """Planar faces in a's opposite buckets that may lie ``distance`` from a's plane."""
+        opposite = self.opposite[a.id]
         for lo, hi in _windows(-a.offset, distance, self.window):
-            for offsets, members in a.opposite:
+            for offsets, members in opposite:
                 yield from members[bisect_left(offsets, lo):bisect_right(offsets, hi)]
 
 
@@ -356,7 +364,7 @@ def compute_thickness(solid: Solid) -> float:
     best: float | None = None
     for a in table.planes:
         x = -a.offset
-        for offsets, members in a.opposite:
+        for offsets, members in table.opposite[a.id]:
             start = bisect_left(offsets, x)
             for walk in (range(start, len(offsets)), range(start - 1, -1, -1)):
                 for j in walk:

@@ -8,7 +8,8 @@ travels to three decimals.
 from __future__ import annotations
 
 import io
-import json
+import math
+from json.encoder import encode_basestring_ascii as _json_string
 from dataclasses import dataclass
 
 from . import classify as _classify
@@ -201,8 +202,89 @@ def _csv_row(block: dict) -> str:
     return ",".join(cols)
 
 
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# How json.dumps writes each scalar type.
+_JSON_SCALARS = {
+    str: _json_string,
+    float: _json_float,
+    int: int.__repr__,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+def _json_writer(x):
+    """The function that writes scalar ``x``, or None for a list, tuple or dict.
+
+    A subclass of str, int or float is written as its base, as json.dumps does.
+    """
+    write = _JSON_SCALARS.get(type(x))
+    if write is None and not isinstance(x, (dict, list, tuple)):
+        base = next((t for t in (str, int, float) if isinstance(x, t)), None)
+        if base is None:
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        write = _JSON_SCALARS[base]
+    return write
+
+
+def _write_json(x, indent: str, out: list[str]) -> None:
+    """Append the list, tuple or dict ``x`` to ``out`` as ``json.dumps(x, indent=2)``
+    writes it, with ``indent`` (a newline and spaces) opening each line of the
+    enclosing level. Keys must be strings. A value of a plain scalar type finds
+    its writer with one lookup; only others call ``_json_writer``."""
+    inner = indent + "  "
+    if isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key, value in x.items():
+            write = _JSON_SCALARS.get(type(value)) or _json_writer(value)
+            if write is None:
+                out.append(sep + _json_string(key) + ": ")
+                _write_json(value, inner, out)
+            else:
+                out.append(sep + _json_string(key) + ": " + write(value))
+            sep = "," + inner
+        out.append(indent + "}")
+    else:
+        if not x:
+            out.append("[]")
+            return
+        sep = "[" + inner
+        for value in x:
+            write = _JSON_SCALARS.get(type(value)) or _json_writer(value)
+            if write is None:
+                out.append(sep)
+                _write_json(value, inner, out)
+            else:
+                out.append(sep + write(value))
+            sep = "," + inner
+        out.append(indent + "]")
+
+
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """The bytes of ``json.dumps(doc, indent=2)`` and a newline.
+
+    ``indent`` sends ``json.dumps`` to the pure-Python encoder, which is
+    slower than this writer and leaves a reference cycle behind on every call.
+    """
+    write = _json_writer(doc)
+    if write is not None:
+        return write(doc) + "\n"
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def render_csv(doc: dict) -> str:

@@ -518,9 +518,53 @@ def test_params_rejects_nonpositive_override(capsys):
     assert "kd" in err
 
 
+PARAM_FLAGS = ["--kd", "--h1-fraction", "--holding-fraction", "--cut-height"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", [
+    *(("params", flag) for flag in PARAM_FLAGS),
+    ("features", "--cut-height"),
+    *(("batch", flag) for flag in PARAM_FLAGS),
+])
+def test_non_finite_override_exits_4(capsys, tmp_path, command, flag, value):
+    if command == "batch":
+        models = tmp_path / "models"
+        models.mkdir()
+        models.joinpath("bridge.json").write_text(fixture_path("row4_bridge.json").read_text())
+        argv = [command, str(models), "--out-dir", str(tmp_path / "reports")]
+    else:
+        argv = [command, str(fixture_path("row4_bridge.json"))]
+    code, out, err = run(capsys, *argv, f"{flag}={value}")
+    assert (code, out) == (4, "")
+    assert err == f"error: {flag} must be a finite number, got {float(value)}\n"
+    assert not (tmp_path / "reports").exists()
+
+
+def test_batch_rejects_nonpositive_override_before_any_model(capsys, tmp_path):
+    models = tmp_path / "models"
+    models.mkdir()
+    models.joinpath("bridge.json").write_text(fixture_path("row4_bridge.json").read_text())
+    code, out, err = run(capsys, "batch", str(models), "--out-dir", str(tmp_path / "reports"),
+                         "--kd", "-1")
+    assert (code, out, err) == (4, "", "error: --kd must be > 0\n")
+    assert not (tmp_path / "reports").exists()
+
+
 # ---------------------------------------------------------------------------
 # batch
 # ---------------------------------------------------------------------------
+
+def test_batch_has_no_format_flag(capsys, tmp_path):
+    models = tmp_path / "models"
+    models.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main(["batch", str(models), "--out-dir", str(tmp_path / "reports"), "--format", "csv"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert (captured.out, captured.err) == ("", "error: unrecognized arguments: --format csv\n")
+    assert not (tmp_path / "reports").exists()
+
 
 def test_batch_over_fixture_rows(capsys, tmp_path):
     src = tmp_path / "models"
