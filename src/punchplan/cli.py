@@ -16,6 +16,7 @@ import functools
 import gc
 import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -385,8 +386,23 @@ def _add_param_args(p: argparse.ArgumentParser) -> None:
                    help="tool travel for through cuts (default: sheet thickness)")
 
 
+# A '-' and any spelling ``float`` accepts: digits with '_' between them, a
+# point, an exponent, ``inf``, ``infinity`` or ``nan``. argparse's own pattern
+# takes only ``-N`` and ``-N.N`` for a negative number, and reads ``-1e3`` or
+# ``-inf`` as an option, so ``--kd -1e3`` would lack its value.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(?:(?:\d(?:_?\d)*(?:\.(?:\d(?:_?\d)*)?)?|\.\d(?:_?\d)*)(?:[eE][+-]?\d(?:_?\d)*)?"
+    r"|(?i:inf(?:inity)?|nan))$")
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one ``error:`` line (subparsers inherit the class)."""
+    """Reports a usage error as one ``error:`` line, and reads an argument that
+    is a negative number in any float spelling as a value, not an option
+    (subparsers inherit the class)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str) -> NoReturn:
         self.exit(2, f"error: {message}\n")

@@ -12,6 +12,17 @@ only ASCII is accepted (the Part-21 basic alphabet). Line and column are
 computed from the offset only when a :class:`StepSyntaxError` is raised, whose
 message quotes the offending token as it is written.
 
+The DATA section has a fast lane. Each time the loop is about to read a
+record, one compiled pattern tries to match a whole simple instance there,
+``#id = KEYWORD ( ... ) ;`` with blanks between tokens and parameter lists at
+most four deep; the records it matches one after another are built from one
+``findall`` over each record's parameters, and the loop then reads on after
+the last of them. Whatever the pattern does not match takes the token loop:
+the HEADER, comments, complex instances, deeper lists, ``#0``, a repeated id,
+an integer past the interpreter's digit limit and every malformed record. The
+fast lane raises nothing, so every error, with its line and column, still
+comes from the token loop.
+
 Only the geometry subset needed for sheet-metal parts is resolved
 (points, directions, placements, lines, circles, planes, cylinders, and
 the face/loop/edge/vertex topology). Anything else stays in the entity
@@ -23,6 +34,7 @@ A warning is recorded if the file declares a non-millimetre length unit.
 from __future__ import annotations
 
 import enum
+import math
 import re
 import sys
 from collections import Counter
@@ -176,17 +188,22 @@ class ExchangeStructure:
 # end of the text, so the end reaches the parser as one more token. The
 # alternatives are tried in order, most frequent first; the only ones that can
 # start with the same character (integer, real, bool, enum) keep that order.
-_TOKEN = re.compile(r"""
+# The fast lane below spells its tokens with the same pieces.
+_STRING = r"'[^']*(?:''[^']*)*'(?!')"
+_KEYWORD = r"[A-Za-z_][A-Za-z0-9_-]*"
+_REAL = r"[+-]?(?=\.?[0-9])[0-9]*(?:\.[0-9]*|(?!\.))(?:[eE][+-]?[0-9]+|(?![eE0-9]))"
+_ENUM = r"(?![0-9])[A-Za-z0-9_]*"
+_TOKEN = re.compile(rf"""
     (?P<punct>[();,=])
   | \#(?P<ref>[0-9]+)
-  | '(?P<string>[^']*(?:''[^']*)*)'(?!')
-  | (?P<keyword>[A-Za-z_][A-Za-z0-9_-]*)
+  | (?P<string>{_STRING})
+  | (?P<keyword>{_KEYWORD})
   | (?P<skip>[ \t\r\n]+|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
   | (?P<integer>[+-]?[0-9]+(?![.eE0-9]))
-  | (?P<real>[+-]?(?=\.?[0-9])[0-9]*(?:\.[0-9]*|(?!\.))(?:[eE][+-]?[0-9]+|(?![eE0-9])))
+  | (?P<real>{_REAL})
   | (?P<derived>\*)
   | \.(?P<bool>[TF])\.
-  | \.(?P<enum>(?![0-9])[A-Za-z0-9_]*)\.
+  | \.(?P<enum>{_ENUM})\.
   | (?P<unset>\$)
   | (?P<eof>\Z)
 """, re.VERBOSE)
@@ -248,18 +265,106 @@ _EXPECTED = ("an argument", "an argument", ")", "(", "(", None, "=", "entity key
              "entity keyword inside complex instance", None, ";", ";")
 
 
+# The DATA section's fast lane. A simple instance whose parameter lists nest at
+# most _FAST_DEPTH deep and hold no comment is matched whole by _FAST, from the
+# blanks before its '#' to its ';'; _ARG then lists the parameter tokens of
+# group 3. Each alternative of _VALUE is a token of _TOKEN as the scanner reads
+# it there (its number is _TOKEN's real, which also matches every integer), so a
+# record _FAST matches reads the same either way; anything else is left to the
+# token loop, which reports every error. Each list item is written once and
+# followed by ',' or a look at ')' (``(?!\))`` after a ',' rejects a trailing
+# comma), so the pattern grows linearly with the depth; writing ``item (, item)*``
+# would double it at each level.
+_FAST_DEPTH = 4
+_BLANK = r"[ \t\r\n]*"
+_VALUE = rf"\#[0-9]+|{_STRING}|{_REAL}|\.{_ENUM}\.|[$*]"
+
+
+def _list_body(depth: int) -> str:
+    """The text between a parameter list's parentheses, with ``depth`` lists
+    allowed: this one and those nested in it."""
+    item = _VALUE
+    if depth > 1:
+        item += rf"|(?:{_KEYWORD}{_BLANK})?\({_list_body(depth - 1)}\)"
+    return rf"{_BLANK}(?:(?:{item}){_BLANK}(?:,{_BLANK}(?!\))|(?=\))))*"
+
+
+_FAST = re.compile(rf"{_BLANK}\#([0-9]+){_BLANK}={_BLANK}({_KEYWORD}){_BLANK}"
+                   rf"\(({_list_body(_FAST_DEPTH)})\){_BLANK};")
+# The parameter tokens inside a list that _FAST matched: a reference, a
+# parenthesis, a string, a typed parameter's keyword with its '(', or the rest
+# (a number, an enumeration, '$' or '*'), each after the blanks and the comma
+# before it.
+_ARG = re.compile(rf"[ \t\r\n,]*(\#[0-9]+|[()]|{_STRING}|{_KEYWORD}{_BLANK}\(|[^ \t\r\n,()']+)")
+_CONSTANTS = {".T.": True, ".F.": False, "$": UNSET, "*": DERIVED}
+
+
+def _fast_args(text: str, start: int, end: int) -> tuple:
+    """The arguments of a record that _FAST matched, from the span of its
+    group 3. Each token is told by its first character."""
+    cur: list = []
+    stack: list[tuple[list, bool]] = []
+    for token in _ARG.findall(text, start, end):
+        first = token[0]
+        if first == "#":
+            cur.append(Ref(int(token[1:])))
+        elif first in "0123456789+-" or first == "." and token[1] in "0123456789":
+            cur.append(float(token) if "." in token or "e" in token or "E" in token else int(token))
+        elif first == "'":
+            cur.append(token[1:-1].replace("''", "'"))
+        elif first == "(":
+            stack.append((cur, False))
+            cur = []
+        elif first == ")":
+            value = tuple(cur)
+            cur, typed = stack.pop()
+            cur.append(value[0] if typed and len(value) == 1 else value)
+        elif token in _CONSTANTS:
+            cur.append(_CONSTANTS[token])
+        elif first == ".":
+            cur.append(Enum(token[1:-1]))
+        else:  # a typed parameter's keyword and '('
+            stack.append((cur, True))
+            cur = []
+    return tuple(cur)
+
+
+def _fast_records(text: str, pos: int, records: dict[int, EntityRecord]) -> re.Match | None:
+    """Take the simple instances that follow ``pos`` one after another, while
+    _FAST matches them, their id is positive and new, and each integer is
+    within the interpreter's digit limit. Returns the last one's match, or None
+    if it took none; raises nothing."""
+    intern = sys.intern
+    match = _FAST.match
+    last = None
+    try:
+        while (m := match(text, pos)) is not None:
+            eid = int(m[1])
+            if eid <= 0 or eid in records:
+                break
+            records[eid] = SimpleEntity(intern(m[2]), _fast_args(text, m.start(3), m.end(3)))
+            last = m
+            pos = m.end()
+    except ValueError:  # int() of a number past the digit limit
+        pass
+    return last
+
+
 def _read(text: str) -> tuple[list[tuple[str, tuple]], dict[int, EntityRecord]]:
     """Read a whole exchange file: the HEADER's ``(keyword, args)`` records and
     the DATA section's id -> entity map.
 
     One loop pulls the tokens from the scanner, with no recursion and no
     parser method per token. The fixed frame around the sections is its
-    ``_FRAME`` state, which walks ``_FRAME_TOKENS``; after their last ``;`` it
+    ``_FRAME`` state, which walks ``_FRAME_TOKENS`` (the ``;`` after HEADER
+    and after DATA is read in the ``_END`` state); after their last ``;`` it
     reads one more token, as a parser that holds one token of lookahead would,
     so the text after ``END-ISO-10303-21;`` must begin with a valid token. The
     enclosing parameter lists wait on ``stack``, each with whether the list
     inside it is a typed parameter. Record keywords are interned: a file
-    holds a few distinct ones over many records.
+    holds a few distinct ones over many records. After each ``;`` that ends a
+    DATA record, and after ``DATA;``, ``_fast_records`` takes what records it
+    can, and the scanner restarts after the last one it took.
     """
     intern = sys.intern
     header: list[tuple[str, tuple]] = []
@@ -270,9 +375,13 @@ def _read(text: str) -> tuple[list[tuple[str, tuple]], dict[int, EntityRecord]]:
     parts: list | None = None
     state = _FRAME
     step = 0
+    scan = _TOKEN.scanner(text).match
     m = None
     try:
-        for m in iter(_TOKEN.scanner(text).match, None):
+        while True:
+            if (token := scan()) is None:
+                raise _token_error(text, m.end() if m else 0)
+            m = token
             kind = m.lastgroup
             if kind == "skip":
                 continue
@@ -304,7 +413,7 @@ def _read(text: str) -> tuple[list[tuple[str, tuple]], dict[int, EntityRecord]]:
                 elif kind == "real":
                     cur.append(float(m[kind]))
                 elif kind == "string":
-                    cur.append(m[kind].replace("''", "'"))  # backslash escapes pass through
+                    cur.append(m[kind][1:-1].replace("''", "'"))  # backslash escapes pass through
                 elif kind == "derived":
                     cur.append(DERIVED)
                 elif kind == "bool":
@@ -377,20 +486,25 @@ def _read(text: str) -> tuple[list[tuple[str, tuple]], dict[int, EntityRecord]]:
                 state = _FIRST
             elif state >= _END and kind == ";":
                 state = _FRAME if state == _ENDSEC else _RECORD
+                if state == _RECORD and data and (fast := _fast_records(text, m.end(), records)):
+                    # Read on after the last record the fast lane took; that
+                    # record's match stands in for the last token read.
+                    m = fast
+                    scan = _TOKEN.scanner(text, m.end()).match
             elif state == _FRAME:
                 if step == len(_FRAME_TOKENS):
                     return header, records
                 if m[0] != _FRAME_TOKENS[step]:
                     break
                 step += 1
-                if step == 4:
-                    state = _RECORD
-                elif step == 6:
-                    records, data, state = {}, True, _RECORD
+                if step == 5:
+                    records, data = {}, True
+                if step == 3 or step == 5:
+                    # The ';' after HEADER or DATA ends like a record's, so
+                    # the fast lane also tries DATA's first record.
+                    step, state = step + 1, _END
             else:
                 break
-        else:
-            raise _token_error(text, m.end() if m else 0)
     except ValueError:  # int() of a number past the interpreter's digit limit
         raise _syntax_error(text, (instance if state == _EQUALS else m).start(),
                             f"an integer of at most {sys.get_int_max_str_digits()} digits") from None
@@ -426,6 +540,8 @@ def parse_exchange(text: str) -> ExchangeStructure:
     ignored = Counter()
     warnings: list[str] = []
     for eid, rec in entities.items():
+        if type(rec) is SimpleEntity and rec.keyword in SUPPORTED_ENTITIES:
+            continue
         for kw, args in rec.parts if isinstance(rec, ComplexEntity) else ((rec.keyword, rec.args),):
             if kw in SUPPORTED_ENTITIES:
                 continue
@@ -450,6 +566,11 @@ def _finite_number(value) -> bool:
 
 def _triple(eid: int, rec: SimpleEntity, what: str) -> Vec3:
     values = rec.args[1]
+    if type(values) is tuple and len(values) == 3:
+        x, y, z = values
+        # Three floats with a finite sum are finite; any other triple takes the full check.
+        if type(x) is float and type(y) is float and type(z) is float and math.isfinite(x + y + z):
+            return Vec3(x, y, z)
     if not isinstance(values, tuple) or len(values) != 3 or not all(map(_finite_number, values)):
         raise UnsupportedGeometry(eid, what)
     return vec(*values)
@@ -481,6 +602,12 @@ class _Resolver:
                 ) -> tuple[int, SimpleEntity]:
         """The simple entity that ``ref`` names, with the arguments the resolver
         reads and, unless ``keywords`` is None, one of ``keywords``."""
+        if type(ref) is Ref:
+            rec = self.entities.get(ref.id)
+            if (type(rec) is SimpleEntity and (keywords is None or rec.keyword in keywords)
+                    and len(rec.args) >= _MIN_ARGS.get(rec.keyword, 0)):
+                return ref.id, rec
+        # Otherwise the same checks one at a time, in the order their errors are reported.
         if not isinstance(ref, Ref):
             raise UnsupportedGeometry(from_id, f"expected entity reference, got {ref!r}")
         eid = ref.id
@@ -597,7 +724,7 @@ class _Resolver:
     def resolve(self, default_name: str) -> Solid:
         solids = [
             eid for eid, rec in self.entities.items()
-            if isinstance(rec, SimpleEntity) and rec.keyword == "MANIFOLD_SOLID_BREP"
+            if type(rec) is SimpleEntity and rec.keyword == "MANIFOLD_SOLID_BREP"
         ]
         if not solids:
             raise MissingSolid()

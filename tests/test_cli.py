@@ -170,7 +170,8 @@ def test_params_exit_5_when_no_feature_succeeds(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["params", "MODEL", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
     (["params"], "the following arguments are required: input"),
-], ids=["unknown-flag", "missing-input"])
+    (["params", "MODEL", "--kd", "-x"], "argument --kd: expected one argument"),
+], ids=["unknown-flag", "missing-input", "option-for-value"])
 def test_usage_error_is_one_line(capsys, argv, message):
     argv = [str(fixture_path("row4_bridge.json")) if a == "MODEL" else a for a in argv]
     with pytest.raises(SystemExit) as exc:
@@ -538,6 +539,33 @@ def test_non_finite_override_exits_4(capsys, tmp_path, command, flag, value):
     code, out, err = run(capsys, *argv, f"{flag}={value}")
     assert (code, out) == (4, "")
     assert err == f"error: {flag} must be a finite number, got {float(value)}\n"
+    assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("value, message", [
+    ("-1e3", "must be > 0"),
+    ("-.5e1", "must be > 0"),
+    ("-2.5E+2", "must be > 0"),
+    ("-1_000", "must be > 0"),
+    ("-inf", "must be a finite number, got -inf"),
+    ("-Infinity", "must be a finite number, got -inf"),
+    ("-nan", "must be a finite number, got nan"),
+])
+@pytest.mark.parametrize("command, flag", [("params", "--kd"), ("params", "--cut-height"),
+                                           ("features", "--cut-height"), ("batch", "--kd")])
+def test_negative_override_as_separate_argument_exits_4(capsys, tmp_path, command, flag, value,
+                                                        message):
+    # argparse alone reads only -N and -N.N as numbers; any other spelling was
+    # taken for an option and left the flag without its value (exit 2).
+    if command == "batch":
+        models = tmp_path / "models"
+        models.mkdir()
+        models.joinpath("bridge.json").write_text(fixture_path("row4_bridge.json").read_text())
+        argv = [command, str(models), "--out-dir", str(tmp_path / "reports")]
+    else:
+        argv = [command, str(fixture_path("row4_bridge.json"))]
+    code, out, err = run(capsys, *argv, flag, value)
+    assert (code, out, err) == (4, "", f"error: {flag} {message}\n")
     assert not (tmp_path / "reports").exists()
 
 
