@@ -175,24 +175,32 @@ def test_fast_lane_takes_every_data_record():
         assert taken.records == len(xs.entities) > 100
 
 
-def test_fast_lane_pattern_stays_small_and_is_compiled_at_import(monkeypatch):
+def test_fast_lane_pattern_stays_small_and_is_compiled_at_import():
     # An item written twice per list, '\( item (, item)* \)', doubles the
     # pattern at each nesting level; at four levels that is tens of kilobytes
     # and a compile long enough to show in a one-shot command's start-up.
     assert len(step._FAST.pattern) < 8000
     assert isinstance(step._FAST, re.Pattern) and isinstance(step._ARG, re.Pattern)
 
-    def compile_refused(pattern, flags):
-        raise AssertionError(f"pattern compiled while reading: {pattern!r}")
+    # Every module-level re call (re.compile, re.sub, ...) passes through
+    # re._compile. The wrapper only records, and is removed before the test
+    # returns, so the test runner's own re calls are left alone.
+    compiled = []
+    real_compile = re._compile
 
-    monkeypatch.setattr(re, "_compile", compile_refused)
+    def recording_compile(pattern, flags):
+        compiled.append(pattern)
+        return real_compile(pattern, flags)
+
     text = fixture_path("flat_sheet_100x80x2.step").read_text(encoding="utf-8")
-    step.load_step(text)
-    for bad in (text.replace("#9=", "#9 ", 1), text.replace("0.0", "0.E", 1)):
-        try:
-            step.parse_exchange(bad)
-        except step.StepSyntaxError:
-            pass
+    with mock.patch.object(re, "_compile", recording_compile):
+        step.load_step(text)
+        for bad in (text.replace("#9=", "#9 ", 1), text.replace("0.0", "0.E", 1)):
+            try:
+                step.parse_exchange(bad)
+            except step.StepSyntaxError:
+                pass
+    assert compiled == [], f"patterns compiled while reading: {compiled!r}"
 
 
 # ---------------------------------------------------------------------------
