@@ -10,7 +10,8 @@ alone.
 Conventions
 -----------
 * An arc edge runs from its start vertex to its end vertex counterclockwise
-  about the circle axis. Coincident endpoints mean a full circle.
+  about the circle axis. Coincident endpoints (one vertex, or two within TOL)
+  mean a full circle.
 * Face loop orientation as authored is not trusted: planar areas are computed
   from absolute loop areas (outer minus holes), which makes the result
   independent of traversal direction.
@@ -180,8 +181,15 @@ class Solid:
         return self.vertices[vid]
 
 
-def _arc_sweep(circle: Circle, start: Vec3, end: Vec3) -> float:
-    """Angle swept CCW about the circle axis from start to end, in (0, 2*pi]."""
+def _full_circle(edge: Edge, start: Vec3, end: Vec3) -> bool:
+    """Whether an arc edge closes on itself: one vertex, or endpoints within TOL."""
+    return edge.start == edge.end or distance(start, end) <= TOL
+
+
+def _arc_frame(circle: Circle, start: Vec3, end: Vec3 | None) -> tuple[Vec3, Vec3, float]:
+    """In-plane unit axes (u, v) of an arc, u toward its start and v = axis x u,
+    and the angle swept CCW about the axis from start to end, in (0, 2*pi].
+    ``end`` is None for a full circle."""
     u = start - circle.center
     u = u - circle.axis * u.dot(circle.axis)
     n = u.norm()
@@ -189,11 +197,13 @@ def _arc_sweep(circle: Circle, start: Vec3, end: Vec3) -> float:
         raise BrepError("arc start point coincides with the circle center")
     u = u * (1.0 / n)
     v = circle.axis.cross(u)
+    if end is None:
+        return u, v, 2.0 * math.pi
     w = end - circle.center
     ang = math.atan2(w.dot(v), w.dot(u))
     if ang < 0:
         ang += 2.0 * math.pi
-    return ang
+    return u, v, ang
 
 
 def edge_length(edge: Edge, solid: Solid) -> float:
@@ -207,9 +217,9 @@ def edge_length(edge: Edge, solid: Solid) -> float:
         if d <= TOL:
             raise DegenerateEdge(edge.id)
         return d
-    if edge.start == edge.end or distance(a, b) <= TOL:
+    if _full_circle(edge, a, b):
         return 2.0 * math.pi * edge.curve.radius
-    return edge.curve.radius * _arc_sweep(edge.curve, a, b)
+    return edge.curve.radius * _arc_frame(edge.curve, a, b)[2]
 
 
 def face_normal(face: Face) -> Vec3:
@@ -220,61 +230,71 @@ def face_normal(face: Face) -> Vec3:
     return n if face.same_sense else -n
 
 
-def _loop_signed_area(solid: Solid, loop: Loop, origin: Vec3, u: Vec3, v: Vec3, n: Vec3) -> float:
-    """Green's-theorem area of one loop in the (u, v) plane frame.
+def _walk_face(solid: Solid, face: Face) -> tuple[list[Vec3], float | None]:
+    """One pass over a face's bounds, loops and edges: its sample points and,
+    for a planar face, its area.
 
-    Straight segments contribute the shoelace cross term; arcs contribute
-    the exact integral r^2*phi/2 plus the chordal part, with phi signed by
+    The samples are seven interior points on each arc use, then the boundary
+    vertices. The area is |outer loop area| minus the hole loop areas, each
+    loop's by Green's theorem in the (u, v) = plane_basis(normal) frame:
+    straight segments contribute the shoelace cross term; arcs contribute the
+    exact integral r^2*phi/2 plus the chordal part, with phi signed by
     traversal direction and by the circle axis relative to the face normal.
     Projections are spelled out on coordinates, in Vec3's operand order.
     """
-    ox, oy, oz = origin
-    ux, uy, uz = u
-    vx, vy, vz = v
-    vertices = solid.vertices
-    total = 0.0
-    for eid, sense in loop.oriented_edges:
-        edge = solid.edges[eid]
-        a = vertices[edge.start]
-        b = vertices[edge.end]
-        if not sense:
-            a, b = b, a
-        ax, ay, az = a[0] - ox, a[1] - oy, a[2] - oz
-        bx, by, bz = b[0] - ox, b[1] - oy, b[2] - oz
-        ua, va = ax * ux + ay * uy + az * uz, ax * vx + ay * vy + az * vz
-        ub, vb = bx * ux + by * uy + bz * uz, bx * vx + by * vy + bz * vz
-        if isinstance(edge.curve, Line):
-            total += 0.5 * (ua * vb - ub * va)
-        else:
+    vertices, edges = solid.vertices, solid.edges
+    planar = isinstance(face.surface, Plane)
+    if planar:
+        n = face_normal(face)
+        (ox, oy, oz), ((ux, uy, uz), (vx, vy, vz)) = face.surface.origin, plane_basis(n)
+    vids: set[int] = set()
+    pts: list[Vec3] = []
+    outer = holes = 0.0
+    for lid, is_outer in face.bounds:
+        total = 0.0
+        for eid, sense in solid.loops[lid].oriented_edges:
+            edge = edges[eid]
+            vids.update((edge.start, edge.end))
+            a, b = vertices[edge.start], vertices[edge.end]
             circ = edge.curve
-            if edge.start == edge.end or distance(a, b) <= TOL:
-                sweep = 2.0 * math.pi
+            if isinstance(circ, Circle):
+                full = _full_circle(edge, a, b)
+                (aux, auy, auz), (avx, avy, avz), sweep = _arc_frame(circ, a, None if full else b)
+                # center + u * (r cos) + v * (r sin), on coordinates in Vec3's operand order.
+                cx, cy, cz = circ.center
+                for k in range(1, 8):
+                    ang = sweep * k / 8.0
+                    c, s = circ.radius * math.cos(ang), circ.radius * math.sin(ang)
+                    pts.append(Vec3(cx + aux * c + avx * s, cy + auy * c + avy * s,
+                                    cz + auz * c + avz * s))
+            if not planar:
+                continue
+            if not sense:
+                a, b = b, a
+            ax, ay, az = a[0] - ox, a[1] - oy, a[2] - oz
+            bx, by, bz = b[0] - ox, b[1] - oy, b[2] - oz
+            ua, va = ax * ux + ay * uy + az * uz, ax * vx + ay * vy + az * vz
+            ub, vb = bx * ux + by * uy + bz * uz, bx * vx + by * vy + bz * vz
+            if isinstance(circ, Line):
+                total += 0.5 * (ua * vb - ub * va)
             else:
-                sweep = _arc_sweep(circ, vertices[edge.start], vertices[edge.end])
-            signed = sweep * (1.0 if sense else -1.0) * (1.0 if circ.axis.dot(n) > 0 else -1.0)
-            cx, cy, cz = circ.center
-            cx, cy, cz = cx - ox, cy - oy, cz - oz
-            cu, cv = cx * ux + cy * uy + cz * uz, cx * vx + cy * vy + cz * vz
-            total += 0.5 * (circ.radius * circ.radius * signed + cu * (vb - va) - cv * (ub - ua))
-    return total
+                signed = sweep * (1.0 if sense else -1.0) * (1.0 if circ.axis.dot(n) > 0 else -1.0)
+                cx, cy, cz = cx - ox, cy - oy, cz - oz
+                cu, cv = cx * ux + cy * uy + cz * uz, cx * vx + cy * vy + cz * vz
+                total += 0.5 * (circ.radius * circ.radius * signed + cu * (vb - va) - cv * (ub - ua))
+        if is_outer:
+            outer += abs(total)
+        else:
+            holes += abs(total)
+    pts += [vertices[vid] for vid in vids]
+    return pts, (outer - holes if planar else None)
 
 
 def face_area(face: Face, solid: Solid) -> float:
     """Planar face area: |outer loop area| minus the hole loop areas."""
     if not isinstance(face.surface, Plane):
         raise NonPlanarFace(face.id)
-    n = face_normal(face)
-    u, v = plane_basis(n)
-    origin = face.surface.origin
-    outer = 0.0
-    holes = 0.0
-    for lid, is_outer in face.bounds:
-        area = abs(_loop_signed_area(solid, solid.loops[lid], origin, u, v, n))
-        if is_outer:
-            outer += area
-        else:
-            holes += area
-    return outer - holes
+    return _walk_face(solid, face)[1]
 
 
 @dataclass(frozen=True, slots=True)

