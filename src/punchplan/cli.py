@@ -26,11 +26,8 @@ from . import report as _report
 from .brep import (
     BrepError,
     NotManifold,
-    Plane,
     Solid,
     edge_length,
-    face_area,
-    face_normal,
     load_brep_json,
     validate_manifold,
 )
@@ -220,22 +217,20 @@ def _inspect_lines(solid: Solid, warnings: list[str],
     lines = [f"part: {solid.name}"]
     if entity_count is not None:
         lines.append(f"entities: {entity_count}")
-    planar = {fid for fid, f in solid.faces.items() if isinstance(f.surface, Plane)}
+    table = face_table(solid)
     lines.append(
-        f"faces: {len(solid.faces)} ({len(planar)} planar, {len(solid.faces) - len(planar)} cylindrical)"
+        f"faces: {len(table.faces)} ({len(table.planes)} planar, {len(table.cylinders)} cylindrical)"
     )
     lines.append(f"edges: {len(solid.edges)}   vertices: {len(solid.vertices)}   loops: {len(solid.loops)}")
     lines.append("face table:")
     lines.append("  id    kind      area_mm2      outward_normal")
-    for fid in sorted(solid.faces):
-        f = solid.faces[fid]
-        if fid in planar:
-            n = face_normal(f)
-            lines.append(
-                f"  {fid:<5} plane     {face_area(f, solid):<13.6g} ({n.x:.3g},{n.y:.3g},{n.z:.3g})"
-            )
-        else:
+    for fid in sorted(table.faces):
+        g = table.faces[fid]
+        if g.normal is None:
             lines.append(f"  {fid:<5} cylinder  -             -")
+        else:
+            n = g.normal
+            lines.append(f"  {fid:<5} plane     {g.area:<13.6g} ({n.x:.3g},{n.y:.3g},{n.z:.3g})")
     violations = validate_manifold(solid)
     if violations:
         lines.append(f"manifold: {len(violations)} violation(s)")
@@ -248,7 +243,7 @@ def _inspect_lines(solid: Solid, warnings: list[str],
         lines.append(f"thickness: {metrics.thickness:.6g} mm")
         lines.append(
             f"reference face: {metrics.reference_face} "
-            f"(area {face_table(solid).faces[metrics.reference_face].area:.6g} mm2, "
+            f"(area {table.faces[metrics.reference_face].area:.6g} mm2, "
             f"opposite face {metrics.opposite_face})"
         )
     except RecognitionError as exc:

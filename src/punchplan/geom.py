@@ -84,6 +84,12 @@ class Vec3(tuple):
     def normalized(self) -> "Vec3":
         x, y, z = self
         n = math.sqrt(x * x + y * y + z * z)
+        if n == math.inf:
+            # The squares overflow. Scaling by a power of two changes no
+            # digit (barring underflow), so the unit vector comes out the same.
+            e = -math.frexp(max(abs(x), abs(y), abs(z)))[1]
+            x, y, z = math.ldexp(x, e), math.ldexp(y, e), math.ldexp(z, e)
+            n = math.sqrt(x * x + y * y + z * z)
         if n <= TOL * TOL:
             raise ValueError("cannot normalize a near-zero vector")
         return _new(Vec3, (x / n, y / n, z / n))

@@ -5,23 +5,23 @@ interpreting any schema; ``resolve_brep`` then walks the one
 MANIFOLD_SOLID_BREP tree and builds a :class:`punchplan.brep.Solid`.
 
 Tokenizing is one compiled master pattern with a named group per token kind.
-One loop reads the whole file from the pattern's scanner: the fixed keywords
-around the HEADER and DATA sections are one more state of that loop, and the
-open parameter lists wait on an explicit stack. Outside strings and comments
-only ASCII is accepted (the Part-21 basic alphabet). Line and column are
-computed from the offset only when a :class:`StepSyntaxError` is raised, whose
-message quotes the offending token as it is written.
+A small recursive-descent reader pulls the tokens: it walks the fixed keywords
+around the HEADER and DATA sections, reads each record, and recurses into each
+nested parameter list. Outside strings and comments only ASCII is accepted
+(the Part-21 basic alphabet). Line and column are computed from the offset
+only when a :class:`StepSyntaxError` is raised, whose message quotes the
+offending token as it is written.
 
-The DATA section has a fast lane. Each time the loop is about to read a
+The DATA section has a fast lane. Each time the reader is about to read a
 record, one compiled pattern tries to match a whole simple instance there,
 ``#id = KEYWORD ( ... ) ;`` with blanks between tokens and parameter lists at
 most four deep; the records it matches one after another are built from one
-``findall`` over each record's parameters, and the loop then reads on after
-the last of them. Whatever the pattern does not match takes the token loop:
+``findall`` over each record's parameters, and the reader then goes on after
+the last of them. Whatever the pattern does not match is read token by token:
 the HEADER, comments, complex instances, deeper lists, ``#0``, a repeated id,
 an integer past the interpreter's digit limit and every malformed record. The
 fast lane raises nothing, so every error, with its line and column, still
-comes from the token loop.
+comes from the token reader.
 
 Only the geometry subset needed for sheet-metal parts is resolved
 (points, directions, placements, lines, circles, planes, cylinders, and
@@ -236,42 +236,24 @@ def _token_error(text: str, pos: int) -> StepSyntaxError:
     return _syntax_error(text, pos, "a Part-21 token", ch)
 
 
-# Deepest parameter-list nesting the parser accepts, tested against the depth
-# of its stack of open lists. Exchange files nest a few lists deep (B-spline
-# control nets are lists of lists); a list that would pass the bound is a
-# syntax error at its '('.
+# Deepest parameter-list nesting the reader accepts, counting a record's own
+# list as the first. Exchange files nest a few lists deep (B-spline control
+# nets are lists of lists); a list that would pass the bound is a syntax error
+# at its '(', or, for a typed parameter, at the token after its keyword.
 MAX_NESTING = 64
 
 # The fixed tokens around the two sections. HEADER's records follow the
 # ``HEADER ;`` (index 3) and DATA's the ``DATA ;`` (index 5).
 _FRAME_TOKENS = ("ISO-10303-21", ";", "HEADER", ";", "DATA", ";", "END-ISO-10303-21", ";")
 
-# What ``_read`` may read next. Inside a parameter list:
-_FIRST = 0    # after '(': a parameter or ')'
-_PARAM = 1    # after ',': a parameter
-_AFTER = 2    # after a parameter: ',' or ')'
-_TYPED = 3    # after a typed parameter's keyword: '('
-# Once per record:
-_OPEN = 4     # after a record's (or complex part's) keyword: '('
-_RECORD = 5   # a record, or ENDSEC
-_EQUALS = 6   # after a DATA instance name: '='
-_ENTITY = 7   # after '=': an entity keyword, or '(' of a complex instance
-_PARTS = 8    # inside a complex instance: a keyword or ')'
-_FRAME = 9    # outside the sections: _FRAME_TOKENS[step], or any token after the last
-_END = 10     # after a record: ';'
-_ENDSEC = 11  # after ENDSEC: ';'
-# What a syntax error in each state names as expected (_RECORD's and _FRAME's vary).
-_EXPECTED = ("an argument", "an argument", ")", "(", "(", None, "=", "entity keyword",
-             "entity keyword inside complex instance", None, ";", ";")
-
 
 # The DATA section's fast lane. A simple instance whose parameter lists nest at
 # most _FAST_DEPTH deep and hold no comment is matched whole by _FAST, from the
 # blanks before its '#' to its ';'; _ARG then lists the parameter tokens of
-# group 3. Each alternative of _VALUE is a token of _TOKEN as the scanner reads
+# group 3. Each alternative of _VALUE is a token of _TOKEN as the reader reads
 # it there (its number is _TOKEN's real, which also matches every integer), so a
 # record _FAST matches reads the same either way; anything else is left to the
-# token loop, which reports every error. Each list item is written once and
+# token reader, which reports every error. Each list item is written once and
 # followed by ',' or a look at ')' (``(?!\))`` after a ',' rejects a trailing
 # comma), so the pattern grows linearly with the depth; writing ``item (, item)*``
 # would double it at each level.
@@ -350,175 +332,154 @@ def _fast_records(text: str, pos: int, records: dict[int, EntityRecord]) -> re.M
     return last
 
 
+def _unexpected(text: str, m: re.Match, expected: str) -> StepSyntaxError:
+    """The error for the token ``m``, read where ``expected`` should be."""
+    return _syntax_error(text, m.start(), expected, None if m.lastgroup == "eof" else m[0])
+
+
+def _tokens(text: str, pos: int):
+    """The tokens of ``text`` from ``pos`` on, but blanks and comments."""
+    last = None
+    for last in iter(_TOKEN.scanner(text, pos).match, None):
+        if last.lastgroup != "skip":
+            yield last
+    raise _token_error(text, last.end() if last else pos)
+
+
+class _Reader:
+    """Reads one exchange file by recursive descent. ``next()`` gives the next
+    token but blanks and comments: it is a ``_tokens`` generator's ``__next__``,
+    which costs less per token than a method, and the generator holds the text,
+    not the reader, so the two make no cycle."""
+
+    __slots__ = ("text", "next")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.next = _tokens(text, 0).__next__
+
+    def expect(self, token: str) -> re.Match:
+        """Read the next token, which must be written ``token``."""
+        if (m := self.next())[0] != token:
+            raise _unexpected(self.text, m, token)
+        return m
+
+    def params(self, depth: int) -> tuple:
+        """The parameters of the list, ``depth`` lists deep, whose '(' was just
+        read, through its ')'. A typed parameter such as PARAMETER_VALUE(0.5)
+        keeps its payload."""
+        next_token = self.next
+        values: list = []
+        if (m := next_token())[0] == ")":
+            return ()
+        try:
+            while True:
+                kind = m.lastgroup
+                if kind == "ref":
+                    values.append(Ref(int(m[kind])))
+                elif kind == "real":
+                    values.append(float(m[kind]))
+                elif kind == "string":
+                    values.append(m[kind][1:-1].replace("''", "'"))  # backslash escapes pass through
+                elif kind == "derived" or kind == "bool" or kind == "unset":
+                    values.append(_CONSTANTS[m[0]])
+                elif kind == "integer":
+                    values.append(int(m[kind]))
+                elif kind == "enum":
+                    values.append(Enum(m[kind]))
+                elif kind == "keyword" or m[0] == "(":
+                    if kind == "keyword":
+                        m = next_token()
+                    if depth >= MAX_NESTING:
+                        raise _syntax_error(self.text, m.start(),
+                                            f"at most {MAX_NESTING} nested parameter lists", "(")
+                    if m[0] != "(":
+                        raise _unexpected(self.text, m, "(")
+                    value = self.params(depth + 1)
+                    values.append(value[0] if kind == "keyword" and len(value) == 1 else value)
+                else:
+                    raise _unexpected(self.text, m, "an argument")
+                if (m := next_token())[0] == ")":
+                    return tuple(values)
+                if m[0] != ",":
+                    raise _unexpected(self.text, m, ")")
+                m = next_token()
+        except ValueError:  # int() of a number past the interpreter's digit limit
+            raise _syntax_error(self.text, m.start(),
+                                f"an integer of at most {sys.get_int_max_str_digits()} digits") from None
+
+    def record(self, keyword: re.Match) -> tuple[str, tuple]:
+        """The ``(keyword, args)`` of a HEADER record, a simple instance or a
+        part of a complex instance, whose keyword was just read, through its
+        ')'. Keywords are interned: a file holds a few over many records."""
+        self.expect("(")
+        return sys.intern(keyword[0]), self.params(1)
+
+
 def _read(text: str) -> tuple[list[tuple[str, tuple]], dict[int, EntityRecord]]:
     """Read a whole exchange file: the HEADER's ``(keyword, args)`` records and
     the DATA section's id -> entity map.
 
-    One loop pulls the tokens from the scanner, with no recursion and no
-    parser method per token. The fixed frame around the sections is its
-    ``_FRAME`` state, which walks ``_FRAME_TOKENS`` (the ``;`` after HEADER
-    and after DATA is read in the ``_END`` state); after their last ``;`` it
-    reads one more token, as a parser that holds one token of lookahead would,
-    so the text after ``END-ISO-10303-21;`` must begin with a valid token. The
-    enclosing parameter lists wait on ``stack``, each with whether the list
-    inside it is a typed parameter. Record keywords are interned: a file
-    holds a few distinct ones over many records. After each ``;`` that ends a
-    DATA record, and after ``DATA;``, ``_fast_records`` takes what records it
-    can, and the scanner restarts after the last one it took.
+    The frame around the sections is ``_FRAME_TOKENS``; after its last ``;``
+    one more token is read, as a parser that holds one token of lookahead
+    would, so the text after ``END-ISO-10303-21;`` must begin with a valid
+    token. Before each DATA record, ``_fast_records`` takes what records it
+    can, and the reader goes on after the last one it took.
     """
-    intern = sys.intern
+    reader = _Reader(text)
     header: list[tuple[str, tuple]] = []
-    records: dict[int, EntityRecord] | list = header
-    data = False
-    stack: list[tuple[list, bool]] = []
-    cur: list = []
-    parts: list | None = None
-    state = _FRAME
-    step = 0
-    scan = _TOKEN.scanner(text).match
-    m = None
-    try:
+    records: dict[int, EntityRecord] = {}
+    for step, token in enumerate(_FRAME_TOKENS):
+        if (m := reader.next())[0] != token:
+            if token == "HEADER" or token == "DATA":
+                raise MissingSection(token)
+            raise _unexpected(text, m, token)
+        if step != 3 and step != 5:
+            continue
+        data = step == 5
         while True:
-            if (token := scan()) is None:
-                raise _token_error(text, m.end() if m else 0)
-            m = token
-            kind = m.lastgroup
-            if kind == "skip":
-                continue
-            if kind == "punct":
-                kind = m[kind]
-                if kind == "," and state == _AFTER:
-                    state = _PARAM
-                    continue
-                if kind == ")" and (state == _AFTER or state == _FIRST):
-                    value = tuple(cur)
-                    if stack:
-                        cur, typed = stack.pop()
-                        # A typed parameter such as PARAMETER_VALUE(0.5) keeps its payload.
-                        cur.append(value[0] if typed and len(value) == 1 else value)
-                        state = _AFTER
-                    elif parts is not None:
-                        parts.append((keyword, value))
-                        state = _PARTS
-                    elif data:
-                        records[eid] = SimpleEntity(keyword, value)
-                        state = _END
-                    else:
-                        records.append((keyword, value))
-                        state = _END
-                    continue
-            elif state <= _PARAM:
-                if kind == "ref":
-                    cur.append(Ref(int(m[kind])))
-                elif kind == "real":
-                    cur.append(float(m[kind]))
-                elif kind == "string":
-                    cur.append(m[kind][1:-1].replace("''", "'"))  # backslash escapes pass through
-                elif kind == "derived":
-                    cur.append(DERIVED)
-                elif kind == "bool":
-                    cur.append(m[kind] == "T")
-                elif kind == "integer":
-                    cur.append(int(m[kind]))
-                elif kind == "unset":
-                    cur.append(UNSET)
-                elif kind == "enum":
-                    cur.append(Enum(m[kind]))
-                elif kind == "keyword":
-                    state = _TYPED
-                    continue
-                else:
-                    break
-                state = _AFTER
-                continue
-            if state == _OPEN:
-                if kind != "(":
-                    break
-                cur = []
-                state = _FIRST
-            elif state == _RECORD:
-                if kind == "keyword" and m[kind] == "ENDSEC":
-                    state = _ENDSEC
-                elif kind != ("ref" if data else "keyword"):
-                    break
-                elif data:
-                    instance = m
-                    state = _EQUALS
-                else:
-                    keyword = intern(m[kind])
-                    state = _OPEN
-            elif state == _EQUALS:
-                eid = int(instance["ref"])
-                if eid <= 0:
-                    raise _syntax_error(text, instance.start(), "a positive instance name", f"#{eid}")
-                if kind != "=":
-                    break
-                state = _ENTITY
-            elif state == _ENTITY:
-                if eid in records:
-                    raise DuplicateEntityId(eid)
-                if kind == "keyword":
-                    keyword = intern(m[kind])
-                    parts = None
-                    state = _OPEN
-                elif kind == "(":
-                    parts = []
-                    state = _PARTS
-                else:
-                    break
-            elif state == _PARTS:
-                if kind == "keyword":
-                    keyword = intern(m[kind])
-                    state = _OPEN
-                elif kind == ")":
-                    records[eid] = ComplexEntity(tuple(parts))
-                    state = _END
-                else:
-                    break
-            elif state == _TYPED or state <= _PARAM and kind == "(":
-                if len(stack) + 1 >= MAX_NESTING:
-                    raise _syntax_error(text, m.start(),
-                                        f"at most {MAX_NESTING} nested parameter lists", "(")
-                if kind != "(":
-                    break
-                stack.append((cur, state == _TYPED))
-                cur = []
-                state = _FIRST
-            elif state >= _END and kind == ";":
-                state = _FRAME if state == _ENDSEC else _RECORD
-                if state == _RECORD and data and (fast := _fast_records(text, m.end(), records)):
-                    # Read on after the last record the fast lane took; that
-                    # record's match stands in for the last token read.
-                    m = fast
-                    scan = _TOKEN.scanner(text, m.end()).match
-            elif state == _FRAME:
-                if step == len(_FRAME_TOKENS):
-                    return header, records
-                if m[0] != _FRAME_TOKENS[step]:
-                    break
-                step += 1
-                if step == 5:
-                    records, data = {}, True
-                if step == 3 or step == 5:
-                    # The ';' after HEADER or DATA ends like a record's, so
-                    # the fast lane also tries DATA's first record.
-                    step, state = step + 1, _END
-            else:
+            # m is the ';' before the record.
+            if data and (fast := _fast_records(text, m.end(), records)):
+                reader.next = _tokens(text, fast.end()).__next__
+            if (m := reader.next())[0] == "ENDSEC":
                 break
-    except ValueError:  # int() of a number past the interpreter's digit limit
-        raise _syntax_error(text, (instance if state == _EQUALS else m).start(),
-                            f"an integer of at most {sys.get_int_max_str_digits()} digits") from None
-    if state == _FRAME:
-        expected = _FRAME_TOKENS[step]
-        if expected == "HEADER" or expected == "DATA":
-            raise MissingSection(expected)
-    elif state == _RECORD:
-        if m.lastgroup == "eof":
-            raise _syntax_error(text, m.start(), f"ENDSEC for {'DATA' if data else 'HEADER'}")
-        expected = "instance name '#<id>'" if data else "header entity keyword"
-    else:
-        expected = _EXPECTED[state]
-    raise _syntax_error(text, m.start(), expected, None if m.lastgroup == "eof" else m[0])
+            if m.lastgroup != ("ref" if data else "keyword"):
+                if m.lastgroup == "eof":
+                    raise _syntax_error(text, m.start(), f"ENDSEC for {'DATA' if data else 'HEADER'}")
+                raise _unexpected(text, m, "instance name '#<id>'" if data else "header entity keyword")
+            if not data:
+                header.append(reader.record(m))
+                m = reader.expect(";")
+                continue
+            # An instance name's errors come after those of the token that follows it.
+            equals = reader.next()
+            try:
+                eid = int(m["ref"])
+            except ValueError:  # past the interpreter's digit limit
+                raise _syntax_error(text, m.start(),
+                                    f"an integer of at most {sys.get_int_max_str_digits()} digits") from None
+            if eid <= 0:
+                raise _syntax_error(text, m.start(), "a positive instance name", f"#{eid}")
+            if equals[0] != "=":
+                raise _unexpected(text, equals, "=")
+            entity = reader.next()
+            if eid in records:
+                raise DuplicateEntityId(eid)
+            if entity.lastgroup == "keyword":
+                records[eid] = SimpleEntity(*reader.record(entity))
+            elif entity[0] == "(":
+                parts = []
+                while (entity := reader.next()).lastgroup == "keyword":
+                    parts.append(reader.record(entity))
+                if entity[0] != ")":
+                    raise _unexpected(text, entity, "entity keyword inside complex instance")
+                records[eid] = ComplexEntity(tuple(parts))
+            else:
+                raise _unexpected(text, entity, "entity keyword")
+            m = reader.expect(";")
+        reader.expect(";")
+    reader.next()
+    return header, records
 
 
 def _header(records: list[tuple[str, tuple]]) -> Header:

@@ -100,6 +100,24 @@ def test_full_circle_starting_on_its_centre_exits_3(capsys, tmp_path, command, s
         3, "", "error: arc start point coincides with the circle center\n")
 
 
+def test_inspect_measures_cylinder_faces_before_the_manifold_check(capsys, tmp_path):
+    # The hole's circles start on their centres and only its cylinder face
+    # bounds them: the planar faces around the hole are gone, so the solid is
+    # open, but inspect measures every face first, as it does a planar one.
+    doc = modelzoo.hole_sheet_doc()
+    circles = {e["id"]: e for e in doc["edges"] if e["curve"]["kind"] == "circle"}
+    for edge in circles.values():
+        vertex = next(v for v in doc["vertices"] if v["id"] == edge["start"])
+        vertex["x"], vertex["y"], vertex["z"] = edge["curve"]["center"]
+    hole_loops = {loop["id"] for loop in doc["loops"]
+                  if any(o["edge"] in circles for o in loop["oriented_edges"])}
+    doc["faces"] = [f for f in doc["faces"] if f["surface"]["kind"] == "cylinder"
+                    or not any(b["loop"] in hole_loops for b in f["bounds"])]
+    path = write_doc(tmp_path, doc, "open_hole_on_centres.json")
+    assert run(capsys, "inspect", str(path)) == (
+        3, "", "error: arc start point coincides with the circle center\n")
+
+
 # ---------------------------------------------------------------------------
 # features
 # ---------------------------------------------------------------------------
@@ -191,6 +209,41 @@ def test_params_exit_5_when_no_feature_succeeds(capsys):
     assert doc["features"][0]["error"]
     assert err == ("error: none of 1 feature(s) produced parameters; first: "
                    f"{doc['features'][0]['error']}\n")
+
+
+# Past about 1.34e154 a component's square overflows; 2**600 puts every unit
+# component there and changes no digit of it.
+HUGE = 2.0 ** 600
+
+
+def _scaled_directions(name: str, text: str) -> str:
+    """A fixture with every normal, axis and DIRECTION scaled by HUGE."""
+    if name.endswith(".step"):
+        def scaled(m: re.Match) -> str:
+            return f"DIRECTION('{m[1]}',({','.join(repr(float(c) * HUGE) for c in m[2].split(','))}))"
+        return re.sub(r"DIRECTION\('([^']*)',\(([^)]*)\)\)", scaled, text)
+    doc = json.loads(text)
+    for face in doc["faces"]:
+        for key in ("normal", "axis_dir"):
+            if key in face["surface"]:
+                face["surface"][key] = [c * HUGE for c in face["surface"][key]]
+    for edge in doc["edges"]:
+        if "axis" in edge["curve"]:
+            edge["curve"]["axis"] = [c * HUGE for c in edge["curve"]["axis"]]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("name", [
+    "flat_sheet_100x80x2.json", "hole_sheet_r10.json", "l_bend.json", "row1_shelf.json",
+    "row2_boss.json", "row3_hood.json", "row4_bridge.json", "flat_sheet_100x80x2.step",
+])
+def test_params_report_ignores_the_length_of_directions(capsys, tmp_path, name):
+    text = fixture_path(name).read_text(encoding="utf-8")
+    scaled = _scaled_directions(name, text)
+    assert scaled != text
+    path = tmp_path / name
+    path.write_text(scaled, encoding="utf-8")
+    assert run(capsys, "params", str(path)) == run(capsys, "params", str(fixture_path(name)))
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -94,8 +94,10 @@ SNIPPETS = [
     "1.E5", "1e5", "1E+", "2.5e-3", " ", "\n", "\r\n", "\t", "$", "*", "/* c */", "/*", "B(",
     "B (1)", "A(", "(1,(2,(3,(4,(5)))))", "@", "é", "\f", "ENDSEC", "'(,)#;'",
 ]
-if INT_DIGIT_LIMIT:
-    SNIPPETS += ["9" * (INT_DIGIT_LIMIT + 1), "#" + "7" * (INT_DIGIT_LIMIT + 1)]
+# Numbers one digit past the interpreter's int() digit limit, or past the
+# default limit when there is none: the list keeps its length either way, and
+# with it the random draws, so the corpus differs only in what these hold.
+SNIPPETS += ["9" * ((INT_DIGIT_LIMIT or 4300) + 1), "#" + "7" * ((INT_DIGIT_LIMIT or 4300) + 1)]
 # What a mutation puts in place of one argument, which keeps the record readable.
 ARGUMENTS = ["#1", "#99", "''", "'a''b'", "'(,)#;'", ".T.", ".X1.", "$", "*", "-0", "007", "+7", "0.5",
              "1.", ".5", "-.5", "1.E5", "1e5", "2.5e-3", "()", "(1,(2,(3)))", "B(1)", "B ( 'x' , 2 )"]

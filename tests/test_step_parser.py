@@ -99,6 +99,9 @@ def test_string_quote_escape_and_verbatim_backslash():
 def test_duplicate_instance_name_is_hard_error():
     with pytest.raises(DuplicateEntityId):
         parse_exchange(wrap("#1=CARTESIAN_POINT('',(0.,0.,0.));\n#1=DIRECTION('',(1.,0.,0.));\n"))
+    # A repeated name is reported before the missing entity keyword after it.
+    with pytest.raises(DuplicateEntityId):
+        parse_exchange(PREFIX + "#1=A(1);\n#1=;")
 
 
 PREFIX = "ISO-10303-21;\nHEADER;\nENDSEC;\nDATA;\n"
@@ -148,6 +151,17 @@ LONG_INT = f"an integer of at most {INT_DIGIT_LIMIT} digits"
     pytest.param(PREFIX + f"#{LONG_DIGITS}=A(1);\n", 5, 1, LONG_INT, marks=needs_digit_limit),
     pytest.param(PREFIX + f"#1=A(2,#{LONG_DIGITS});\n", 5, 8, LONG_INT, marks=needs_digit_limit),
     pytest.param(PREFIX + f"#1=A(\n-{LONG_DIGITS});\n", 6, 1, LONG_INT, marks=needs_digit_limit),
+    # The token after an instance name is read before the name is checked.
+    pytest.param(PREFIX + f"#{LONG_DIGITS} @", 5, INT_DIGIT_LIMIT + 4, "a Part-21 token",
+                 marks=needs_digit_limit),
+    (PREFIX + "#0 @", 5, 4, "a Part-21 token"),
+    (PREFIX + "#1=A(1);\n#1=@", 6, 4, "a Part-21 token"),
+    # A typed parameter past the bound fails at the token after its keyword.
+    (PREFIX + "#1=A(" + "B(" * 63 + "C 1" + ")" * 64 + ";\n", 5, 134, "at most 64 nested parameter lists"),
+    ("ISO-10303-21;\nHEADER;\nFILE_NAME('x');\n", 4, 1, "ENDSEC for HEADER"),
+    ("ISO-10303-21;\nHEADER;\nFILE_NAME('x')\nENDSEC;\n", 4, 1, ";"),
+    ("ISO-10303-21;\nHEADER;\nENDSEC\nDATA;\n", 4, 1, ";"),
+    (PREFIX + "#1=(;\n", 5, 5, "entity keyword inside complex instance"),
 ], ids=[
     "open-comment", "hash-no-digits", "open-string", "open-string-escaped-quote",
     "no-exponent-digits", "no-exponent-digits-after-sign", "lone-plus", "open-enum",
@@ -160,6 +174,10 @@ LONG_INT = f"an integer of at most {INT_DIGIT_LIMIT} digits"
     "eof-in-list", "endsec-without-semicolon", "missing-end-keyword",
     "bad-token-after-end", "string-for-start-keyword",
     "instance-name-past-digit-limit", "reference-past-digit-limit", "integer-past-digit-limit",
+    "bad-token-after-long-instance-name", "bad-token-after-zero-instance-name",
+    "bad-token-after-repeated-instance-name", "typed-parameter-past-nesting-bound",
+    "missing-header-endsec", "header-record-without-semicolon", "header-endsec-without-semicolon",
+    "complex-instance-without-parts-or-paren",
 ])
 def test_syntax_error_carries_position(text, line, column, expected):
     with pytest.raises(StepSyntaxError) as exc:
