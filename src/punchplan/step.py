@@ -21,7 +21,10 @@ the last of them. Whatever the pattern does not match is read token by token:
 the HEADER, comments, complex instances, deeper lists, ``#0``, a repeated id,
 an integer past the interpreter's digit limit and every malformed record. The
 fast lane raises nothing, so every error, with its line and column, still
-comes from the token reader.
+comes from the token reader. Within one run of records it builds each record
+whose text holds no reference once: identical directions and points are one
+``SimpleEntity``. It builds its ``Ref`` and ``SimpleEntity`` records by setting
+their slots, which gives the same objects as their frozen ``__init__``.
 
 Only the geometry subset needed for sheet-metal parts is resolved
 (points, directions, placements, lines, circles, planes, cylinders, and
@@ -29,7 +32,10 @@ the face/loop/edge/vertex topology). Anything else stays in the entity
 map and is counted as ignored.
 
 Coordinates are taken as millimetres; unit declarations are not applied.
-A warning is recorded if the file declares a non-millimetre length unit.
+A warning is recorded if the file declares a non-millimetre length unit: an
+``SI_UNIT`` in metres without the ``MILLI`` prefix, or a complex instance
+with a ``CONVERSION_BASED_UNIT`` part and a ``LENGTH_UNIT`` part (the usual
+inch declaration), which the warning names.
 """
 from __future__ import annotations
 
@@ -281,6 +287,22 @@ _ARG = re.compile(rf"[ \t\r\n,]*(\#[0-9]+|[()]|{_STRING}|{_KEYWORD}{_BLANK}\(|[^
 _CONSTANTS = {".T.": True, ".F.": False, "$": UNSET, "*": DERIVED}
 
 
+# The fast lane builds its Ref and SimpleEntity records by setting their slots
+# directly: the same objects as their frozen __init__ gives, without the
+# object.__setattr__ call per field.
+_new = object.__new__
+_set_ref_id = Ref.id.__set__
+_set_keyword = SimpleEntity.keyword.__set__
+_set_args = SimpleEntity.args.__set__
+
+
+def _simple(keyword: str, args: tuple) -> SimpleEntity:
+    rec = _new(SimpleEntity)
+    _set_keyword(rec, keyword)
+    _set_args(rec, args)
+    return rec
+
+
 def _fast_args(text: str, start: int, end: int) -> tuple:
     """The arguments of a record that _FAST matched, from the span of its
     group 3. Each token is told by its first character."""
@@ -289,7 +311,9 @@ def _fast_args(text: str, start: int, end: int) -> tuple:
     for token in _ARG.findall(text, start, end):
         first = token[0]
         if first == "#":
-            cur.append(Ref(int(token[1:])))
+            ref = _new(Ref)
+            _set_ref_id(ref, int(token[1:]))
+            cur.append(ref)
         elif first in "0123456789+-" or first == "." and token[1] in "0123456789":
             cur.append(float(token) if "." in token or "e" in token or "E" in token else int(token))
         elif first == "'":
@@ -315,16 +339,26 @@ def _fast_records(text: str, pos: int, records: dict[int, EntityRecord]) -> re.M
     """Take the simple instances that follow ``pos`` one after another, while
     _FAST matches them, their id is positive and new, and each integer is
     within the interpreter's digit limit. Returns the last one's match, or None
-    if it took none; raises nothing."""
+    if it took none; raises nothing.
+
+    A record whose text, from its keyword through its parameters, holds no
+    ``#`` is built once per call: every later record with that same text is
+    the same object. A record holding a reference is always built anew."""
     intern = sys.intern
     match = _FAST.match
+    shared: dict[str, SimpleEntity] = {}
     last = None
     try:
         while (m := match(text, pos)) is not None:
             eid = int(m[1])
             if eid <= 0 or eid in records:
                 break
-            records[eid] = SimpleEntity(intern(m[2]), _fast_args(text, m.start(3), m.end(3)))
+            start, end = m.span(3)
+            if text.find("#", start, end) >= 0:
+                rec = _simple(intern(m[2]), _fast_args(text, start, end))
+            elif (rec := shared.get(key := text[m.start(2):end])) is None:
+                rec = shared[key] = _simple(intern(m[2]), _fast_args(text, start, end))
+            records[eid] = rec
             last = m
             pos = m.end()
     except ValueError:  # int() of a number past the digit limit
@@ -501,9 +535,13 @@ def parse_exchange(text: str) -> ExchangeStructure:
     ignored = Counter()
     warnings: list[str] = []
     for eid, rec in entities.items():
-        if type(rec) is SimpleEntity and rec.keyword in SUPPORTED_ENTITIES:
-            continue
-        for kw, args in rec.parts if isinstance(rec, ComplexEntity) else ((rec.keyword, rec.args),):
+        if type(rec) is SimpleEntity:
+            if rec.keyword in SUPPORTED_ENTITIES:
+                continue
+            parts = ((rec.keyword, rec.args),)
+        else:
+            parts = rec.parts
+        for kw, args in parts:
             if kw in SUPPORTED_ENTITIES:
                 continue
             ignored[kw] += 1
@@ -512,6 +550,10 @@ def parse_exchange(text: str) -> ExchangeStructure:
                 if "METRE" in names and "MILLI" not in names:
                     warnings.append(f"entity #{eid}: SI_UNIT declares a non-millimetre length unit"
                                     " (coordinates are read as millimetres regardless)")
+            elif kw == "CONVERSION_BASED_UNIT" and any(k == "LENGTH_UNIT" for k, _ in parts):
+                unit = f" {args[0]!r}" if args and isinstance(args[0], str) else ""
+                warnings.append(f"entity #{eid}: CONVERSION_BASED_UNIT declares the length unit{unit}"
+                                " (coordinates are read as millimetres regardless)")
     return ExchangeStructure(_header(records), entities, ignored, warnings)
 
 

@@ -13,6 +13,7 @@ import punchplan
 from conftest import INT_DIGIT_LIMIT, fixture_path, needs_digit_limit
 from punchplan.cli import main
 from punchplan.report import CSV_HEADER
+from test_step_parser import INCH_UNIT, INCH_WARNING
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import stepwriter  # noqa: E402
@@ -305,6 +306,15 @@ def test_params_step_input(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["metrics"]["thickness"] == pytest.approx(2.0)
+
+
+def test_params_report_warns_of_an_inch_unit(capsys, tmp_path):
+    path = _step_fixture_with(tmp_path, "#132=", INCH_UNIT + "#132=")
+    code, out, _ = run(capsys, "params", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["warnings"][0] == INCH_WARNING
+    assert doc["metrics"]["thickness"] == pytest.approx(2.0)  # read as millimetres regardless
 
 
 def _step_fixture_with(tmp_path, old: str, new: str) -> Path:

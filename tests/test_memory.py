@@ -50,10 +50,14 @@ def test_json_loader_peaks_near_the_decoded_document(grid_doc):
 
 
 def test_step_reader_peak_per_byte_of_text(grid_doc):
-    # About 15 bytes per byte of text with a dict per record.
+    # About 15 bytes per byte of text with a dict per record, and 10.3-11.2
+    # (CPython 3.11, by test order) while the fast lane built every identical
+    # reference-free record anew; 9.0-9.9 now. Only CPython 3.11 has been
+    # measured at the tighter bound; other interpreters keep the old one.
+    bound = 11 if sys.implementation.name == "cpython" and sys.version_info[:2] == (3, 11) else 13
     text, _ = stepwriter.write_step(grid_doc)
     peak = _peak(lambda: step.resolve_brep(step.parse_exchange(text)))
-    assert peak <= 13 * len(text), (peak, len(text))
+    assert peak <= bound * len(text), (peak, len(text), bound)
 
 
 def test_record_keywords_are_interned(grid_doc):
@@ -91,6 +95,22 @@ RECORDS = [
 
 @pytest.mark.parametrize("record, text", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
 def test_slotted_records_behave_as_frozen_dataclasses(record, text):
+    _assert_frozen_slotted(record, text)
+
+
+# The fast lane builds its Ref and SimpleEntity records by setting their slots,
+# not through __init__; what it builds must behave the same.
+@pytest.mark.parametrize("pick, text", [
+    (lambda entities: entities[1].args[1], "#2"),
+    (lambda entities: entities[1], "SimpleEntity(keyword='VERTEX_POINT', args=('', #2))"),
+], ids=["Ref", "SimpleEntity"])
+def test_parsed_records_behave_as_frozen_dataclasses(pick, text):
+    entities = step.parse_exchange("ISO-10303-21;HEADER;ENDSEC;DATA;#1=VERTEX_POINT('',#2);"
+                                   "#2=CARTESIAN_POINT('',(1.,2.,3.));ENDSEC;END-ISO-10303-21;").entities
+    _assert_frozen_slotted(pick(entities), text)
+
+
+def _assert_frozen_slotted(record, text):
     assert not hasattr(record, "__dict__")
     assert repr(record) == text
     fields = tuple(getattr(record, f.name) for f in dataclasses.fields(record))

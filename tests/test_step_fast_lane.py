@@ -177,6 +177,26 @@ def test_fast_lane_takes_every_data_record():
         assert taken.records == len(xs.entities) > 100
 
 
+def test_fast_lane_shares_reference_free_records_within_a_parse():
+    text = FRAME.format("#1=DIRECTION('',(0.,0.,1.));\n#2=DIRECTION('',(0.,0.,1.));\n"
+                        "#3=VECTOR('',#1,1.);\n#4=VECTOR('',#1,1.);\n"
+                        "#5=DIRECTION('', (0.,0.,1.));\n#6=DIRECTION ('',(0.,0.,1.));\n")
+    with _Taken() as taken:
+        first = step.parse_exchange(text).entities
+    assert taken.records == 6
+    # The same text without a reference: one record.
+    assert first[1] is first[2]
+    # The same text holding a reference: two records.
+    assert first[3] == first[4] and first[3] is not first[4]
+    # Texts that differ only in blanks: equal records, not one.
+    assert first[5] == first[6] == first[1]
+    assert len({id(first[1]), id(first[5]), id(first[6])}) == 3
+    # Nothing is shared between two parses.
+    second = step.parse_exchange(text).entities
+    assert second == first
+    assert all(second[eid] is not first[eid] for eid in first)
+
+
 def test_fast_lane_pattern_stays_small_and_is_compiled_at_import():
     # An item written twice per list, '\( item (, item)* \)', doubles the
     # pattern at each nesting level; at four levels that is tens of kilobytes

@@ -86,6 +86,42 @@ def test_si_unit_warning_for_non_millimetre():
     assert xs_mm.warnings == []
 
 
+# The unit declarations of a part modelled in inches and degrees, as exporters
+# write them: each conversion-based unit is a complex instance.
+INCH_UNIT = (
+    "#200=(CONVERSION_BASED_UNIT('INCH',#201)LENGTH_UNIT()NAMED_UNIT(#202));\n"
+    "#201=LENGTH_MEASURE_WITH_UNIT(LENGTH_MEASURE(25.4),#203);\n"
+    "#202=DIMENSIONAL_EXPONENTS(1.,0.,0.,0.,0.,0.,0.);\n"
+    "#203=(LENGTH_UNIT()NAMED_UNIT(*)SI_UNIT(.MILLI.,.METRE.));\n"
+)
+DEGREE_UNIT = (
+    "#204=(CONVERSION_BASED_UNIT('DEGREE',#205)NAMED_UNIT(#206)PLANE_ANGLE_UNIT());\n"
+    "#205=PLANE_ANGLE_MEASURE_WITH_UNIT(PLANE_ANGLE_MEASURE(0.0174532925),#207);\n"
+    "#206=DIMENSIONAL_EXPONENTS(0.,0.,0.,0.,0.,0.,0.);\n"
+    "#207=(NAMED_UNIT(*)PLANE_ANGLE_UNIT()SI_UNIT($,.RADIAN.));\n"
+)
+INCH_WARNING = ("entity #200: CONVERSION_BASED_UNIT declares the length unit 'INCH'"
+                " (coordinates are read as millimetres regardless)")
+
+
+def test_conversion_based_length_unit_warning_names_the_unit():
+    assert parse_exchange(wrap(INCH_UNIT)).warnings == [INCH_WARNING]
+    assert parse_exchange(wrap(INCH_UNIT + DEGREE_UNIT)).warnings == [INCH_WARNING]
+    # The part order inside the complex instance does not matter.
+    reordered = INCH_UNIT.replace("(CONVERSION_BASED_UNIT('INCH',#201)LENGTH_UNIT()",
+                                  "(LENGTH_UNIT()CONVERSION_BASED_UNIT('INCH',#201)")
+    assert parse_exchange(wrap(reordered)).warnings == [INCH_WARNING]
+
+
+@pytest.mark.parametrize("data", [
+    DEGREE_UNIT,
+    "#203=(LENGTH_UNIT()NAMED_UNIT(*)SI_UNIT(.MILLI.,.METRE.));\n",
+    "#203=SI_UNIT(.MILLI.,.METRE.);\n",
+], ids=["degree", "millimetre-complex", "millimetre-simple"])
+def test_angle_and_millimetre_units_give_no_warning(data):
+    assert parse_exchange(wrap(data)).warnings == []
+
+
 def test_comments_and_whitespace_skipped():
     xs = parse_exchange(wrap("/* a comment\nover lines */ #7=CARTESIAN_POINT('x',(1.,2.,3.));\n"))
     assert xs.entities[7].args[0] == "x"
