@@ -36,7 +36,6 @@ from .features import RecognitionError, face_table, sheet_metrics
 from .process import DEFAULT_H1_FRACTION, DEFAULT_HOLDING_FRACTION
 from .report import PartAnalysis, ReportSettings, analyze_solid, report_document
 from .resources import (
-    NotFound,
     ResourceError,
     builtin_materials,
     builtin_tools,
@@ -62,14 +61,16 @@ class CliError(Exception):
         self.code = code
 
 
+# The reader of each model file suffix; ``batch`` reads only these files.
+_FORMATS = {".step": "step", ".stp": "step", ".json": "brep-json"}
+
+
 def _detect_format(path: Path, requested: str) -> str:
     if requested != "auto":
         return requested
     suffix = path.suffix.lower()
-    if suffix in (".step", ".stp"):
-        return "step"
-    if suffix == ".json":
-        return "brep-json"
+    if suffix in _FORMATS:
+        return _FORMATS[suffix]
     raise CliError(EXIT_PARSE, f"{path}: cannot infer input format from extension {suffix!r}; "
                                "use --input-format")
 
@@ -120,10 +121,11 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _atomic_write(target: Path, text: str) -> None:
-    """Replace ``target`` by way of a temporary file beside it. A target that
-    cannot be written exits 2 and leaves no temporary file."""
+    """Replace ``target`` by way of a temporary file beside it, whose short name
+    does not grow with the target's. A target that cannot be written exits 2
+    and leaves no temporary file."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=str(target.parent), prefix=target.name, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=str(target.parent), prefix="punchplan-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -136,28 +138,6 @@ def _atomic_write(target: Path, text: str) -> None:
             raise
     except OSError as exc:
         raise CliError(EXIT_PARSE, f"{target}: cannot write: {exc.strerror}") from None
-
-
-def _load_dbs(args) -> tuple[dict, dict]:
-    materials = builtin_materials()
-    tools = builtin_tools()
-    db_dir = os.environ.get(DB_DIR_ENV)
-    mat_path = args.materials_db
-    tool_path = args.tools_db
-    if db_dir:
-        base = Path(db_dir)
-        if mat_path is None and (base / "materials.json").exists():
-            mat_path = str(base / "materials.json")
-        if tool_path is None and (base / "tools.json").exists():
-            tool_path = str(base / "tools.json")
-    try:
-        if mat_path is not None:
-            materials = merge(materials, load_materials(_read_text(Path(mat_path), EXIT_RESOURCE)))
-        if tool_path is not None:
-            tools = merge(tools, load_tools(_read_text(Path(tool_path), EXIT_RESOURCE)))
-    except (OSError, ResourceError) as exc:
-        raise CliError(EXIT_RESOURCE, str(exc)) from None
-    return materials, tools
 
 
 def _analyze_validated(solid: Solid, cut_height: float | None) -> PartAnalysis:
@@ -181,14 +161,28 @@ def _check_overrides(args) -> None:
             raise CliError(EXIT_RESOURCE, f"{flag} must be > 0")
 
 
-def _settings(args) -> ReportSettings:
+def _plan(args) -> tuple:
+    """The (material, tool, settings) of a ``params`` or ``batch`` run, checked
+    before any model is read: the overrides, the databases (each flag, else
+    PUNCHPLAN_DB_DIR's file, over the built-in one) and the material and tool
+    looked up in them. Every failure exits 4."""
     _check_overrides(args)
-    return ReportSettings(
-        kd=args.kd,
-        h1_fraction=args.h1_fraction,
-        holding_fraction=args.holding_fraction,
-        cut_height=args.cut_height,
-    )
+    db_dir = os.environ.get(DB_DIR_ENV)
+    dbs = []
+    try:
+        for path, name, db, load in ((args.materials_db, "materials.json", builtin_materials(),
+                                      load_materials),
+                                     (args.tools_db, "tools.json", builtin_tools(), load_tools)):
+            if path is None and db_dir and (Path(db_dir) / name).exists():
+                path = Path(db_dir) / name
+            dbs.append(db if path is None else merge(db, load(_read_text(Path(path), EXIT_RESOURCE))))
+        material = lookup(dbs[0], args.material, "material")
+        tool = lookup(dbs[1], args.tool, "tool")
+    except (OSError, ResourceError) as exc:
+        raise CliError(EXIT_RESOURCE, str(exc)) from None
+    settings = ReportSettings(kd=args.kd, h1_fraction=args.h1_fraction,
+                              holding_fraction=args.holding_fraction, cut_height=args.cut_height)
+    return material, tool, settings
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +193,12 @@ def cmd_inspect(args) -> int:
     path = Path(args.input)
     solid, warnings, entity_count = _load_solid(path, args.input_format)
     try:
-        lines, failure = _inspect_lines(solid, warnings, entity_count)
+        lines, failure = _inspect_lines(solid, entity_count)
     except BrepError as exc:
         # Geometry the face table cannot measure (an arc whose start point
         # sits on its circle's centre) fails like a manifold violation.
         raise CliError(EXIT_VALIDATION, str(exc)) from None
+    lines += [f"warning: {w}" for w in warnings]
     _write_output("\n".join(lines) + "\n", args.out)
     if failure is not None:
         # The listing shows every finding; the error line sums them up.
@@ -211,9 +206,9 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def _inspect_lines(solid: Solid, warnings: list[str],
-                   entity_count: int | None) -> tuple[list[str], str | None]:
-    """The diagnostic listing, and the validation failure message if any."""
+def _inspect_lines(solid: Solid, entity_count: int | None) -> tuple[list[str], str | None]:
+    """The diagnostic listing but the loader's warnings, and the validation
+    failure message if any."""
     lines = [f"part: {solid.name}"]
     if entity_count is not None:
         lines.append(f"entities: {entity_count}")
@@ -249,15 +244,13 @@ def _inspect_lines(solid: Solid, warnings: list[str],
     except RecognitionError as exc:
         lines.append(f"sheet metrics: unavailable ({exc})")
         return lines, str(exc)
-    for w in warnings:
-        lines.append(f"warning: {w}")
     return lines, None
 
 
 def cmd_features(args) -> int:
+    _check_overrides(args)
     path = Path(args.input)
     solid, warnings, _ = _load_solid(path, args.input_format)
-    _check_overrides(args)
     analysis = _analyze_validated(solid, args.cut_height)
     lines = [f"part: {solid.name}"]
     lines.append(f"thickness: {analysis.metrics.thickness:.6g} mm   "
@@ -288,22 +281,16 @@ def cmd_features(args) -> int:
     return EXIT_OK
 
 
-def _params_document(path: Path, args) -> dict:
-    solid, warnings, _ = _load_solid(path, args.input_format)
-    settings = _settings(args)
-    materials, tools = _load_dbs(args)
-    try:
-        mat = lookup(materials, args.material, "material")
-        tool = lookup(tools, args.tool, "tool")
-    except NotFound as exc:
-        raise CliError(EXIT_RESOURCE, str(exc)) from None
+def _params_document(path: Path, requested: str, plan: tuple) -> dict:
+    material, tool, settings = plan
+    solid, warnings, _ = _load_solid(path, requested)
     analysis = _analyze_validated(solid, settings.cut_height)
-    return report_document(analysis, mat, tool, settings, warnings)
+    return report_document(analysis, material, tool, settings, warnings)
 
 
 def cmd_params(args) -> int:
-    path = Path(args.input)
-    doc = _params_document(path, args)
+    plan = _plan(args)
+    doc = _params_document(Path(args.input), args.input_format, plan)
     text = _report.RENDERERS[args.format](doc)
     _write_output(text, args.out)
     feature_blocks = doc["features"]
@@ -315,7 +302,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    _check_overrides(args)
+    plan = _plan(args)
     in_dir = Path(args.input)
     if not in_dir.is_dir():
         raise CliError(EXIT_PARSE, f"{in_dir}: not a directory")
@@ -325,7 +312,7 @@ def cmd_batch(args) -> int:
     # directory can also be the output directory.
     model_files = sorted(
         p for p in in_dir.iterdir()
-        if p.suffix.lower() in (".step", ".stp", ".json") and p.is_file()
+        if p.suffix.lower() in _FORMATS and p.is_file()
         and p.name != "index.json" and not p.name.endswith(".report.json")
     )
     results = []
@@ -339,7 +326,7 @@ def cmd_batch(args) -> int:
                 raise CliError(EXIT_PARSE, f"{path}: report name {report_name} is already "
                                            f"taken by {report_owner[report_name]}")
             report_owner[report_name] = path.name
-            doc = _params_document(path, args)
+            doc = _params_document(path, "auto", plan)
             _atomic_write(out_dir / report_name, _report.render_json(doc))
             entry["report"] = report_name
         except CliError as exc:
@@ -427,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser("batch", help="process every model file in a directory")
     p_batch.add_argument("input", help="directory of model files")
-    p_batch.add_argument("--input-format", choices=("auto", "step", "brep-json"), default="auto")
     p_batch.add_argument("--out-dir", required=True, help="directory for per-model reports")
     _add_param_args(p_batch)
     p_batch.set_defaults(func=cmd_batch)

@@ -586,6 +586,17 @@ def _radius(eid: int, rec: SimpleEntity) -> float:
     return float(radius)
 
 
+def _flag(eid: int, rec: SimpleEntity, index: int, name: str) -> bool:
+    """The BOOLEAN argument ``index`` (orientation or same_sense): ``.T.`` or
+    ``.F.`` as written, ``$`` or no argument as ``.T.``."""
+    value = rec.args[index] if len(rec.args) > index else True
+    if value is True or value is False:
+        return value
+    if value is UNSET:
+        return True
+    raise UnsupportedGeometry(eid, f"{rec.keyword} (needs .T. or .F. for {name})")
+
+
 def _items(eid: int, rec: SimpleEntity) -> tuple:
     """The list in argument 2 (loop edges, face bounds, shell faces)."""
     if not isinstance(rec.args[1], tuple):
@@ -605,22 +616,15 @@ class _Resolver:
                 ) -> tuple[int, SimpleEntity]:
         """The simple entity that ``ref`` names, with the arguments the resolver
         reads and, unless ``keywords`` is None, one of ``keywords``."""
-        if type(ref) is Ref:
-            rec = self.entities.get(ref.id)
-            if (type(rec) is SimpleEntity and (keywords is None or rec.keyword in keywords)
-                    and len(rec.args) >= _MIN_ARGS.get(rec.keyword, 0)):
-                return ref.id, rec
-        # Otherwise the same checks one at a time, in the order their errors are reported.
-        if not isinstance(ref, Ref):
+        if type(ref) is not Ref:
             raise UnsupportedGeometry(from_id, f"expected entity reference, got {ref!r}")
         eid = ref.id
         rec = self.entities.get(eid)
-        if rec is None:
-            raise DanglingReference(from_id, eid)
-        if isinstance(rec, ComplexEntity):
-            raise UnsupportedGeometry(eid, rec.keyword)
-        needed = _MIN_ARGS.get(rec.keyword, 0)
-        if len(rec.args) < needed:
+        if type(rec) is not SimpleEntity:
+            if rec is None:
+                raise DanglingReference(from_id, eid)
+            raise UnsupportedGeometry(eid, rec.keyword)  # a complex instance
+        if len(rec.args) < (needed := _MIN_ARGS.get(rec.keyword, 0)):
             raise UnsupportedGeometry(eid, f"{rec.keyword} (needs {needed} arguments)")
         if keywords is not None and rec.keyword not in keywords:
             raise UnsupportedGeometry(eid, rec.keyword)
@@ -658,7 +662,7 @@ class _Resolver:
         v1 = self._vertex(eid, rec.args[1])
         v2 = self._vertex(eid, rec.args[2])
         curve_id, curve_rec = self._expect(eid, rec.args[3])
-        same_sense = rec.args[4] if len(rec.args) > 4 else True
+        same_sense = _flag(eid, rec, 4, "same_sense")
         if curve_rec.keyword == "LINE":
             pnt = self._point(curve_id, curve_rec.args[1])
             _, vec_rec = self._expect(curve_id, curve_rec.args[2], ("VECTOR",))
@@ -669,7 +673,7 @@ class _Resolver:
             radius = _radius(curve_id, curve_rec)
             # Arcs are stored start-to-end CCW about the axis; a reversed
             # EDGE_CURVE flips the axis so that rule keeps holding.
-            if same_sense is False:
+            if not same_sense:
                 axis = -axis
             curve = Circle(center, axis, radius)
         else:
@@ -679,9 +683,7 @@ class _Resolver:
 
     def _oriented_edge(self, from_id: int, ref) -> tuple[int, bool]:
         eid, rec = self._expect(from_id, ref, ("ORIENTED_EDGE",))
-        edge_id = self._edge(eid, rec.args[3])
-        sense = rec.args[4] if len(rec.args) > 4 else True
-        return edge_id, bool(sense)
+        return self._edge(eid, rec.args[3]), _flag(eid, rec, 4, "orientation")
 
     def _loop(self, from_id: int, ref, reverse: bool) -> int:
         eid, rec = self._expect(from_id, ref, ("EDGE_LOOP",))
@@ -705,8 +707,7 @@ class _Resolver:
         bounds: list[tuple[int, bool]] = []
         for bref in _items(eid, rec):
             bid, brec = self._expect(eid, bref, ("FACE_BOUND", "FACE_OUTER_BOUND"))
-            orientation = brec.args[2] if len(brec.args) > 2 else True
-            loop_id = self._loop(bid, brec.args[1], reverse=orientation is False)
+            loop_id = self._loop(bid, brec.args[1], reverse=not _flag(bid, brec, 2, "orientation"))
             bounds.append((loop_id, brec.keyword == "FACE_OUTER_BOUND"))
         surf_id, surf_rec = self._expect(eid, rec.args[2])
         if surf_rec.keyword == "PLANE":
@@ -717,11 +718,11 @@ class _Resolver:
             surface = Cylinder(point, axis, _radius(surf_id, surf_rec))
         else:
             raise UnsupportedGeometry(surf_id, surf_rec.keyword)
-        same_sense = rec.args[3] if len(rec.args) > 3 else True
+        same_sense = _flag(eid, rec, 3, "same_sense")
         if not any(outer for _, outer in bounds) and len(bounds) == 1:
             # Single FACE_BOUND: treat it as the outer bound.
             bounds[0] = (bounds[0][0], True)
-        self.faces[eid] = Face(eid, surface, bool(same_sense), tuple(bounds))
+        self.faces[eid] = Face(eid, surface, same_sense, tuple(bounds))
         return eid
 
     def resolve(self, default_name: str) -> Solid:

@@ -11,6 +11,7 @@ import pytest
 import modelzoo
 import punchplan
 from conftest import INT_DIGIT_LIMIT, fixture_path, needs_digit_limit
+from punchplan import cli
 from punchplan.cli import main
 from punchplan.report import CSV_HEADER
 from test_step_parser import INCH_UNIT, INCH_WARNING
@@ -117,6 +118,55 @@ def test_inspect_measures_cylinder_faces_before_the_manifold_check(capsys, tmp_p
     path = write_doc(tmp_path, doc, "open_hole_on_centres.json")
     assert run(capsys, "inspect", str(path)) == (
         3, "", "error: arc start point coincides with the circle center\n")
+
+
+SI_METRE_WARNINGS = [
+    "warning: entity #9001: SI_UNIT declares a non-millimetre length unit"
+    " (coordinates are read as millimetres regardless)",
+    "warning: ignored 1 SI_UNIT entities",
+]
+
+
+@pytest.mark.parametrize("old, new, last_finding, error", [
+    ("#132=", "#132=", "reference face: 75 (area 8000 mm2, opposite face 86)", None),
+    ("#75=ADVANCED_FACE('',(#74),#68,.T.);", "#75=ADVANCED_FACE('',(#74),#68,.F.);",
+     "sheet metrics: unavailable (no planar face anti-parallel to face 75 at distance 80.0)",
+     "no planar face anti-parallel to face 75 at distance 80.0"),
+    ("(#75,#86,#97,#108,#119,#130)", "(#75,#86,#97,#108,#119)",
+     "  non_manifold_edge: edge 64 used by 1 face loops (faces [119])",
+     "model is not a closed manifold: 4 violation(s), first non_manifold_edge: "
+     "edge 32 used by 1 face loops (faces [75])"),
+], ids=["passes", "no-sheet-metrics", "not-manifold"])
+def test_inspect_lists_the_warnings_whatever_the_outcome(capsys, tmp_path, old, new,
+                                                         last_finding, error):
+    path = _step_fixture_with(tmp_path, "#132=", "#9001=SI_UNIT($,.METRE.);\n#132=")
+    path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+    code, out, err = run(capsys, "inspect", str(path))
+    assert (code, err) == ((3, f"error: {error}\n") if error else (0, ""))
+    assert out.splitlines()[-3:] == [last_finding] + SI_METRE_WARNINGS
+
+
+@pytest.mark.parametrize("fixture, fmt, suffix", [
+    ("flat_sheet_100x80x2.step", "step", ".txt"),
+    ("row4_bridge.json", "brep-json", ".dat"),
+])
+@pytest.mark.parametrize("command", ["params", "inspect", "features"])
+def test_input_format_reads_a_file_of_any_extension(capsys, tmp_path, command, fixture, fmt,
+                                                    suffix):
+    copy = tmp_path / (Path(fixture).stem + suffix)
+    copy.write_bytes(fixture_path(fixture).read_bytes())
+    expected = run(capsys, command, str(fixture_path(fixture)))
+    assert expected[0] == 0
+    assert run(capsys, command, str(copy), "--input-format", fmt) == expected
+
+
+@pytest.mark.parametrize("command", ["params", "inspect", "features"])
+def test_unknown_extension_without_input_format_exits_2(capsys, tmp_path, command):
+    copy = tmp_path / "sheet.txt"
+    copy.write_bytes(fixture_path("flat_sheet_100x80x2.step").read_bytes())
+    assert run(capsys, command, str(copy)) == (
+        2, "", f"error: {copy}: cannot infer input format from extension '.txt'; "
+               "use --input-format\n")
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +387,12 @@ def _step_fixture_with(tmp_path, old: str, new: str) -> Path:
     ("#19=LINE('',#1,#18);", "#19=CIRCLE('',#67,-5.);"),
     ("#68=PLANE('',#67);", "#68=CYLINDRICAL_SURFACE('',#67,0.);"),
     ("#68=PLANE('',#67);", "#68=CYLINDRICAL_SURFACE('',#67,-2.);"),
+    ("#69=ORIENTED_EDGE('',*,*,#32,.F.);", "#69=ORIENTED_EDGE('',*,*,#32,0);"),
 ], ids=[
     "zero-direction", "string-coordinate", "reference-coordinate", "short-vertex-point",
     "short-edge-curve", "short-axis2-placement", "face-bounds-not-a-list",
     "zero-circle-radius", "negative-circle-radius", "zero-cylinder-radius",
-    "negative-cylinder-radius",
+    "negative-cylinder-radius", "integer-orientation",
 ])
 def test_params_step_outside_geometry_subset_exits_2(capsys, tmp_path, old, new):
     code, _, err = run(capsys, "params", str(_step_fixture_with(tmp_path, old, new)))
@@ -531,6 +582,15 @@ def _leftovers(directory: Path) -> list[str]:
     return sorted(p.name for p in directory.iterdir() if p.name.endswith(".tmp"))
 
 
+def test_out_with_a_long_file_name(capsys, tmp_path):
+    # 250 bytes, within the usual 255-byte limit on one file name.
+    target = tmp_path / ("r" * 245 + ".json")
+    bridge = str(fixture_path("row4_bridge.json"))
+    assert run(capsys, "params", bridge, "--out", str(target)) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == run(capsys, "params", bridge)[1]
+    assert _leftovers(tmp_path) == []
+
+
 @pytest.mark.parametrize("command", ["params", "inspect", "features"])
 def test_out_naming_a_directory_exits_2(capsys, tmp_path, command):
     target = tmp_path / "reports"
@@ -675,12 +735,44 @@ def test_batch_rejects_nonpositive_override_before_any_model(capsys, tmp_path):
 def test_batch_has_no_format_flag(capsys, tmp_path):
     models = tmp_path / "models"
     models.mkdir()
-    with pytest.raises(SystemExit) as exc:
-        main(["batch", str(models), "--out-dir", str(tmp_path / "reports"), "--format", "csv"])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2
-    assert (captured.out, captured.err) == ("", "error: unrecognized arguments: --format csv\n")
-    assert not (tmp_path / "reports").exists()
+    for flag, value in (("--format", "csv"), ("--input-format", "step")):
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", str(models), "--out-dir", str(tmp_path / "reports"), flag, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert (captured.out, captured.err) == ("", f"error: unrecognized arguments: {flag} {value}\n")
+        assert not (tmp_path / "reports").exists()
+
+
+def test_batch_plans_once_before_any_model(capsys, tmp_path, monkeypatch):
+    models = tmp_path / "models"
+    models.mkdir()
+    for name in ("row1_shelf.json", "row4_bridge.json", "flat_sheet_100x80x2.step"):
+        models.joinpath(name).write_bytes(fixture_path(name).read_bytes())
+    db = tmp_path / "materials.json"
+    db.write_text(json.dumps({"materials": [
+        {"name": "copper", "shear_stress": 45, "yield_stress": 70}]}))
+    loads = []
+    load = cli.load_materials
+    monkeypatch.setattr(cli, "load_materials", lambda text: loads.append(text) or load(text))
+    reports = tmp_path / "reports"
+    argv = ["batch", str(models), "--out-dir", str(reports), "--materials-db", str(db)]
+    assert run(capsys, *argv, "--material", "copper")[:2] == (
+        0, "processed 3 model(s), 3 ok, 0 failed\n")
+    assert len(loads) == 1
+    # An unknown material exits 4 before any model is read or --out-dir made.
+    monkeypatch.setattr(cli, "_load_solid", None)
+    code, out, err = run(capsys, *argv, "--material", "nope", "--out-dir", str(tmp_path / "new"))
+    assert (code, out) == (4, "") and err.startswith("error: unknown material 'nope'")
+    assert err.count("\n") == 1 and not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["params", "--material", "nope"], ["params", "--kd", "0"], ["features", "--cut-height", "0"],
+], ids=["params-material", "params-override", "features-override"])
+def test_flags_are_checked_before_the_model_is_read(capsys, tmp_path, argv):
+    code, out, err = run(capsys, argv[0], str(tmp_path / "missing.json"), *argv[1:])
+    assert (code, out) == (4, "") and err.count("\n") == 1
 
 
 def test_batch_over_fixture_rows(capsys, tmp_path):

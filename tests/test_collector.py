@@ -87,7 +87,7 @@ def _case(tmp_path: Path, name: str) -> list[str]:
 def test_a_command_leaves_no_cyclic_garbage(capsys, tmp_path, name):
     code, garbage = _cyclic_garbage(_case(tmp_path, name))
     capsys.readouterr()
-    assert code == {"batch": 1, "batch-exit-4": 1, "exit-2": 2, "exit-3": 3, "exit-4": 4,
+    assert code == {"batch": 1, "batch-exit-4": 4, "exit-2": 2, "exit-3": 3, "exit-4": 4,
                     "exit-5": 5, "usage": 2}.get(name, 0)
     assert garbage == 0
 

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from punchplan.brep import validate_manifold
 from punchplan.step import (
     MAX_NESTING,
     DanglingReference,
@@ -357,6 +358,84 @@ def test_reachable_complex_instance_rejected(step_sheet_text):
 def test_non_positive_instance_name_rejected():
     with pytest.raises(StepSyntaxError):
         parse_exchange(wrap("#0=CARTESIAN_POINT('',(0.,0.,0.));\n"))
+
+
+# The BOOLEAN flag of each entity kind that has one, on a record of the sheet
+# fixture: the record as written there, the flag's name, what the resolved
+# solid shows of the flag, and what it shows for .T. and for .F. FACE_BOUND is
+# the fixture's FACE_OUTER_BOUND renamed; edge #20 is made an arc, whose axis
+# turns over with its same_sense (a line ignores it).
+FLAG_RECORDS = {
+    "ORIENTED_EDGE": ("#69=ORIENTED_EDGE('',*,*,#32,.F.);", "orientation",
+                      lambda s: s.loops[73].oriented_edges[0], (32, True), (32, False)),
+    "FACE_OUTER_BOUND": ("#74=FACE_OUTER_BOUND('',#73,.T.);", "orientation",
+                         lambda s: s.loops[73].oriented_edges[0], (32, False), (20, True)),
+    "FACE_BOUND": ("#74=FACE_OUTER_BOUND('',#73,.T.);", "orientation",
+                   lambda s: s.loops[73].oriented_edges[0], (32, False), (20, True)),
+    "EDGE_CURVE": ("#20=EDGE_CURVE('',#9,#10,#19,.T.);", "same_sense",
+                   lambda s: s.edges[20].curve.axis, (0, 0, -1), (0, 0, 1)),
+    "ADVANCED_FACE": ("#75=ADVANCED_FACE('',(#74),#68,.T.);", "same_sense",
+                      lambda s: s.faces[75].same_sense, True, False),
+}
+
+
+def flag_written(text: str, keyword: str, flag: str) -> str:
+    """The sheet fixture's ``text`` with ``keyword``'s flag written ``flag``
+    (with the comma before it), or left out if ``flag`` is empty."""
+    record = FLAG_RECORDS[keyword][0]
+    text = text.replace(record, record[:record.rindex(",")] + flag + ");")
+    if keyword == "FACE_BOUND":
+        text = text.replace("#74=FACE_OUTER_BOUND(", "#74=FACE_BOUND(")
+    elif keyword == "EDGE_CURVE":
+        text = text.replace("#19=LINE('',#1,#18);", "#19=CIRCLE('',#67,5.);")
+    return text
+
+
+@pytest.mark.parametrize("keyword", FLAG_RECORDS)
+@pytest.mark.parametrize("flag, read", [(",.T.", True), (",$", True), ("", True), (",.F.", False)],
+                         ids=["T", "unset", "absent", "F"])
+def test_boolean_flag_reads_as_written_and_unset_as_true(step_sheet_text, keyword, flag, read):
+    _, _, shown, when_true, when_false = FLAG_RECORDS[keyword]
+    solid = load_step(flag_written(step_sheet_text, keyword, flag))
+    assert shown(solid) == (when_true if read else when_false)
+
+
+@pytest.mark.parametrize("keyword", FLAG_RECORDS)
+@pytest.mark.parametrize("flag", [",0", ",''", ",1", ",.X."], ids=["0", "empty-string", "1", "X"])
+def test_boolean_flag_of_another_value_is_unsupported(step_sheet_text, keyword, flag):
+    record, name = FLAG_RECORDS[keyword][:2]
+    eid = int(record[1:record.index("=")])
+    with pytest.raises(UnsupportedGeometry) as exc:
+        load_step(flag_written(step_sheet_text, keyword, flag))
+    assert str(exc.value) == (f"entity #{eid} ({keyword} (needs .T. or .F. for {name})) "
+                              "is outside the supported geometry subset")
+
+
+def test_loop_bounding_two_faces_in_opposite_senses_gets_a_twin():
+    # A two-sided triangle: both faces are bounded by EDGE_LOOP #22, one in each sense.
+    solid = load_step(wrap(
+        "#1=CARTESIAN_POINT('',(0.,0.,0.));\n#2=CARTESIAN_POINT('',(10.,0.,0.));\n"
+        "#3=CARTESIAN_POINT('',(0.,10.,0.));\n"
+        "#4=VERTEX_POINT('',#1);\n#5=VERTEX_POINT('',#2);\n#6=VERTEX_POINT('',#3);\n"
+        "#7=DIRECTION('',(1.,0.,0.));\n#8=VECTOR('',#7,1.);\n#9=LINE('',#1,#8);\n"
+        "#10=EDGE_CURVE('',#4,#5,#9,.T.);\n"
+        "#11=DIRECTION('',(-1.,1.,0.));\n#12=VECTOR('',#11,1.);\n#13=LINE('',#2,#12);\n"
+        "#14=EDGE_CURVE('',#5,#6,#13,.T.);\n"
+        "#15=DIRECTION('',(0.,-1.,0.));\n#16=VECTOR('',#15,1.);\n#17=LINE('',#3,#16);\n"
+        "#18=EDGE_CURVE('',#6,#4,#17,.T.);\n"
+        "#19=ORIENTED_EDGE('',*,*,#10,.T.);\n#20=ORIENTED_EDGE('',*,*,#14,.T.);\n"
+        "#21=ORIENTED_EDGE('',*,*,#18,.T.);\n#22=EDGE_LOOP('',(#19,#20,#21));\n"
+        "#23=FACE_OUTER_BOUND('',#22,.T.);\n#24=FACE_OUTER_BOUND('',#22,.F.);\n"
+        "#25=DIRECTION('',(0.,0.,1.));\n#26=DIRECTION('',(1.,0.,0.));\n"
+        "#27=AXIS2_PLACEMENT_3D('',#1,#25,#26);\n#28=PLANE('',#27);\n"
+        "#29=ADVANCED_FACE('',(#23),#28,.T.);\n#30=ADVANCED_FACE('',(#24),#28,.F.);\n"
+        "#31=CLOSED_SHELL('',(#29,#30));\n#32=MANIFOLD_SOLID_BREP('',#31);\n"
+    ))
+    assert sorted(solid.loops) == [-22, 22]
+    assert solid.loops[22].oriented_edges == ((10, True), (14, True), (18, True))
+    assert solid.loops[-22].oriented_edges == ((18, False), (14, False), (10, False))
+    assert solid.faces[29].bounds == ((22, True),) and solid.faces[30].bounds == ((-22, True),)
+    assert validate_manifold(solid) == []
 
 
 def test_ignored_keywords_counted(step_sheet_text):
