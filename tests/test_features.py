@@ -12,6 +12,7 @@ from punchplan import brep, features
 from punchplan.brep import Circle, Cylinder, Face, Loop, Plane, Solid
 from punchplan.features import (
     AmbiguousPairing,
+    FacePairing,
     FeatureKind,
     NoOppositeFace,
     NoParallelFeatureFace,
@@ -405,6 +406,25 @@ def test_every_interior_loop_owned_once(shelf_sheet, hole_sheet):
         inner = {lid for lid, outer in rf.bounds if not outer}
         owned = [lid for f in feats for lid in f.interior_loops]
         assert sorted(owned) == sorted(inner)
+
+
+def test_hole_bordering_two_features_joins_the_first_member_edge(bridge_sheet):
+    # With the deck skins 11 and 12 taken for side faces, the bridge's two leg
+    # pairs are two features, and its one hole (loop 2) borders both: edge 6
+    # faces leg skin 8, edge 8 faces leg skin 7, edges 5 and 7 face side faces.
+    # The hole joins the feature across its lowest-id edge with a member face,
+    # edge 6, not the feature with the smaller root, and makes it mixed.
+    m = sheet_metrics(bridge_sheet)
+    roles = {fid: Role.SIDE for fid in bridge_sheet.faces}
+    roles[1] = roles[2] = Role.REFERENCE
+    for fid in (7, 8, 9, 10):
+        roles[fid] = Role.WALL
+    pairing = FacePairing(roles, {1: (7, 9), 2: (8, 10)})
+    feats = group_features(bridge_sheet, pairing, m)
+    assert feats == [
+        SheetFeature(1, frozenset({7, 9}), FeatureKind.FORMED, frozenset()),
+        SheetFeature(2, frozenset({8, 10}), FeatureKind.MIXED, frozenset({2})),
+    ]
 
 
 # ---------------------------------------------------------------------------
