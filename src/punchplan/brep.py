@@ -138,7 +138,11 @@ class Face:
 
 
 class Solid:
-    """Closed-shell B-Rep with an eagerly built edge -> face-use index."""
+    """Closed-shell B-Rep with an eagerly built edge -> face-use index.
+
+    A Solid owns the vertex, edge, loop and face maps it is given; the caller
+    must not change them afterwards.
+    """
 
     def __init__(
         self,
@@ -149,10 +153,10 @@ class Solid:
         faces: dict[int, Face],
     ):
         self.name = name
-        self.vertices = dict(vertices)
-        self.edges = dict(edges)
-        self.loops = dict(loops)
-        self.faces = dict(faces)
+        self.vertices = vertices
+        self.edges = edges
+        self.loops = loops
+        self.faces = faces
         # Adjacency counts every loop use; a well-formed solid has two uses per edge.
         # Building it checks each reference once: edge vertices, loop edges, face loops.
         uses: dict[int, list[int]] = {}

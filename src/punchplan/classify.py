@@ -86,12 +86,11 @@ def classify_reference_edges(
                     eid, f"expected exactly one non-reference adjacent face, found {others}"
                 )
             other = others[0]
-            role = pairing.role_of(other)
-            if role is Role.REFERENCE:
+            if pairing.role_of(other) is Role.REFERENCE:
                 raise InconsistentTopology(
                     eid, "adjacent face belongs to the reference pair"
                 )
-            common = role in (Role.WALL, Role.BEND)
+            common = pairing.is_member(other)
             if is_outer:
                 cls = EdgeClass.CEE if common else EdgeClass.IEE
             else:

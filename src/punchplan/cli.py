@@ -7,7 +7,8 @@ failure, 4 unknown material/tool or invalid override, 5 no feature produced
 parameters. Exits 2 to 5 write one ``error:`` line on stderr.
 
 The PUNCHPLAN_DB_DIR environment variable may point at a directory holding
-``materials.json`` / ``tools.json`` used as default databases.
+``materials.json`` / ``tools.json`` used as default databases; a set value
+that names no such directory exits 4.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from pathlib import Path
 from typing import NoReturn
 
@@ -122,10 +122,12 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _atomic_write(target: Path, text: str) -> None:
     """Replace ``target`` by way of a temporary file beside it, whose short name
-    does not grow with the target's. A target that cannot be written exits 2
-    and leaves no temporary file."""
+    does not grow with the target's. The file gets the mode a plain new file
+    gets, 0o666 less the umask. A target that cannot be written exits 2 and
+    leaves no temporary file."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=str(target.parent), prefix="punchplan-", suffix=".tmp")
+        tmp = target.parent / f"punchplan-{os.urandom(4).hex()}.tmp"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -165,16 +167,27 @@ def _plan(args) -> tuple:
     """The (material, tool, settings) of a ``params`` or ``batch`` run, checked
     before any model is read: the overrides, the databases (each flag, else
     PUNCHPLAN_DB_DIR's file, over the built-in one) and the material and tool
-    looked up in them. Every failure exits 4."""
+    looked up in them. A set PUNCHPLAN_DB_DIR that is not a directory holding
+    at least one of the two files is an error too. Every failure exits 4."""
     _check_overrides(args)
     db_dir = os.environ.get(DB_DIR_ENV)
+    env_dbs = {}
+    if db_dir:
+        directory = Path(db_dir)
+        if not directory.is_dir():
+            raise CliError(EXIT_RESOURCE, f"{DB_DIR_ENV}={db_dir}: not a directory")
+        env_dbs = {name: directory / name for name in ("materials.json", "tools.json")
+                   if (directory / name).exists()}
+        if not env_dbs:
+            raise CliError(EXIT_RESOURCE, f"{DB_DIR_ENV}={db_dir}: holds neither materials.json "
+                                          "nor tools.json")
     dbs = []
     try:
         for path, name, db, load in ((args.materials_db, "materials.json", builtin_materials(),
                                       load_materials),
                                      (args.tools_db, "tools.json", builtin_tools(), load_tools)):
-            if path is None and db_dir and (Path(db_dir) / name).exists():
-                path = Path(db_dir) / name
+            if path is None:
+                path = env_dbs.get(name)
             dbs.append(db if path is None else merge(db, load(_read_text(Path(path), EXIT_RESOURCE))))
         material = lookup(dbs[0], args.material, "material")
         tool = lookup(dbs[1], args.tool, "tool")

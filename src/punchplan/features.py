@@ -368,27 +368,22 @@ def compute_thickness(solid: Solid) -> float:
 
 def select_reference_face(solid: Solid) -> int:
     """Largest planar face; co-maximal areas tie-break toward the smaller id."""
-    areas = [(g.area, g.id) for g in face_table(solid).planes]
-    if not areas:
+    planes = face_table(solid).planes
+    if not planes:
         raise NoPlanarFace()
-    best_area = max(a for a, _ in areas)
-    co_maximal = [fid for a, fid in areas if math.isclose(a, best_area, rel_tol=1e-9)]
-    return min(co_maximal)
+    best_area = max(g.area for g in planes)
+    return min(g.id for g in planes if math.isclose(g.area, best_area, rel_tol=1e-9))
 
 
 def _opposite_face(solid: Solid, rf_id: int, thickness: float) -> int:
     table = face_table(solid)
     rf = table.faces[rf_id]
-    candidates: list[tuple[float, int]] = []
-    for g in table.opposed_at(rf, thickness):
-        if not rf.normal.dot(g.normal) <= -_COS_ANGULAR_TOL:
-            continue
-        d = abs(_signed_separation(rf, g))
-        if abs(d - thickness) <= TOL:
-            candidates.append((-g.area, g.id))
-    if not candidates:
+    best = min(((-g.area, g.id) for g in table.opposed_at(rf, thickness)
+                if rf.normal.dot(g.normal) <= -_COS_ANGULAR_TOL
+                and abs(abs(_signed_separation(rf, g)) - thickness) <= TOL), default=None)
+    if best is None:
         raise NoOppositeFace(rf_id, thickness)
-    return min(candidates)[1]
+    return best[1]
 
 
 def sheet_metrics(solid: Solid) -> SheetMetrics:
@@ -436,15 +431,17 @@ def pair_faces(solid: Solid, metrics: SheetMetrics) -> FacePairing:
 
     Faces are taken in decreasing sort measure (ties by id). A planar face
     looks for partners only among the faces its opposite buckets hold at
-    offsets one thickness away; a cylindrical face scans the cylinders.
+    offsets one thickness away; a cylindrical face scans the cylinders. Every
+    face is a side face until it pairs.
     """
     t = metrics.thickness
     table = face_table(solid)
-    roles = {metrics.reference_face: Role.REFERENCE, metrics.opposite_face: Role.REFERENCE}
+    side = Role.SIDE
+    roles = dict.fromkeys(solid.faces, side)
+    roles[metrics.reference_face] = roles[metrics.opposite_face] = Role.REFERENCE
     pairs: dict[int, tuple[int, int]] = {}
-    remaining = [table.faces[fid] for fid in solid.faces if fid not in roles]
-    remaining.sort(key=lambda g: (-g.measure, g.id))
-    unpaired = {g.id for g in remaining}
+    remaining = sorted((table.faces[fid] for fid, role in roles.items() if role is side),
+                       key=lambda g: (-g.measure, g.id))
 
     def qualifies(a: FaceGeometry, b: FaceGeometry) -> bool:
         if a.normal is not None:
@@ -457,27 +454,21 @@ def pair_faces(solid: Solid, metrics: SheetMetrics) -> FacePairing:
             and _cylinders_face_each_other(solid, a, b)
         )
 
-    next_pair = 1
     for f in remaining:
-        if f.id not in unpaired:
+        if roles[f.id] is not side:
             continue
         if f.normal is not None:
             shortlist = table.opposed_at(f, t)
         else:
             shortlist = table.cylinders
         candidates = [g for g in shortlist
-                      if g.id != f.id and g.id in unpaired and qualifies(f, g)]
+                      if g.id != f.id and roles[g.id] is side and qualifies(f, g)]
         if len(candidates) > 1:
             raise AmbiguousPairing(f.id, [g.id for g in candidates])
         if candidates:
             g = candidates[0]
             roles[f.id] = roles[g.id] = Role.WALL if f.normal is not None else Role.BEND
-            pairs[next_pair] = (f.id, g.id)
-            unpaired.difference_update((f.id, g.id))
-            next_pair += 1
-    for f in remaining:
-        if f.id in unpaired:
-            roles[f.id] = Role.SIDE
+            pairs[len(pairs) + 1] = (f.id, g.id)
     return FacePairing(roles, pairs)
 
 
@@ -506,7 +497,10 @@ def group_features(solid: Solid, pairing: FacePairing, metrics: SheetMetrics) ->
 
     Two member faces belong to the same feature when they share an edge or
     form a wall/bend pair (the two skins of one wall never touch directly;
-    the pair relation is what joins them).
+    the pair relation is what joins them). Each reference-face hole joins the
+    feature of the first member face across its edges, in edge-id order, and
+    makes it mixed if any of its edges faces a side face; a hole with no
+    member face across it is a cut feature of its own.
     """
     members = sorted(fid for fid in solid.faces if pairing.is_member(fid))
     uf = _UnionFind(members)
@@ -518,47 +512,39 @@ def group_features(solid: Solid, pairing: FacePairing, metrics: SheetMetrics) ->
         for a, b in zip(shared, shared[1:]):
             uf.union(a, b)
 
-    components: dict[int, set[int]] = {}
+    faces_of: dict[int, set[int]] = {}
     for fid in members:
-        components.setdefault(uf.find(fid), set()).add(fid)
-
+        faces_of.setdefault(uf.find(fid), set()).add(fid)
+    holes_of: dict[int, set[int]] = {}
+    mixed: set[int] = set()
+    cuts: list[int] = []
     rf = solid.faces[metrics.reference_face]
-    loop_attachment: dict[int, int | None] = {}
-    loop_has_sheared_edge: dict[int, bool] = {}
-    for lid in rf.inner_loops():
-        attached_root: int | None = None
-        sheared = False
-        for eid, _ in sorted(solid.loops[lid].oriented_edges):
-            other = next((fid for fid in solid.edge_uses[eid] if fid != rf.id), None)
-            if other in member_set:
-                if attached_root is None:
-                    attached_root = uf.find(other)
-            else:
-                sheared = True
-        loop_attachment[lid] = attached_root
-        loop_has_sheared_edge[lid] = sheared
+    for lid in sorted(set(rf.inner_loops())):
+        across = [next((fid for fid in solid.edge_uses[eid] if fid != rf.id), None)
+                  for eid, _ in sorted(solid.loops[lid].oriented_edges)]
+        first = next((fid for fid in across if fid in member_set), None)
+        if first is None:
+            cuts.append(lid)
+            continue
+        root = uf.find(first)
+        holes_of.setdefault(root, set()).add(lid)
+        if any(fid not in member_set for fid in across):
+            mixed.add(root)
 
-    features: list[SheetFeature] = []
-    next_id = 1
-    for root in sorted(components):
-        faces = components[root]
-        loops = {lid for lid, r in loop_attachment.items() if r == root}
-        mixed = any(loop_has_sheared_edge[lid] for lid in loops)
-        features.append(SheetFeature(
-            id=next_id,
-            member_faces=frozenset(faces),
-            kind=FeatureKind.MIXED if mixed else FeatureKind.FORMED,
-            interior_loops=frozenset(loops),
-        ))
-        next_id += 1
-    for lid in sorted(lid for lid, r in loop_attachment.items() if r is None):
-        features.append(SheetFeature(
-            id=next_id,
-            member_faces=frozenset(),
-            kind=FeatureKind.CUT,
-            interior_loops=frozenset({lid}),
-        ))
-        next_id += 1
+    features = [
+        SheetFeature(
+            id=i,
+            member_faces=frozenset(faces_of[root]),
+            kind=FeatureKind.MIXED if root in mixed else FeatureKind.FORMED,
+            interior_loops=frozenset(holes_of.get(root, ())),
+        )
+        for i, root in enumerate(sorted(faces_of), 1)
+    ]
+    features += [
+        SheetFeature(id=i, member_faces=frozenset(), kind=FeatureKind.CUT,
+                     interior_loops=frozenset({lid}))
+        for i, lid in enumerate(cuts, len(features) + 1)
+    ]
     return features
 
 
@@ -578,14 +564,9 @@ def feature_height(
     table = face_table(solid)
     rf = table.faces[metrics.reference_face]
     n = metrics.reference_normal
-    best: float | None = None
-    for fid in sorted(feature.member_faces):
-        g = table.faces[fid]
-        if g.normal is None or g.normal.dot(n) <= FACING_DOT:
-            continue
-        d = abs(_signed_separation(rf, g))
-        if best is None or d > best:
-            best = d
+    facing = (table.faces[fid] for fid in feature.member_faces)
+    best = max((abs(_signed_separation(rf, g)) for g in facing
+                if g.normal is not None and g.normal.dot(n) > FACING_DOT), default=None)
     if best is None:
         raise NoParallelFeatureFace(feature.id)
     return best

@@ -7,10 +7,11 @@ from punchplan.brep import Circle, Edge, Line, Solid
 from punchplan.classify import (
     EdgeClass,
     EdgeClassTotals,
+    InconsistentTopology,
     classify_reference_edges,
     totals,
 )
-from punchplan.features import group_features, pair_faces, sheet_metrics
+from punchplan.features import FacePairing, Role, group_features, pair_faces, sheet_metrics
 from punchplan.geom import vec
 
 
@@ -89,6 +90,17 @@ def test_both_axes_present_across_fixture_set(l_bend, bridge_sheet):
         _, _, cls = classified(solid)
         seen.update(cls for _, cls in cls.all_edges())
     assert seen == set(EdgeClass)
+
+
+def test_reference_role_across_a_reference_edge_is_inconsistent(flat_sheet):
+    # Side face 4 lies across edge 2 of reference face 1; a pairing that puts
+    # it in the reference pair contradicts the topology.
+    m = sheet_metrics(flat_sheet)
+    roles = {1: Role.REFERENCE, 2: Role.REFERENCE, 3: Role.SIDE, 4: Role.REFERENCE,
+             5: Role.SIDE, 6: Role.SIDE}
+    with pytest.raises(InconsistentTopology) as exc:
+        classify_reference_edges(flat_sheet, m, FacePairing(roles, {}), [])
+    assert str(exc.value) == "edge 2: adjacent face belongs to the reference pair"
 
 
 def test_totals_direct_sums(bridge_sheet):

@@ -2,6 +2,7 @@
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -120,6 +121,17 @@ def test_inspect_measures_cylinder_faces_before_the_manifold_check(capsys, tmp_p
         3, "", "error: arc start point coincides with the circle center\n")
 
 
+def test_inspect_lists_cylinder_faces_without_area_or_normal(capsys):
+    code, out, err = run(capsys, "inspect", str(fixture_path("l_bend.json")))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[lines.index("  id    kind      area_mm2      outward_normal") + 3:][:3] == [
+        "  3     plane     80            (-1,0,0)",
+        "  4     cylinder  -             -",
+        "  5     cylinder  -             -",
+    ]
+
+
 SI_METRE_WARNINGS = [
     "warning: entity #9001: SI_UNIT declares a non-millimetre length unit"
     " (coordinates are read as millimetres regardless)",
@@ -208,6 +220,17 @@ def test_features_orders_edges_by_id(capsys):
     assert ids == sorted(ids)
 
 
+def test_features_lists_the_loader_warnings(capsys, tmp_path):
+    path = _step_fixture_with(tmp_path, "#132=", "#9001=SI_UNIT($,.METRE.);\n#132=")
+    assert run(capsys, "features", str(path)) == (0, "\n".join([
+        "part: flat_sheet_100x80x2",
+        "thickness: 2 mm   reference face: 75",
+        "no features",
+        "part-level edges: 4 IEE (total length 360.000000)",
+        *SI_METRE_WARNINGS,
+    ]) + "\n", "")
+
+
 # ---------------------------------------------------------------------------
 # params
 # ---------------------------------------------------------------------------
@@ -232,6 +255,60 @@ def test_params_csv_header_and_row(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[1] == "1,mixed,2,0,2,2,100,60,0,10,20000,8400,4000,0.667,9.333,true"
+
+
+HOOD_SHEAR_ERROR = ("feature height 10.0 mm is smaller than the shear travel 18 mm; "
+                    "the tool cannot complete the shear before reaching the feature height")
+
+
+def test_params_csv_row_of_a_failed_feature(capsys):
+    code, out, err = run(capsys, "params", str(fixture_path("row3_hood.json")),
+                         "--h1-fraction", "9", "--format", "csv")
+    assert out == f"{CSV_HEADER}\n1,mixed,2,0,3,1,50,71,0,10,,,,,,\n"
+    assert (code, err) == (
+        5, f"error: none of 1 feature(s) produced parameters; first: {HOOD_SHEAR_ERROR}\n")
+
+
+def test_params_table(capsys):
+    code, out, err = run(capsys, "params", str(fixture_path("row4_bridge.json")),
+                         "--format", "table")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "part: row4_bridge",
+        "t = 2 mm   reference face 1   material low_carbon_steel   tool punching_press",
+        "feature  kind   t  n_CEE  n_CIE  n_IIE  TLIIEs  TLCIEs  TLCEEs  h   Fs     Fd    Fh    H1"
+        "     H2     capacity_ok",
+        "1        mixed  2  0      2      2      100     60      0       10  20000  8400  4000  0.667"
+        "  9.333  true",
+    ]
+
+
+def test_params_table_of_a_failed_feature(capsys):
+    code, out, err = run(capsys, "params", str(fixture_path("row3_hood.json")),
+                         "--h1-fraction", "9", "--format", "table")
+    assert out.splitlines() == [
+        "part: row3_hood",
+        "t = 2 mm   reference face 1   material low_carbon_steel   tool punching_press",
+        "feature  kind   t  n_CEE  n_CIE  n_IIE  TLIIEs  TLCIEs  TLCEEs  h   Fs  Fd  Fh  H1  H2"
+        "  capacity_ok",
+        "1        mixed  2  0      3      1      50      71      0       10",
+        f"feature 1: ERROR {HOOD_SHEAR_ERROR}",
+    ]
+    assert (code, err) == (
+        5, f"error: none of 1 feature(s) produced parameters; first: {HOOD_SHEAR_ERROR}\n")
+
+
+def test_params_table_lists_the_loader_warnings(capsys, tmp_path):
+    path = _step_fixture_with(tmp_path, "#132=", "#9001=SI_UNIT($,.METRE.);\n#132=")
+    code, out, err = run(capsys, "params", str(path), "--format", "table")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "part: flat_sheet_100x80x2",
+        "t = 2 mm   reference face 75   material low_carbon_steel   tool punching_press",
+        "feature  kind  t  n_CEE  n_CIE  n_IIE  TLIIEs  TLCIEs  TLCEEs  h  Fs  Fd  Fh  H1  H2"
+        "  capacity_ok",
+        *SI_METRE_WARNINGS,
+    ]
 
 
 def test_params_kd_override_scales_fd(capsys):
@@ -888,6 +965,78 @@ def test_batch_into_its_own_input_directory_twice(capsys, tmp_path):
     assert {n: (src / n).read_text() for n in reports} == reports
     assert [r["file"] for r in json.loads(index)["results"]] == [
         "row1_shelf.json", "row4_bridge.json"]
+
+
+def _bridge_models(tmp_path: Path) -> Path:
+    models = tmp_path / "models"
+    models.mkdir()
+    models.joinpath("row4_bridge.json").write_bytes(fixture_path("row4_bridge.json").read_bytes())
+    return models
+
+
+def test_batch_on_a_regular_file_exits_2(capsys, tmp_path):
+    model = _bridge_models(tmp_path) / "row4_bridge.json"
+    code, out, err = run(capsys, "batch", str(model), "--out-dir", str(tmp_path / "reports"))
+    assert (code, out, err) == (2, "", f"error: {model}: not a directory\n")
+    assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("layout, problem", [
+    ("missing", "not a directory"),
+    ("file", "not a directory"),
+    ("other-files", "holds neither materials.json nor tools.json"),
+])
+@pytest.mark.parametrize("command", ["params", "batch"])
+def test_db_dir_without_a_database_exits_4(capsys, tmp_path, monkeypatch, command, layout,
+                                           problem):
+    db_dir = tmp_path / "db"
+    if layout == "file":
+        db_dir.write_text("{}")
+    elif layout == "other-files":
+        db_dir.mkdir()
+        db_dir.joinpath("material.json").write_text("{}")
+    monkeypatch.setenv("PUNCHPLAN_DB_DIR", str(db_dir))
+    if command == "batch":
+        argv = [command, str(_bridge_models(tmp_path)), "--out-dir", str(tmp_path / "reports")]
+    else:
+        argv = [command, str(fixture_path("row4_bridge.json"))]
+    assert run(capsys, *argv) == (4, "", f"error: PUNCHPLAN_DB_DIR={db_dir}: {problem}\n")
+    assert not (tmp_path / "reports").exists()
+
+
+def test_db_dir_with_one_database_keeps_the_other_built_in(capsys, tmp_path, monkeypatch):
+    (tmp_path / "tools.json").write_text(json.dumps({"tools": [
+        {"name": "small_press", "force_coefficient": 0.3},
+    ]}))
+    monkeypatch.setenv("PUNCHPLAN_DB_DIR", str(tmp_path))
+    code, out, err = run(capsys, "params", str(fixture_path("row4_bridge.json")),
+                         "--tool", "small_press")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["material"]["name"], doc["tool"]["name"]) == ("low_carbon_steel", "small_press")
+
+
+def test_empty_db_dir_means_unset(capsys, monkeypatch):
+    argv = ["params", str(fixture_path("row4_bridge.json"))]
+    expected = run(capsys, *argv)
+    monkeypatch.setenv("PUNCHPLAN_DB_DIR", "")
+    assert run(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_reports_get_the_mode_of_a_new_file(capsys, tmp_path, umask, mode):
+    models = _bridge_models(tmp_path)
+    previous = os.umask(umask)
+    try:
+        assert run(capsys, "params", str(models / "row4_bridge.json"),
+                   "--out", str(tmp_path / "report.json"))[0] == 0
+        assert run(capsys, "batch", str(models), "--out-dir", str(tmp_path / "reports"))[0] == 0
+    finally:
+        os.umask(previous)
+    written = [tmp_path / "report.json", tmp_path / "reports" / "row4_bridge.report.json",
+               tmp_path / "reports" / "index.json"]
+    assert [oct(stat.S_IMODE(p.stat().st_mode)) for p in written] == [oct(mode)] * 3
 
 
 # ---------------------------------------------------------------------------
