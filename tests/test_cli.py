@@ -1077,3 +1077,32 @@ def test_repeated_main_calls_match_calls_made_alone(capsys):
         if key not in alone:
             alone[key] = _run_alone(argv)
         assert result == alone[key], argv
+
+
+# ---------------------------------------------------------------------------
+# Inputs that take only the general paths of resolving and recognition
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["features", "params"])
+def test_bend_skin_with_reversed_axis_gives_the_fixture_output(capsys, tmp_path, command):
+    # The L-bend's outer skin, face 4, then runs its axis against its
+    # partner's: the skins' axial overlap is measured along face 4's axis.
+    doc = json.loads(fixture_path("l_bend.json").read_text(encoding="utf-8"))
+    surface = next(f for f in doc["faces"] if f["id"] == 4)["surface"]
+    surface["axis_dir"] = [-c for c in surface["axis_dir"]]
+    path = write_doc(tmp_path, doc, "l_bend.json")
+    expected = run(capsys, command, str(fixture_path("l_bend.json")))
+    # params: the tab's wall faces no way the reference face does, so no height.
+    assert expected[0] == {"features": 0, "params": 5}[command]
+    assert run(capsys, command, str(path)) == expected
+
+
+@pytest.mark.parametrize("command", ["params", "inspect"])
+def test_face_listed_twice_in_the_shell_gives_the_fixture_output(capsys, tmp_path, command):
+    path = tmp_path / "flat_sheet_100x80x2.step"
+    text = fixture_path("flat_sheet_100x80x2.step").read_text(encoding="utf-8")
+    path.write_text(text.replace("CLOSED_SHELL('',(#75,", "CLOSED_SHELL('',(#75,#75,"),
+                    encoding="utf-8")
+    expected = run(capsys, command, str(fixture_path("flat_sheet_100x80x2.step")))
+    assert expected[0] == 0
+    assert run(capsys, command, str(path)) == expected
