@@ -169,16 +169,15 @@ class FaceGeometry:
     """What recognition asks of one face, computed once.
 
     Planar faces carry the outward normal, the plane origin and offset along
-    that normal, the area, the in-plane basis ``(u, v) = plane_basis(normal)``
-    and the sample-point intervals along u and v. Cylindrical faces carry the
+    that normal, the area, and the sample-point intervals along the in-plane
+    basis ``(u, v) = plane_basis(normal)``. Cylindrical faces carry the
     radius, the axis and the sample-point interval along the axis.
     ``measure`` is the pairing sort measure: the area, or the lateral area of
     the sampled axial span.
     """
 
-    __slots__ = ("face", "id", "measure", "normal", "origin", "offset", "area", "u", "v",
-                 "u_lo", "u_hi", "v_lo", "v_hi", "radius", "axis",
-                 "axis_lo", "axis_hi")
+    __slots__ = ("face", "id", "measure", "normal", "origin", "offset", "area",
+                 "u_lo", "u_hi", "v_lo", "v_hi", "radius", "axis", "axis_lo", "axis_hi")
 
     def __init__(self, solid: Solid, face: Face):
         self.face = face
@@ -190,7 +189,7 @@ class FaceGeometry:
             self.origin = surface.origin
             self.offset = surface.origin.dot(n)
             self.area = self.measure = area
-            self.u, self.v = u, v = plane_basis(n)
+            u, v = plane_basis(n)
             self.u_lo, self.u_hi = _extent_along(points, u)
             self.v_lo, self.v_hi = _extent_along(points, v)
         else:
@@ -231,11 +230,14 @@ class FaceTable:
     faces by id. Shortlisted pairs still go through the exact tests, so the
     table changes no decision, only how many pairs are tried.
 
-    ``opposite`` maps each planar face id to the buckets that may hold its
-    anti-parallel partners. The table holds them, not the faces: a face that
-    pointed at buckets holding faces that point back would make a reference
-    cycle, which only the cyclic garbage collector could free. The table has
-    no cycle, so a solid and its table are freed as soon as they are dropped.
+    ``opposite`` maps each outward normal of a planar face to the buckets
+    that may hold its faces' anti-parallel partners. Normals that compare
+    equal differ at most in the sign of a zero, which ``_cells_near``
+    ignores, so every face with that normal gets the same list. The table
+    holds the lists, not the faces: a face that pointed at buckets holding
+    faces that point back would make a reference cycle, which only the
+    cyclic garbage collector could free. The table has no cycle, so a solid
+    and its table are freed as soon as they are dropped.
     """
 
     def __init__(self, solid: Solid):
@@ -252,17 +254,14 @@ class FaceTable:
         for cell, members in cells.items():
             members.sort(key=lambda g: (g.offset, g.id))
             buckets[cell] = ([g.offset for g in members], members)
-        shared: dict[tuple, list] = {}
-        self.opposite: dict[int, list] = {}
+        self.opposite: dict[Vec3, list] = {}
         for g in self.planes:
-            keys = _cells_near(-g.normal)
-            if keys not in shared:
-                shared[keys] = [buckets[k] for k in keys if k in buckets]
-            self.opposite[g.id] = shared[keys]
+            if g.normal not in self.opposite:
+                self.opposite[g.normal] = [buckets[k] for k in _cells_near(-g.normal) if k in buckets]
 
     def opposed_at(self, a: FaceGeometry, distance: float):
         """Planar faces in a's opposite buckets that may lie ``distance`` from a's plane."""
-        opposite = self.opposite[a.id]
+        opposite = self.opposite[a.normal]
         for lo, hi in _windows(-a.offset, distance, self.window):
             for offsets, members in opposite:
                 yield from members[bisect_left(offsets, lo):bisect_right(offsets, hi)]
@@ -338,7 +337,7 @@ def compute_thickness(solid: Solid) -> float:
     best: float | None = None
     for a in table.planes:
         x = -a.offset
-        for offsets, members in table.opposite[a.id]:
+        for offsets, members in table.opposite[a.normal]:
             start = bisect_left(offsets, x)
             for walk in (range(start, len(offsets)), range(start - 1, -1, -1)):
                 for j in walk:
@@ -404,23 +403,22 @@ def sheet_metrics(solid: Solid) -> SheetMetrics:
 
 def _planes_face_each_other(solid: Solid, a: FaceGeometry, b: FaceGeometry) -> bool:
     # Plane separation alone treats planes as infinite; require the two
-    # bounded faces to overlap when projected onto a's plane basis. b's own
-    # intervals serve when its basis is a's with u reversed, as for exactly
-    # opposite normals; otherwise b's sample points are projected afresh.
-    if b.v == a.v and b.u == -a.u:
+    # bounded faces to overlap when projected onto a's plane basis. For
+    # exactly opposite normals b's basis is a's with u reversed (see
+    # plane_basis), so b's own intervals serve; otherwise b's sample points
+    # are projected afresh.
+    if b.normal == -a.normal:
         bu_lo, bu_hi, bv_lo, bv_hi = -b.u_hi, -b.u_lo, b.v_lo, b.v_hi
     else:
+        u, v = plane_basis(a.normal)
         points = brep._walk_face(solid, b.face)[0]
-        (bu_lo, bu_hi), (bv_lo, bv_hi) = _extent_along(points, a.u), _extent_along(points, a.v)
+        (bu_lo, bu_hi), (bv_lo, bv_hi) = _extent_along(points, u), _extent_along(points, v)
     return _overlaps(a.u_lo, a.u_hi, bu_lo, bu_hi) and _overlaps(a.v_lo, a.v_hi, bv_lo, bv_hi)
 
 
 def _cylinders_face_each_other(solid: Solid, a: FaceGeometry, b: FaceGeometry) -> bool:
-    # Negating every projection negates and swaps the interval exactly.
     if b.axis == a.axis:
         lo, hi = b.axis_lo, b.axis_hi
-    elif b.axis == -a.axis:
-        lo, hi = -b.axis_hi, -b.axis_lo
     else:
         lo, hi = _extent_along(brep._walk_face(solid, b.face)[0], a.axis)
     return _overlaps(a.axis_lo, a.axis_hi, lo, hi)
@@ -502,13 +500,12 @@ def group_features(solid: Solid, pairing: FacePairing, metrics: SheetMetrics) ->
     makes it mixed if any of its edges faces a side face; a hole with no
     member face across it is a cut feature of its own.
     """
-    members = sorted(fid for fid in solid.faces if pairing.is_member(fid))
-    uf = _UnionFind(members)
+    uf = _UnionFind(fid for fid in solid.faces if pairing.is_member(fid))
+    members = uf.parent  # keyed by member face; each root is its component's smallest id
     for a, b in pairing.pairs.values():
         uf.union(a, b)
-    member_set = set(members)
     for eid, uses in solid.edge_uses.items():
-        shared = [fid for fid in uses if fid in member_set]
+        shared = [fid for fid in uses if fid in members]
         for a, b in zip(shared, shared[1:]):
             uf.union(a, b)
 
@@ -522,13 +519,13 @@ def group_features(solid: Solid, pairing: FacePairing, metrics: SheetMetrics) ->
     for lid in sorted(set(rf.inner_loops())):
         across = [next((fid for fid in solid.edge_uses[eid] if fid != rf.id), None)
                   for eid, _ in sorted(solid.loops[lid].oriented_edges)]
-        first = next((fid for fid in across if fid in member_set), None)
+        first = next((fid for fid in across if fid in members), None)
         if first is None:
             cuts.append(lid)
             continue
         root = uf.find(first)
         holes_of.setdefault(root, set()).add(lid)
-        if any(fid not in member_set for fid in across):
+        if any(fid not in members for fid in across):
             mixed.add(root)
 
     features = [

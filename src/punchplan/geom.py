@@ -119,7 +119,9 @@ def plane_basis(normal: Vec3) -> tuple[Vec3, Vec3]:
     Memoised, since every planar face asks for its basis at least twice.
     Normals that compare equal differ at most in the sign of a zero
     component, so a cached basis differs from a fresh one at most in the
-    signs of its zeros; those reach only comparisons and ``abs``.
+    signs of its zeros; those reach only comparisons and ``abs``. The seed
+    axis depends only on ``abs`` of the components, so the basis of
+    ``-normal`` compares equal to ``(-u, v)``.
     """
     ax = abs(normal.x)
     ay = abs(normal.y)

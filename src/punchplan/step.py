@@ -701,8 +701,6 @@ class _Resolver:
         return eid
 
     def _face(self, from_id: int, ref) -> int:
-        if isinstance(ref, Ref) and ref.id in self.faces:
-            return ref.id
         eid, rec = self._expect(from_id, ref, ("ADVANCED_FACE",))
         bounds: list[tuple[int, bool]] = []
         for bref in _items(eid, rec):
