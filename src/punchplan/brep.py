@@ -245,6 +245,7 @@ def _walk_face(solid: Solid, face: Face) -> tuple[list[Vec3], float | None]:
     exact integral r^2*phi/2 plus the chordal part, with phi signed by
     traversal direction and by the circle axis relative to the face normal.
     Projections are spelled out on coordinates, in Vec3's operand order.
+    An area that is not finite is a :class:`BrepError`.
     """
     vertices, edges = solid.vertices, solid.edges
     planar = isinstance(face.surface, Plane)
@@ -291,7 +292,13 @@ def _walk_face(solid: Solid, face: Face) -> tuple[list[Vec3], float | None]:
         else:
             holes += abs(total)
     pts += [vertices[vid] for vid in vids]
-    return pts, (outer - holes if planar else None)
+    if not planar:
+        return pts, None
+    area = outer - holes
+    if not math.isfinite(area):
+        # The shoelace products of a part this large overflow.
+        raise BrepError(f"face {face.id} is too large to measure: its area is not finite ({area})")
+    return pts, area
 
 
 def face_area(face: Face, solid: Solid) -> float:

@@ -7,6 +7,7 @@ of the sheet (default one third) before the forming stroke.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .classify import EdgeClassTotals
@@ -58,13 +59,17 @@ def compute_process_parameters(
 
     With isolated interior edges present the primary travel is
     h1_fraction * t and the secondary travel is the remainder up to the
-    feature height; otherwise the whole stroke is forming travel.
+    feature height; otherwise the whole stroke is forming travel. A force
+    that overflows, for finite inputs too large, is a :class:`ProcessError`.
     """
     if not t > 0:
         raise NonPositiveThickness(t)
     fs = mat.shear_stress * t * tot.tl_iie
     fd = kd * mat.yield_stress * t * (tot.tl_cie + tot.tl_cee)
     fh = holding_fraction * max(fs, fd)
+    for name, force in (("Fs", fs), ("Fd", fd), ("Fh", fh)):
+        if not math.isfinite(force):
+            raise ProcessError(f"force {name} is not finite ({force}): the inputs are too large")
     if tot.n_iie > 0:
         h1 = h1_fraction * t
         if h < h1:

@@ -1106,3 +1106,112 @@ def test_face_listed_twice_in_the_shell_gives_the_fixture_output(capsys, tmp_pat
     expected = run(capsys, command, str(fixture_path("flat_sheet_100x80x2.step")))
     assert expected[0] == 0
     assert run(capsys, command, str(path)) == expected
+
+
+@pytest.mark.parametrize("old, new", [
+    ("#2=CARTESIAN_POINT('',(100.0,0.0,0.0));", "#2=CARTESIAN_POINT('',(100,0,0));"),
+], ids=["integer-coordinates"])
+def test_integer_coordinates_give_the_fixture_report(capsys, tmp_path, old, new):
+    path = _step_fixture_with(tmp_path, old, new)
+    expected = run(capsys, "params", str(fixture_path("flat_sheet_100x80x2.step")))
+    assert expected[0] == 0
+    assert run(capsys, "params", str(path)) == expected
+
+
+def test_ellipse_edge_curve_exits_2(capsys, tmp_path):
+    path = _step_fixture_with(tmp_path, "#19=LINE('',#1,#18);", "#19=ELLIPSE('',#67,5.,3.);")
+    assert run(capsys, "params", str(path)) == (
+        2, "", f"error: {path}: entity #19 (ELLIPSE) is outside the supported geometry subset\n")
+
+
+# ---------------------------------------------------------------------------
+# Values and parts too large to compute with
+# ---------------------------------------------------------------------------
+
+def _huge_stress_db(tmp_path) -> Path:
+    db = tmp_path / "materials.json"
+    db.write_text(json.dumps({"materials": [
+        {"name": "low_carbon_steel", "shear_stress": 1e308, "yield_stress": 210}]}),
+        encoding="utf-8")
+    return db
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("option, force", [
+    (lambda tmp_path: ["--kd", "1e308"], "Fd"),
+    (lambda tmp_path: ["--holding-fraction", "1e308"], "Fh"),
+    (lambda tmp_path: ["--materials-db", str(_huge_stress_db(tmp_path))], "Fs"),
+], ids=["kd", "holding-fraction", "shear-stress"])
+def test_force_that_overflows_fails_its_feature(capsys, tmp_path, option, force, fmt):
+    message = f"force {force} is not finite (inf): the inputs are too large"
+    code, out, err = run(capsys, "params", str(fixture_path("row4_bridge.json")),
+                         *option(tmp_path), "--format", fmt)
+    assert (code, err) == (5, f"error: none of 1 feature(s) produced parameters; "
+                              f"first: {message}\n")
+    if fmt == "json":
+        assert "Infinity" not in out and "NaN" not in out
+        (block,) = json.loads(out)["features"]
+        assert (block["params"], block["capacity_ok"], block["error"]) == (None, None, message)
+    elif fmt == "csv":
+        assert out.splitlines()[1] == "1,mixed,2,0,2,2,100,60,0,10,,,,,,"
+    else:
+        assert f"feature 1: ERROR {message}\n" in out
+
+
+# Past about 1e154 mm the shoelace products of a part's face areas overflow;
+# at 1e307 the coordinates themselves do.
+HUGE_SCALES = [150, 155, 200, 300, 307]
+JSON_FIXTURES = sorted(p.name for p in fixture_path(".").glob("*.json"))
+
+
+@pytest.mark.parametrize("suffix", [".json", ".step"])
+@pytest.mark.parametrize("k", HUGE_SCALES)
+@pytest.mark.parametrize("name", JSON_FIXTURES)
+def test_fixture_scaled_past_measure_ends_with_a_documented_exit(capsys, tmp_path, name, k,
+                                                                  suffix):
+    doc = modelzoo.scale_doc(json.loads(fixture_path(name).read_text(encoding="utf-8")), 10 ** k)
+    path = tmp_path / (Path(name).stem + suffix)
+    path.write_text(json.dumps(doc) if suffix == ".json" else stepwriter.write_step(doc)[0],
+                    encoding="utf-8")
+    for command in ("inspect", "features", "params"):
+        code, _, err = run(capsys, command, str(path))
+        if code == 0:
+            assert err == ""
+        else:
+            assert code in (2, 3, 5)
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["inspect", "features", "params"])
+def test_part_too_large_to_measure_exits_3(capsys, tmp_path, command):
+    doc = modelzoo.scale_doc(modelzoo.fixture_row4_bridge(), 1e155)
+    path = write_doc(tmp_path, doc, "row4_bridge.json")
+    assert run(capsys, command, str(path)) == (
+        3, "", "error: face 1 is too large to measure: its area is not finite (nan)\n")
+
+
+def test_batch_records_a_part_too_large_to_measure(capsys, tmp_path):
+    models = tmp_path / "models"
+    models.mkdir()
+    write_doc(models, modelzoo.scale_doc(modelzoo.fixture_row4_bridge(), 1e155), "huge.json")
+    code, out, _ = run(capsys, "batch", str(models), "--out-dir", str(tmp_path / "reports"))
+    assert (code, out) == (1, "processed 1 model(s), 0 ok, 1 failed\n")
+    index = json.loads((tmp_path / "reports" / "index.json").read_text(encoding="utf-8"))
+    assert index["results"] == [{
+        "file": "huge.json", "status": "error", "report": None,
+        "error": "face 1 is too large to measure: its area is not finite (nan)"}]
+
+
+# ---------------------------------------------------------------------------
+# The module's entry point
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["params", "row4_bridge.json"],
+    ["params", "row4_bridge.json", "--kd", "1e308", "--format", "csv"],
+    ["params", "l_bend.json", "--format", "table"],
+], ids=["ok", "overflow", "no-feature"])
+def test_module_entry_point_matches_main(capsys, argv):
+    argv = [argv[0], str(fixture_path(argv[1])), *argv[2:]]
+    code, out, _ = run(capsys, *argv)
+    assert _run_alone(argv)[:2] == (code, out)

@@ -332,6 +332,53 @@ def test_laterally_offset_walls_do_not_pair():
     assert pairing.role_of(4) is Role.SIDE
 
 
+# A unit vector turned this far stays in reach of the normal buckets
+# (2 * ANGULAR_TOL) but fails the exact angular tests (ANGULAR_TOL).
+_TILT = 1.5e-6
+
+
+def _turned(doc: dict, face_id: int, key: str, direction: list[float]) -> dict:
+    next(f for f in doc["faces"] if f["id"] == face_id)["surface"][key] = direction
+    return doc
+
+
+def test_skins_just_outside_the_angular_tolerance_set_no_thickness():
+    # The box's top skin turned about x: the bottom skin's buckets still
+    # shortlist it, and the thickness falls to the next pair, the y-sides.
+    doc = _turned(modelzoo.box_doc(), 2, "normal", [0.0, math.sin(_TILT), math.cos(_TILT)])
+    solid = solid_from(doc)
+    table = features.face_table(solid)
+    assert table.faces[2] in list(table.opposed_at(table.faces[1], 2.0))
+    assert not is_anti_parallel(table.faces[1].normal, table.faces[2].normal)
+    assert compute_thickness(solid) == 80.0
+
+
+def test_wall_skins_just_outside_the_angular_tolerance_do_not_pair():
+    # The L-bend's wall skins 6 and 7, face 7 turned about y.
+    doc = _turned(modelzoo.lbend_doc(), 7, "normal", [-math.cos(_TILT), 0.0, math.sin(_TILT)])
+    solid = solid_from(doc)
+    metrics = sheet_metrics(solid)
+    table = features.face_table(solid)
+    assert table.faces[7] in list(table.opposed_at(table.faces[6], metrics.thickness))
+    pairing = pair_faces(solid, metrics)
+    assert (pairing.role_of(6), pairing.role_of(7)) == (Role.SIDE, Role.SIDE)
+    assert [pairing.role_of(f) for f in (4, 5)] == [Role.BEND, Role.BEND]
+
+
+def test_bend_skins_just_outside_the_angular_tolerance_do_not_pair():
+    # The L-bend's bend skins 4 and 5, face 5's axis turned about z.
+    doc = _turned(modelzoo.lbend_doc(), 5, "axis_dir", [-math.sin(_TILT), math.cos(_TILT), 0.0])
+    solid = solid_from(doc)
+    inner, outer = (solid.faces[f].surface for f in (5, 4))
+    assert abs(outer.radius - inner.radius) == 2.0
+    assert not features._coaxial(outer, inner)
+    metrics = sheet_metrics(solid)
+    assert metrics.thickness == 2.0
+    pairing = pair_faces(solid, metrics)
+    assert (pairing.role_of(4), pairing.role_of(5)) == (Role.SIDE, Role.SIDE)
+    assert [pairing.role_of(f) for f in (6, 7)] == [Role.WALL, Role.WALL]
+
+
 # ---------------------------------------------------------------------------
 # Grouping
 # ---------------------------------------------------------------------------
