@@ -59,8 +59,8 @@ def compute_process_parameters(
 
     With isolated interior edges present the primary travel is
     h1_fraction * t and the secondary travel is the remainder up to the
-    feature height; otherwise the whole stroke is forming travel. A force
-    that overflows, for finite inputs too large, is a :class:`ProcessError`.
+    feature height; otherwise the whole stroke is forming travel. Finite
+    inputs so large that a force overflows raise a :class:`ProcessError`.
     """
     if not t > 0:
         raise NonPositiveThickness(t)

@@ -1108,11 +1108,9 @@ def test_face_listed_twice_in_the_shell_gives_the_fixture_output(capsys, tmp_pat
     assert run(capsys, command, str(path)) == expected
 
 
-@pytest.mark.parametrize("old, new", [
-    ("#2=CARTESIAN_POINT('',(100.0,0.0,0.0));", "#2=CARTESIAN_POINT('',(100,0,0));"),
-], ids=["integer-coordinates"])
-def test_integer_coordinates_give_the_fixture_report(capsys, tmp_path, old, new):
-    path = _step_fixture_with(tmp_path, old, new)
+def test_integer_coordinates_give_the_fixture_report(capsys, tmp_path):
+    path = _step_fixture_with(tmp_path, "#2=CARTESIAN_POINT('',(100.0,0.0,0.0));",
+                              "#2=CARTESIAN_POINT('',(100,0,0));")
     expected = run(capsys, "params", str(fixture_path("flat_sheet_100x80x2.step")))
     assert expected[0] == 0
     assert run(capsys, "params", str(path)) == expected
