@@ -7,15 +7,20 @@ radius), group paired faces into connected features, and measure each
 feature's height above the reference plane.
 
 Every step reads one per-face geometry table (:class:`FaceTable`), built once
-per solid: planar faces bucketed by outward normal and sorted by plane
+per solid: planar faces grouped into plane classes, the faces of one normal
+and one plane, which are bucketed by outward normal and sorted by plane
 offset; cylinders, which are few, are compared pairwise. A planar face is
-compared only with the faces its buckets shortlist, and each shortlisted pair
-goes through the same exact tests as a full pairwise scan would.
+compared only with the classes its buckets shortlist. Across two classes
+with exactly opposite normals every face pair is one separation apart, to
+the last bit, so the thickness, the opposite face and pairing test such a
+pair of planes once; in-plane overlap, and every other shortlisted pair, go
+through the same exact tests as a full pairwise scan would.
 """
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
@@ -147,7 +152,8 @@ def _cells_near(n: Vec3) -> tuple[tuple[int, int, int], ...]:
 
 
 def _norm1(p: Vec3) -> float:
-    return abs(p.x) + abs(p.y) + abs(p.z)
+    x, y, z = p
+    return abs(x) + abs(y) + abs(z)
 
 
 def _extent_along(points: list[Vec3], d: Vec3) -> tuple[float, float]:
@@ -217,54 +223,141 @@ def _windows(center: float, distance: float, half_width: float) -> tuple[tuple[f
 
 
 class FaceTable:
-    """One solid's per-face geometry, with planar faces in normal/offset buckets.
+    """One solid's per-face geometry, with planar faces grouped into plane classes.
 
-    Planar faces are bucketed by the grid cell of their outward normal; each
-    bucket is a pair of lists, the plane offsets ``origin . normal`` in
-    ascending order and the faces in the same order. For anti-parallel faces
-    a and b, ``(b.origin - a.origin) . a.normal`` is ``-(a.offset + b.offset)``
-    up to ``|b.origin| * |a.normal + b.normal|``, so bisecting the offsets
-    finds every pair at a given separation once the search range is widened
-    by ``window``: TOL plus twice ANGULAR_TOL times the largest plane-origin
-    distance from the coordinate origin. ``cylinders`` lists the cylindrical
-    faces by id. Shortlisted pairs still go through the exact tests, so the
-    table changes no decision, only how many pairs are tried.
+    A plane class is the list of planar faces with one outward normal
+    (``==``) and the same plane-origin coordinates wherever that normal is
+    non-zero; members differ at most where the normal is zero. ``classes``
+    lists them. Take two classes whose normals are exact negatives. Every
+    face pair across them then gives one ``_signed_separation`` double, up to
+    the sign of a zero, in either order:
 
-    ``opposite`` maps each outward normal of a planar face to the buckets
-    that may hold its faces' anti-parallel partners. Normals that compare
-    equal differ at most in the sign of a zero, which ``_cells_near``
-    ignores, so every face with that normal gets the same list. The table
-    holds the lists, not the faces: a face that pointed at buckets holding
-    faces that point back would make a reference cycle, which only the
-    cyclic garbage collector could free. The table has no cycle, so a solid
-    and its table are freed as soon as they are dropped.
+    - each term on a zero component of the normal is +-0, as long as no
+      coordinate difference overflows;
+    - each other term has the same two factors for every member;
+    - swapping the two faces negates both factors of each term, which is
+      exact.
+
+    The dot product of the two normals is one double too, and all members of
+    a class share one plane offset. So one face pair stands for the whole
+    class pair. Where a coordinate difference between plane origins could
+    overflow, that is where twice the largest plane-origin 1-norm is not
+    below the largest double, classes are keyed by the whole origin instead:
+    an overflow makes ``inf * 0``, NaN, which skips the pair, and only faces
+    with equal origins are sure to share that.
+
+    Classes are bucketed by the grid cell of their outward normal; each
+    bucket is a pair of lists, the class plane offsets ``origin . normal``
+    in ascending order and the classes in the same order. For anti-parallel
+    faces a and b, ``(b.origin - a.origin) . a.normal`` is
+    ``-(a.offset + b.offset)`` up to ``|b.origin| * |a.normal + b.normal|``,
+    so bisecting the offsets finds every pair at a given separation once the
+    search range is widened by ``window``: TOL plus twice ANGULAR_TOL times
+    the largest plane-origin distance from the coordinate origin.
+    ``cylinders`` lists the cylindrical faces by radius. Callers test a class
+    pair with exactly opposite normals once, and every other shortlisted
+    pair, and every pair's overlap, face by face with the exact tests. So
+    the table changes no decision, only how many pairs are tried.
+
+    ``opposite`` maps each outward normal of a planar face to its negation
+    and the buckets that may hold its anti-parallel partners. Normals that
+    compare equal differ at most in the sign of a zero, which ``_cells_near``
+    ignores, so every face with that normal gets the same list. Faces point
+    at nothing in the table: a face that pointed at a class or bucket
+    holding it would make a reference cycle, which only the cyclic garbage
+    collector could free. The table has no cycle, so a solid and its table
+    are freed as soon as they are dropped.
     """
 
     def __init__(self, solid: Solid):
         self.faces = {fid: FaceGeometry(solid, f) for fid, f in solid.faces.items()}
         self.planes = [g for g in self.faces.values() if g.normal is not None]
         self.cylinders = sorted((g for g in self.faces.values() if g.normal is None),
-                                key=lambda g: g.id)
+                                key=lambda g: (g.radius, g.id))
         extent = max((_norm1(g.origin) for g in self.planes), default=0.0)
         self.window = TOL + 2.0 * ANGULAR_TOL * extent
-        cells: dict[tuple[int, int, int], list[FaceGeometry]] = {}
+        whole = 2.0 * extent >= sys.float_info.max
+        by_normal: dict[Vec3, list[FaceGeometry]] = {}
         for g in self.planes:
-            cells.setdefault(_cell(g.normal), []).append(g)
+            same = by_normal.get(g.normal)
+            if same is None:
+                by_normal[g.normal] = [g]
+            else:
+                same.append(g)
+        self.classes: list[list[FaceGeometry]] = []
+        cells: dict[tuple[int, int, int], list[list[FaceGeometry]]] = {}
+        for n, same in by_normal.items():
+            classes = [same] if len(same) == 1 else _plane_classes(n, same, whole)
+            self.classes += classes
+            cells.setdefault(_cell(n), []).extend(classes)
         buckets = {}
-        for cell, members in cells.items():
-            members.sort(key=lambda g: (g.offset, g.id))
-            buckets[cell] = ([g.offset for g in members], members)
-        self.opposite: dict[Vec3, list] = {}
-        for g in self.planes:
-            if g.normal not in self.opposite:
-                self.opposite[g.normal] = [buckets[k] for k in _cells_near(-g.normal) if k in buckets]
+        for cell, classes in cells.items():
+            classes.sort(key=lambda c: (c[0].offset, c[0].id))
+            buckets[cell] = ([c[0].offset for c in classes], classes)
+        self.opposite: dict[Vec3, tuple[Vec3, list]] = {}
+        for n in by_normal:
+            opposed = -n
+            self.opposite[n] = (opposed, [buckets[k] for k in _cells_near(opposed) if k in buckets])
+
+    def classes_at(self, a: FaceGeometry, distance: float):
+        """Plane classes in a's opposite buckets that may lie ``distance`` from a's plane."""
+        opposite = self.opposite[a.normal][1]
+        for lo, hi in _windows(-a.offset, distance, self.window):
+            for offsets, cs in opposite:
+                yield from cs[bisect_left(offsets, lo):bisect_right(offsets, hi)]
 
     def opposed_at(self, a: FaceGeometry, distance: float):
         """Planar faces in a's opposite buckets that may lie ``distance`` from a's plane."""
-        opposite = self.opposite[a.normal]
-        for lo, hi in _windows(-a.offset, distance, self.window):
-            for offsets, members in opposite:
-                yield from members[bisect_left(offsets, lo):bisect_right(offsets, hi)]
+        for c in self.classes_at(a, distance):
+            yield from c
+
+
+def _plane_classes(n: Vec3, same: list[FaceGeometry], whole: bool) -> list[list[FaceGeometry]]:
+    """The plane classes of the faces whose outward normal is n (see FaceTable)."""
+    nx, ny, nz = n
+    keyed: dict[tuple, list[FaceGeometry]] = {}
+    for g in same:
+        if whole:
+            key = g.origin
+        else:
+            x, y, z = g.origin
+            key = x if nx else 0.0, y if ny else 0.0, z if nz else 0.0
+        keyed.setdefault(key, []).append(g)
+    return list(keyed.values())
+
+
+# Plane classes with fewer members are scanned whole, not through _facing.
+_INDEX_MIN = 8
+
+
+def _u_index(members: list[FaceGeometry]) -> tuple | None:
+    """The members sorted by ``u_lo``, those values, and the widest u interval.
+
+    None for a class with a non-finite interval, which sorting and the
+    bounds of ``_facing`` cannot rely on.
+    """
+    if not all(math.isfinite(g.u_lo) and math.isfinite(g.u_hi) for g in members):
+        return None
+    members = sorted(members, key=lambda g: g.u_lo)
+    return [g.u_lo for g in members], members, max(g.u_hi - g.u_lo for g in members)
+
+
+def _facing(f: FaceGeometry, index: tuple) -> list[FaceGeometry]:
+    """The members of an indexed plane class whose u intervals may overlap f's.
+
+    f's normal is the exact negative of the class's, so in f's plane basis a
+    member g spans ``(-g.u_hi, -g.u_lo)`` along u (see ``plane_basis``).
+    ``_overlaps`` passing means that ``-g.u_lo - f.u_lo`` and
+    ``f.u_hi + g.u_hi`` round above TOL, so ``g.u_lo < -f.u_lo`` and
+    ``g.u_hi > -f.u_hi`` hold exactly. With the members sorted by ``u_lo``
+    the first bisects directly. The second bounds ``u_lo`` from below by
+    ``-f.u_hi`` less the widest member's width, less a relative margin far
+    beyond the rounding of that width and of the bound itself.
+    """
+    u_los, members, width = index
+    lo = -f.u_hi - width
+    lo -= (abs(f.u_hi) + width) * 2.0 ** -40
+    return members[bisect_left(u_los, lo):bisect_left(u_los, -f.u_lo)]
 
 
 def face_table(solid: Solid) -> FaceTable:
@@ -326,35 +419,49 @@ def anti_parallel_pair_distances(solid: Solid) -> list[tuple[int, int, float]]:
 def compute_thickness(solid: Solid) -> float:
     """Minimum separation over anti-parallel same-kind face pairs.
 
-    Each planar face walks its opposite buckets outward from the offset of its
+    Each plane class walks its opposite buckets outward from the offset of its
     own plane and stops once the window-widened offset gap exceeds the best
-    separation so far. Every pair it visits is measured with the lower face id
-    first, as in :func:`anti_parallel_pair_distances`, so the minimum is the
-    same double.
+    separation so far. A class whose normal is the exact negative is measured
+    once, by the first members (see :class:`FaceTable`); across any other
+    class every face pair is measured with the lower face id first, as in
+    :func:`anti_parallel_pair_distances`. So the minimum is the same double.
     """
     table = face_table(solid)
     w = table.window
     best: float | None = None
-    for a in table.planes:
+    for c in table.classes:
+        a = c[0]
         x = -a.offset
-        for offsets, members in table.opposite[a.normal]:
+        opposed, opposite = table.opposite[a.normal]
+        for offsets, cs in opposite:
             start = bisect_left(offsets, x)
             for walk in (range(start, len(offsets)), range(start - 1, -1, -1)):
                 for j in walk:
                     if best is not None and abs(offsets[j] - x) - w > best:
                         break
-                    b = members[j]
-                    lo, hi = (a, b) if a.id < b.id else (b, a)
-                    if not lo.normal.dot(hi.normal) <= -_COS_ANGULAR_TOL:
-                        continue
-                    d = abs(_signed_separation(lo, hi))
-                    if d > TOL and (best is None or d < best):
-                        best = d
+                    b = cs[j]
+                    if b[0].normal == opposed:
+                        across = ((a, b[0]),)
+                    else:
+                        across = ((f, g) if f.id < g.id else (g, f) for f in c for g in b)
+                    for lo, hi in across:
+                        if not lo.normal.dot(hi.normal) <= -_COS_ANGULAR_TOL:
+                            continue
+                        sep = abs(_signed_separation(lo, hi))
+                        if sep > TOL and (best is None or sep < best):
+                            best = sep
+    # With the cylinders in radius order, b.radius - a.radius rounds to the
+    # same double as abs(a.radius - b.radius) and never shrinks along the
+    # list, so each cylinder bisects past the pairs within TOL and stops at
+    # the first pair no nearer than best.
     cylinders = table.cylinders
     for i, a in enumerate(cylinders):
-        for b in cylinders[i + 1:]:
-            d = abs(a.radius - b.radius)
-            if d > TOL and (best is None or d < best) and _coaxial(a.face.surface, b.face.surface):
+        r = a.radius
+        for b in cylinders[bisect_right(cylinders, TOL, i + 1, key=lambda g: g.radius - r):]:
+            d = b.radius - r
+            if best is not None and not d < best:
+                break
+            if _coaxial(a.face.surface, b.face.surface):
                 best = d
     if best is None:
         raise NoParallelPairs()
@@ -377,9 +484,22 @@ def select_reference_face(solid: Solid) -> int:
 def _opposite_face(solid: Solid, rf_id: int, thickness: float) -> int:
     table = face_table(solid)
     rf = table.faces[rf_id]
-    best = min(((-g.area, g.id) for g in table.opposed_at(rf, thickness)
-                if rf.normal.dot(g.normal) <= -_COS_ANGULAR_TOL
-                and abs(abs(_signed_separation(rf, g)) - thickness) <= TOL), default=None)
+    opposed = table.opposite[rf.normal][0]
+
+    def at_thickness(g: FaceGeometry) -> bool:
+        return (rf.normal.dot(g.normal) <= -_COS_ANGULAR_TOL
+                and abs(abs(_signed_separation(rf, g)) - thickness) <= TOL)
+
+    found: list[FaceGeometry] = []
+    for c in table.classes_at(rf, thickness):
+        # A class with the exact negative normal passes or fails as a whole
+        # (see FaceTable).
+        if c[0].normal == opposed:
+            if at_thickness(c[0]):
+                found += c
+        else:
+            found += filter(at_thickness, c)
+    best = min(((-g.area, g.id) for g in found), default=None)
     if best is None:
         raise NoOppositeFace(rf_id, thickness)
     return best[1]
@@ -401,19 +521,38 @@ def sheet_metrics(solid: Solid) -> SheetMetrics:
 # Pairing
 # ---------------------------------------------------------------------------
 
-def _planes_face_each_other(solid: Solid, a: FaceGeometry, b: FaceGeometry) -> bool:
+def _opposite_overlap(a: FaceGeometry, b: FaceGeometry) -> bool:
     # Plane separation alone treats planes as infinite; require the two
     # bounded faces to overlap when projected onto a's plane basis. For
     # exactly opposite normals b's basis is a's with u reversed (see
-    # plane_basis), so b's own intervals serve; otherwise b's sample points
-    # are projected afresh.
-    if b.normal == -a.normal:
-        bu_lo, bu_hi, bv_lo, bv_hi = -b.u_hi, -b.u_lo, b.v_lo, b.v_hi
-    else:
-        u, v = plane_basis(a.normal)
-        points = brep._walk_face(solid, b.face)[0]
-        (bu_lo, bu_hi), (bv_lo, bv_hi) = _extent_along(points, u), _extent_along(points, v)
-    return _overlaps(a.u_lo, a.u_hi, bu_lo, bu_hi) and _overlaps(a.v_lo, a.v_hi, bv_lo, bv_hi)
+    # plane_basis), so b's own intervals serve.
+    return _overlaps(a.u_lo, a.u_hi, -b.u_hi, -b.u_lo) and _overlaps(a.v_lo, a.v_hi, b.v_lo, b.v_hi)
+
+
+def _planes_face_each_other(solid: Solid, a: FaceGeometry, b: FaceGeometry) -> bool:
+    # _opposite_overlap for normals that are not exactly opposite: b's sample
+    # points are projected onto a's basis afresh.
+    u, v = plane_basis(a.normal)
+    points = brep._walk_face(solid, b.face)[0]
+    return (_overlaps(a.u_lo, a.u_hi, *_extent_along(points, u))
+            and _overlaps(a.v_lo, a.v_hi, *_extent_along(points, v)))
+
+
+def _radii_apart(cylinders: list[FaceGeometry], r: float, t: float) -> list[FaceGeometry]:
+    """The cylinders, in radius order, that may pass ``abs(abs(r - g.radius) - t) <= TOL``.
+
+    From the first radius not below r on, ``abs(r - g.radius) - t`` never
+    shrinks along the list; before it, ``t - abs(r - g.radius)`` never
+    shrinks, and it is the negation of the same rounded double. So each side
+    holds the radii within TOL of one thickness away in one slice.
+    """
+    split = bisect_left(cylinders, r, key=lambda g: g.radius)
+    below = lambda g: t - abs(r - g.radius)  # noqa: E731
+    above = lambda g: abs(r - g.radius) - t  # noqa: E731
+    return (cylinders[bisect_left(cylinders, -TOL, 0, split, key=below):
+                      bisect_right(cylinders, TOL, 0, split, key=below)]
+            + cylinders[bisect_left(cylinders, -TOL, split, key=above):
+                        bisect_right(cylinders, TOL, split, key=above)])
 
 
 def _cylinders_face_each_other(solid: Solid, a: FaceGeometry, b: FaceGeometry) -> bool:
@@ -428,9 +567,14 @@ def pair_faces(solid: Solid, metrics: SheetMetrics) -> FacePairing:
     """Assign every face a role: reference pair, wall pair, bend pair, or side face.
 
     Faces are taken in decreasing sort measure (ties by id). A planar face
-    looks for partners only among the faces its opposite buckets hold at
-    offsets one thickness away; a cylindrical face scans the cylinders. Every
-    face is a side face until it pairs.
+    looks for partners only in the plane classes its opposite buckets hold
+    at offsets one thickness away. A class whose normal is the exact
+    negative of the face's passes or fails the angle and distance tests as a
+    whole (see :class:`FaceTable`), so one member takes them for all; then
+    each member takes only the role and overlap tests, and a large class
+    offers only the members its u index leaves (``_facing``). The members of
+    other classes take every test. A cylindrical face scans the cylinders.
+    Every face is a side face until it pairs.
     """
     t = metrics.thickness
     table = face_table(solid)
@@ -441,26 +585,43 @@ def pair_faces(solid: Solid, metrics: SheetMetrics) -> FacePairing:
     remaining = sorted((table.faces[fid] for fid, role in roles.items() if role is side),
                        key=lambda g: (-g.measure, g.id))
 
-    def qualifies(a: FaceGeometry, b: FaceGeometry) -> bool:
-        if a.normal is not None:
-            if not a.normal.dot(b.normal) <= -_COS_ANGULAR_TOL:
-                return False
-            return abs(abs(_signed_separation(a, b)) - t) <= TOL and _planes_face_each_other(solid, a, b)
-        return (
-            abs(abs(a.radius - b.radius) - t) <= TOL
-            and _coaxial(a.face.surface, b.face.surface)
-            and _cylinders_face_each_other(solid, a, b)
-        )
+    def at_thickness(a: FaceGeometry, b: FaceGeometry) -> bool:
+        return (a.normal.dot(b.normal) <= -_COS_ANGULAR_TOL
+                and abs(abs(_signed_separation(a, b)) - t) <= TOL)
+
+    indexes: dict[int, tuple | None] = {}
+
+    def facing(f: FaceGeometry, c: list[FaceGeometry]) -> list[FaceGeometry]:
+        # A large class is searched through its u index, built on first use.
+        if len(c) < _INDEX_MIN:
+            return c
+        first = c[0].id
+        if first not in indexes:
+            indexes[first] = _u_index(c)
+        return c if indexes[first] is None else _facing(f, indexes[first])
 
     for f in remaining:
         if roles[f.id] is not side:
             continue
-        if f.normal is not None:
-            shortlist = table.opposed_at(f, t)
+        if f.normal is None:
+            candidates = [g for g in _radii_apart(table.cylinders, f.radius, t)
+                          if g.id != f.id and roles[g.id] is side
+                          and abs(abs(f.radius - g.radius) - t) <= TOL
+                          and _coaxial(f.face.surface, g.face.surface)
+                          and _cylinders_face_each_other(solid, f, g)]
         else:
-            shortlist = table.cylinders
-        candidates = [g for g in shortlist
-                      if g.id != f.id and roles[g.id] is side and qualifies(f, g)]
+            candidates = []
+            opposed = table.opposite[f.normal][0]
+            for c in table.classes_at(f, t):
+                exact = c[0].normal == opposed
+                if exact:
+                    # The whole class is one thickness away or none of it is.
+                    if not at_thickness(f, c[0]):
+                        continue
+                    c = facing(f, c)
+                candidates += [g for g in c if roles[g.id] is side and (
+                    _opposite_overlap(f, g) if exact
+                    else at_thickness(f, g) and _planes_face_each_other(solid, f, g))]
         if len(candidates) > 1:
             raise AmbiguousPairing(f.id, [g.id for g in candidates])
         if candidates:

@@ -61,6 +61,14 @@ def test_line_length_3_4_5():
     assert edge_length(s.edges[1], s) == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("kind, make", [("circle", Circle), ("cylinder", Cylinder)])
+def test_curved_geometry_needs_a_positive_radius(kind, make, radius):
+    # Both loaders reject such a radius first; a library caller meets these.
+    with pytest.raises(ValueError, match=f"^{kind} radius must be positive, got {radius}$"):
+        make(vec(0, 0, 0), vec(0, 0, 1), radius)
+
+
 def test_full_circle_length():
     circ = Circle(vec(0, 0, 0), vec(0, 0, 1), 10.0)
     s = tiny_solid([(circ, (10, 0, 0), (10, 0, 0))])

@@ -678,6 +678,22 @@ def test_out_naming_a_directory_exits_2(capsys, tmp_path, command):
     assert _leftovers(tmp_path) == [] and list(target.iterdir()) == []
 
 
+def test_out_whose_temporary_file_cannot_be_removed_exits_2(capsys, tmp_path, monkeypatch):
+    # The rename fails and so does the clean-up after it: the run still ends
+    # with one error line, and the temporary file is what is left.
+    def refuse(*args):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    monkeypatch.setattr(cli.os, "unlink", refuse)
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, "params", str(fixture_path("row4_bridge.json")), "--out", str(target))
+    monkeypatch.undo()
+    assert (code, out) == (2, "")
+    assert err == f"error: {target}: cannot write: Permission denied\n"
+    assert not target.exists() and len(_leftovers(tmp_path)) == 1
+
+
 def test_out_under_a_regular_file_exits_2(capsys, tmp_path):
     blocker = tmp_path / "notes.txt"
     blocker.write_text("a file, not a directory\n")

@@ -1,9 +1,12 @@
 """Face table, thickness, reference face selection, pairing, grouping, and heights."""
+import json
 import math
 import random
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import modelzoo
@@ -549,3 +552,146 @@ def test_arc_between_coincident_vertices_samples_the_full_circle():
     for lo, hi in ((g.u_lo, g.u_hi), (g.v_lo, g.v_hi)):
         assert lo == pytest.approx(-5.0, abs=1e-9)
         assert hi == pytest.approx(5.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Plane classes and radius order
+# ---------------------------------------------------------------------------
+
+_GRID_KINDS = ("rect_cut", "circle_cut", "tab", "shelf", "hood", "bridge", "boss")
+
+
+def _grid_sheet(rng: random.Random, k: int) -> dict:
+    """k x k modelzoo attachments on a 40 mm pitch, laid out as the
+    benchmark's grid sheets are: each kind fills about k*k/7 cells."""
+    start = rng.randrange(len(_GRID_KINDS))
+    kinds = [_GRID_KINDS[(start + i) % len(_GRID_KINDS)] for i in range(k * k)]
+    rng.shuffle(kinds)
+    attachments = []
+    for n, kind in enumerate(kinds):
+        x0, y0 = 12.0 + 40.0 * (n // k), 12.0 + 40.0 * (n % k)
+        h = rng.choice((8.0, 12.0, 16.0))
+        if kind in ("circle_cut", "boss"):
+            r = rng.choice((4.0, 6.0, 8.0))
+            c = r + (modelzoo.T if kind == "boss" else 0.0)
+            attachments.append(modelzoo.boss(x0 + c, y0 + c, r, h) if kind == "boss"
+                               else modelzoo.circle_cut(x0 + c, y0 + c, r))
+            continue
+        rect = (x0, y0, x0 + rng.choice((20.0, 24.0, 28.0)), y0 + rng.choice((16.0, 20.0, 24.0)))
+        attachments.append(modelzoo.rect_cut(*rect) if kind == "rect_cut"
+                           else getattr(modelzoo, kind)(*rect, h))
+    side = 40.0 * k + 12.0
+    return modelzoo.sheet_doc("grid", side, side, attachments)
+
+
+def _pairs_or_ambiguity(solid, t):
+    """pair_faces with no reference pair held back, in _reference_pairing's terms."""
+    try:
+        return list(pair_faces(solid, SheetMetrics(t, -1, vec(0, 0, 1), -2)).pairs.values())
+    except AmbiguousPairing as exc:
+        return ("ambiguous", exc.face_id, exc.candidates)
+
+
+def _reference_opposite(solid, rf, t):
+    """The opposite face by a scan of every planar face: the largest one
+    anti-parallel to rf at distance t, ties to the smaller id."""
+    a = solid.faces[rf]
+    na = brep.face_normal(a)
+    found = [(-brep.face_area(g, solid), g.id) for g in solid.faces.values()
+             if isinstance(g.surface, Plane) and is_anti_parallel(na, brep.face_normal(g))
+             and abs(abs((g.surface.origin - a.surface.origin).dot(na)) - t) <= 1e-6]
+    return min(found)[1] if found else None
+
+
+def _opposite_or_none(solid, rf, t):
+    try:
+        return features._opposite_face(solid, rf, t)
+    except NoOppositeFace:
+        return None
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(2, 4), *POSES)
+@example(4, 7, (0.0, 0.0, 1.0), 0.0, (0.0, 0.0, 0.0), 1.0, 0.0)
+@example(3, 11, (0.0, 0.0, 1.0), 0.0, (100.0, -40.0, 3.0), 0.05, 1e-7)
+def test_grid_sheet_matches_the_full_scans(k, seed, axis, angle, shift, scale, jitter):
+    # Unturned grids put many coplanar faces in one plane class; jitter
+    # leaves no two normals exact negatives, so every pair takes the
+    # per-face tests. Pairing runs twice: as it is, and with every class of
+    # two or more members searched through its u index, which at these sizes
+    # only a lower threshold reaches.
+    rng = random.Random(seed)
+    doc = modelzoo.transform_doc(modelzoo.scale_doc(_grid_sheet(rng, k), scale),
+                                 modelzoo.rot_axis_angle(axis, angle), shift)
+    s = solid_from(_jitter_directions(doc, rng, jitter))
+    t = compute_thickness(s)
+    assert t == min(d for *_, d in anti_parallel_pair_distances(s))
+    rf = select_reference_face(s)
+    assert _opposite_or_none(s, rf, t) == _reference_opposite(s, rf, t)
+    expected = _reference_pairing(s, t)
+    assert _pairs_or_ambiguity(s, t) == expected
+    with mock.patch.object(features, "_INDEX_MIN", 2):
+        assert _pairs_or_ambiguity(s, t) == expected
+
+
+@pytest.mark.parametrize("name", ["row1_shelf", "row2_boss", "row3_hood", "row4_bridge", "l_bend"])
+def test_far_from_the_origin_one_window_matches_the_full_scans(name):
+    # 2e6 mm out on every axis the table's window, TOL plus 2 ANGULAR_TOL
+    # times the largest plane-origin 1-norm, is wider than the thickness, so
+    # the offsets at -t and +t are searched as one range.
+    doc = json.loads(fixture_path(f"{name}.json").read_text(encoding="utf-8"))
+    s = solid_from(modelzoo.transform_doc(doc, None, (2e6, 2e6, 2e6)))
+    t = compute_thickness(s)
+    assert t <= features.face_table(s).window
+    assert t == min(d for *_, d in anti_parallel_pair_distances(s))
+    rf = select_reference_face(s)
+    assert features._opposite_face(s, rf, t) == _reference_opposite(s, rf, t)
+    assert _pairs_or_ambiguity(s, t) == _reference_pairing(s, t)
+
+
+def _split_rod(x: float = 1e308) -> dict:
+    """A 0.5 x 0.25 rod from -x to +x. Its long faces are split at 0, and each
+    half's plane origin sits at its own end, so that no face's span from its
+    origin overflows, while origins across the halves differ by 2x."""
+    w, h = 0.5, 0.25
+    b = modelzoo.DocBuilder("rod")
+    b.plane_face((x, 0, h), (0, 0, 1), modelzoo.rect_xy(0, 0, x, w, h))
+    b.plane_face((-x, 0, h), (0, 0, 1), modelzoo.rect_xy(-x, 0, 0, w, h))
+    b.plane_face((-x, 0, 0), (0, 0, -1), modelzoo.rect_xy(-x, 0, 0, w, 0))
+    b.plane_face((x, 0, 0), (0, 0, -1), modelzoo.rect_xy(0, 0, x, w, 0))
+    b.plane_face((0, 0, 0), (0, -1, 0),
+                 modelzoo.poly([(-x, 0, 0), (0, 0, 0), (x, 0, 0), (x, 0, h), (0, 0, h), (-x, 0, h)]))
+    b.plane_face((0, w, 0), (0, 1, 0),
+                 modelzoo.poly([(-x, w, 0), (-x, w, h), (0, w, h), (x, w, h), (x, w, 0), (0, w, 0)]))
+    b.plane_face((x, 0, 0), (1, 0, 0), modelzoo.poly([(x, 0, 0), (x, w, 0), (x, w, h), (x, 0, h)]))
+    b.plane_face((-x, 0, 0), (-1, 0, 0), modelzoo.poly([(-x, 0, 0), (-x, 0, h), (-x, w, h), (-x, w, 0)]))
+    return b.doc()
+
+
+def test_origins_whose_difference_overflows_keep_their_pairs_apart():
+    # Faces 1 and 4 lie at +1e308, faces 2 and 3 at -1e308 along x, where
+    # the normals are zero. Across the halves the separation is inf * 0,
+    # NaN, and the pair is skipped; within a half it is the thickness.
+    s = solid_from(_split_rod())
+    assert anti_parallel_pair_distances(s) == [(1, 4, 0.25), (2, 3, 0.25), (5, 6, 0.5), (7, 8, math.inf)]
+    metrics = sheet_metrics(s)
+    assert metrics == SheetMetrics(0.25, 1, vec(0, 0, 1), 4)
+    pairing = pair_faces(s, metrics)
+    assert pairing.pairs == {1: (2, 3)}
+    assert [pairing.role_of(f) for f in range(1, 9)] == [Role.REFERENCE, Role.WALL, Role.WALL,
+                                                          Role.REFERENCE] + [Role.SIDE] * 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.5, 50.0), st.sampled_from([0.05, 2.0, 7.5]),
+       st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 1.0]),
+                          st.sampled_from([-2e-6, -1e-6, -5e-7, 0.0, 5e-7, 1e-6, 2e-6]),
+                          st.floats(-0.5, 0.5) | st.just(0.0)), min_size=1, max_size=30))
+def test_radius_order_finds_every_radius_one_thickness_away(r, t, offsets):
+    # Radii at, just inside and just outside TOL of r - t, r and r + t, on
+    # both sides of r, and some anywhere between.
+    radii = sorted(x for side, near, far in offsets if (x := r + side * t + near + far) > 0)
+    cylinders = [SimpleNamespace(radius=x) for x in radii]
+    got = features._radii_apart(cylinders, r, t)
+    assert [id(g) for g in got] == [id(g) for g in cylinders
+                                    if abs(abs(r - g.radius) - t) <= features.TOL]
