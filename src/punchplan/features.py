@@ -179,10 +179,12 @@ class FaceGeometry:
     basis ``(u, v) = plane_basis(normal)``. Cylindrical faces carry the
     radius, the axis and the sample-point interval along the axis.
     ``measure`` is the pairing sort measure: the area, or the lateral area of
-    the sampled axial span.
+    the sampled axial span. ``plane`` is a planar face's plane-class key: the
+    normal, and the origin with its coordinates on the normal's zero
+    components set to 0 (see :class:`FaceTable`).
     """
 
-    __slots__ = ("face", "id", "measure", "normal", "origin", "offset", "area",
+    __slots__ = ("face", "id", "measure", "normal", "origin", "offset", "area", "plane",
                  "u_lo", "u_hi", "v_lo", "v_hi", "radius", "axis", "axis_lo", "axis_hi")
 
     def __init__(self, solid: Solid, face: Face):
@@ -193,7 +195,10 @@ class FaceGeometry:
         if isinstance(surface, Plane):
             self.normal = n = face_normal(face)
             self.origin = surface.origin
-            self.offset = surface.origin.dot(n)
+            x, y, z = surface.origin
+            nx, ny, nz = n
+            self.offset = x * nx + y * ny + z * nz  # origin.dot(n), rounded the same
+            self.plane = n, x if nx else 0.0, y if ny else 0.0, z if nz else 0.0
             self.area = self.measure = area
             u, v = plane_basis(n)
             self.u_lo, self.u_hi = _extent_along(points, u)
@@ -227,10 +232,11 @@ class FaceTable:
 
     A plane class is the list of planar faces with one outward normal
     (``==``) and the same plane-origin coordinates wherever that normal is
-    non-zero; members differ at most where the normal is zero. ``classes``
-    lists them. Take two classes whose normals are exact negatives. Every
-    face pair across them then gives one ``_signed_separation`` double, up to
-    the sign of a zero, in either order:
+    non-zero, that is with one ``FaceGeometry.plane`` key; members differ at
+    most where the normal is zero. ``classes`` lists them. Take two classes
+    whose normals are exact negatives. Every face pair across them then
+    gives one ``_signed_separation`` double, up to the sign of a zero, in
+    either order:
 
     - each term on a zero component of the normal is +-0, as long as no
       coordinate difference overflows;
@@ -242,9 +248,9 @@ class FaceTable:
     a class share one plane offset. So one face pair stands for the whole
     class pair. Where a coordinate difference between plane origins could
     overflow, that is where twice the largest plane-origin 1-norm is not
-    below the largest double, classes are keyed by the whole origin instead:
-    an overflow makes ``inf * 0``, NaN, which skips the pair, and only faces
-    with equal origins are sure to share that.
+    below the largest double, classes are keyed by the normal and the whole
+    origin instead: an overflow makes ``inf * 0``, NaN, which skips the
+    pair, and only faces with equal origins are sure to share that.
 
     Classes are bucketed by the grid cell of their outward normal; each
     bucket is a pair of lists, the class plane offsets ``origin . normal``
@@ -277,27 +283,27 @@ class FaceTable:
         extent = max((_norm1(g.origin) for g in self.planes), default=0.0)
         self.window = TOL + 2.0 * ANGULAR_TOL * extent
         whole = 2.0 * extent >= sys.float_info.max
-        by_normal: dict[Vec3, list[FaceGeometry]] = {}
+        keyed: dict[tuple, list[FaceGeometry]] = {}
+        cells: dict[tuple[int, int, int], list[list[FaceGeometry]]] = {}
         for g in self.planes:
-            same = by_normal.get(g.normal)
+            key = (g.normal, g.origin) if whole else g.plane
+            same = keyed.get(key)
             if same is None:
-                by_normal[g.normal] = [g]
+                keyed[key] = same = [g]
+                cells.setdefault(_cell(g.normal), []).append(same)
             else:
                 same.append(g)
-        self.classes: list[list[FaceGeometry]] = []
-        cells: dict[tuple[int, int, int], list[list[FaceGeometry]]] = {}
-        for n, same in by_normal.items():
-            classes = [same] if len(same) == 1 else _plane_classes(n, same, whole)
-            self.classes += classes
-            cells.setdefault(_cell(n), []).extend(classes)
+        self.classes: list[list[FaceGeometry]] = list(keyed.values())
         buckets = {}
         for cell, classes in cells.items():
             classes.sort(key=lambda c: (c[0].offset, c[0].id))
             buckets[cell] = ([c[0].offset for c in classes], classes)
         self.opposite: dict[Vec3, tuple[Vec3, list]] = {}
-        for n in by_normal:
-            opposed = -n
-            self.opposite[n] = (opposed, [buckets[k] for k in _cells_near(opposed) if k in buckets])
+        for c in self.classes:
+            n = c[0].normal
+            if n not in self.opposite:
+                opposed = -n
+                self.opposite[n] = (opposed, [buckets[k] for k in _cells_near(opposed) if k in buckets])
 
     def classes_at(self, a: FaceGeometry, distance: float):
         """Plane classes in a's opposite buckets that may lie ``distance`` from a's plane."""
@@ -310,54 +316,6 @@ class FaceTable:
         """Planar faces in a's opposite buckets that may lie ``distance`` from a's plane."""
         for c in self.classes_at(a, distance):
             yield from c
-
-
-def _plane_classes(n: Vec3, same: list[FaceGeometry], whole: bool) -> list[list[FaceGeometry]]:
-    """The plane classes of the faces whose outward normal is n (see FaceTable)."""
-    nx, ny, nz = n
-    keyed: dict[tuple, list[FaceGeometry]] = {}
-    for g in same:
-        if whole:
-            key = g.origin
-        else:
-            x, y, z = g.origin
-            key = x if nx else 0.0, y if ny else 0.0, z if nz else 0.0
-        keyed.setdefault(key, []).append(g)
-    return list(keyed.values())
-
-
-# Plane classes with fewer members are scanned whole, not through _facing.
-_INDEX_MIN = 8
-
-
-def _u_index(members: list[FaceGeometry]) -> tuple | None:
-    """The members sorted by ``u_lo``, those values, and the widest u interval.
-
-    None for a class with a non-finite interval, which sorting and the
-    bounds of ``_facing`` cannot rely on.
-    """
-    if not all(math.isfinite(g.u_lo) and math.isfinite(g.u_hi) for g in members):
-        return None
-    members = sorted(members, key=lambda g: g.u_lo)
-    return [g.u_lo for g in members], members, max(g.u_hi - g.u_lo for g in members)
-
-
-def _facing(f: FaceGeometry, index: tuple) -> list[FaceGeometry]:
-    """The members of an indexed plane class whose u intervals may overlap f's.
-
-    f's normal is the exact negative of the class's, so in f's plane basis a
-    member g spans ``(-g.u_hi, -g.u_lo)`` along u (see ``plane_basis``).
-    ``_overlaps`` passing means that ``-g.u_lo - f.u_lo`` and
-    ``f.u_hi + g.u_hi`` round above TOL, so ``g.u_lo < -f.u_lo`` and
-    ``g.u_hi > -f.u_hi`` hold exactly. With the members sorted by ``u_lo``
-    the first bisects directly. The second bounds ``u_lo`` from below by
-    ``-f.u_hi`` less the widest member's width, less a relative margin far
-    beyond the rounding of that width and of the bound itself.
-    """
-    u_los, members, width = index
-    lo = -f.u_hi - width
-    lo -= (abs(f.u_hi) + width) * 2.0 ** -40
-    return members[bisect_left(u_los, lo):bisect_left(u_los, -f.u_lo)]
 
 
 def face_table(solid: Solid) -> FaceTable:
@@ -424,7 +382,9 @@ def compute_thickness(solid: Solid) -> float:
     separation so far. A class whose normal is the exact negative is measured
     once, by the first members (see :class:`FaceTable`); across any other
     class every face pair is measured with the lower face id first, as in
-    :func:`anti_parallel_pair_distances`. So the minimum is the same double.
+    :func:`anti_parallel_pair_distances`, and so is every cylinder pair
+    tested for coaxiality, which is not symmetric. So the minimum is the
+    same double.
     """
     table = face_table(solid)
     w = table.window
@@ -461,7 +421,8 @@ def compute_thickness(solid: Solid) -> float:
             d = b.radius - r
             if best is not None and not d < best:
                 break
-            if _coaxial(a.face.surface, b.face.surface):
+            lo, hi = (a, b) if a.id < b.id else (b, a)
+            if _coaxial(lo.face.surface, hi.face.surface):
                 best = d
     if best is None:
         raise NoParallelPairs()
@@ -570,11 +531,11 @@ def pair_faces(solid: Solid, metrics: SheetMetrics) -> FacePairing:
     looks for partners only in the plane classes its opposite buckets hold
     at offsets one thickness away. A class whose normal is the exact
     negative of the face's passes or fails the angle and distance tests as a
-    whole (see :class:`FaceTable`), so one member takes them for all; then
-    each member takes only the role and overlap tests, and a large class
-    offers only the members its u index leaves (``_facing``). The members of
-    other classes take every test. A cylindrical face scans the cylinders.
-    Every face is a side face until it pairs.
+    whole (see :class:`FaceTable`), so one member takes them for all and
+    each member takes only the role and overlap tests. The members of other
+    classes take every test. A cylindrical face looks only at the cylinders
+    whose radius is one thickness from its own. Every face is a side face
+    until it pairs.
     """
     t = metrics.thickness
     table = face_table(solid)
@@ -589,39 +550,25 @@ def pair_faces(solid: Solid, metrics: SheetMetrics) -> FacePairing:
         return (a.normal.dot(b.normal) <= -_COS_ANGULAR_TOL
                 and abs(abs(_signed_separation(a, b)) - t) <= TOL)
 
-    indexes: dict[int, tuple | None] = {}
-
-    def facing(f: FaceGeometry, c: list[FaceGeometry]) -> list[FaceGeometry]:
-        # A large class is searched through its u index, built on first use.
-        if len(c) < _INDEX_MIN:
-            return c
-        first = c[0].id
-        if first not in indexes:
-            indexes[first] = _u_index(c)
-        return c if indexes[first] is None else _facing(f, indexes[first])
-
     for f in remaining:
         if roles[f.id] is not side:
             continue
         if f.normal is None:
             candidates = [g for g in _radii_apart(table.cylinders, f.radius, t)
                           if g.id != f.id and roles[g.id] is side
-                          and abs(abs(f.radius - g.radius) - t) <= TOL
                           and _coaxial(f.face.surface, g.face.surface)
                           and _cylinders_face_each_other(solid, f, g)]
         else:
             candidates = []
             opposed = table.opposite[f.normal][0]
             for c in table.classes_at(f, t):
-                exact = c[0].normal == opposed
-                if exact:
+                if c[0].normal == opposed:
                     # The whole class is one thickness away or none of it is.
-                    if not at_thickness(f, c[0]):
-                        continue
-                    c = facing(f, c)
-                candidates += [g for g in c if roles[g.id] is side and (
-                    _opposite_overlap(f, g) if exact
-                    else at_thickness(f, g) and _planes_face_each_other(solid, f, g))]
+                    if at_thickness(f, c[0]):
+                        candidates += [g for g in c if roles[g.id] is side and _opposite_overlap(f, g)]
+                else:
+                    candidates += [g for g in c if roles[g.id] is side and at_thickness(f, g)
+                                   and _planes_face_each_other(solid, f, g)]
         if len(candidates) > 1:
             raise AmbiguousPairing(f.id, [g.id for g in candidates])
         if candidates:

@@ -2,8 +2,9 @@
 import json
 import math
 import random
+import sys
+from pathlib import Path
 from types import SimpleNamespace
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +35,9 @@ from punchplan.features import (
     sheet_metrics,
 )
 from punchplan.geom import ANGULAR_TOL, is_anti_parallel, vec
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import inputs  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -558,32 +562,6 @@ def test_arc_between_coincident_vertices_samples_the_full_circle():
 # Plane classes and radius order
 # ---------------------------------------------------------------------------
 
-_GRID_KINDS = ("rect_cut", "circle_cut", "tab", "shelf", "hood", "bridge", "boss")
-
-
-def _grid_sheet(rng: random.Random, k: int) -> dict:
-    """k x k modelzoo attachments on a 40 mm pitch, laid out as the
-    benchmark's grid sheets are: each kind fills about k*k/7 cells."""
-    start = rng.randrange(len(_GRID_KINDS))
-    kinds = [_GRID_KINDS[(start + i) % len(_GRID_KINDS)] for i in range(k * k)]
-    rng.shuffle(kinds)
-    attachments = []
-    for n, kind in enumerate(kinds):
-        x0, y0 = 12.0 + 40.0 * (n // k), 12.0 + 40.0 * (n % k)
-        h = rng.choice((8.0, 12.0, 16.0))
-        if kind in ("circle_cut", "boss"):
-            r = rng.choice((4.0, 6.0, 8.0))
-            c = r + (modelzoo.T if kind == "boss" else 0.0)
-            attachments.append(modelzoo.boss(x0 + c, y0 + c, r, h) if kind == "boss"
-                               else modelzoo.circle_cut(x0 + c, y0 + c, r))
-            continue
-        rect = (x0, y0, x0 + rng.choice((20.0, 24.0, 28.0)), y0 + rng.choice((16.0, 20.0, 24.0)))
-        attachments.append(modelzoo.rect_cut(*rect) if kind == "rect_cut"
-                           else getattr(modelzoo, kind)(*rect, h))
-    side = 40.0 * k + 12.0
-    return modelzoo.sheet_doc("grid", side, side, attachments)
-
-
 def _pairs_or_ambiguity(solid, t):
     """pair_faces with no reference pair held back, in _reference_pairing's terms."""
     try:
@@ -617,21 +595,16 @@ def _opposite_or_none(solid, rf, t):
 def test_grid_sheet_matches_the_full_scans(k, seed, axis, angle, shift, scale, jitter):
     # Unturned grids put many coplanar faces in one plane class; jitter
     # leaves no two normals exact negatives, so every pair takes the
-    # per-face tests. Pairing runs twice: as it is, and with every class of
-    # two or more members searched through its u index, which at these sizes
-    # only a lower threshold reaches.
+    # per-face tests.
     rng = random.Random(seed)
-    doc = modelzoo.transform_doc(modelzoo.scale_doc(_grid_sheet(rng, k), scale),
+    doc = modelzoo.transform_doc(modelzoo.scale_doc(inputs.grid_sheet(rng, k, "grid")[0], scale),
                                  modelzoo.rot_axis_angle(axis, angle), shift)
     s = solid_from(_jitter_directions(doc, rng, jitter))
     t = compute_thickness(s)
     assert t == min(d for *_, d in anti_parallel_pair_distances(s))
     rf = select_reference_face(s)
     assert _opposite_or_none(s, rf, t) == _reference_opposite(s, rf, t)
-    expected = _reference_pairing(s, t)
-    assert _pairs_or_ambiguity(s, t) == expected
-    with mock.patch.object(features, "_INDEX_MIN", 2):
-        assert _pairs_or_ambiguity(s, t) == expected
+    assert _pairs_or_ambiguity(s, t) == _reference_pairing(s, t)
 
 
 @pytest.mark.parametrize("name", ["row1_shelf", "row2_boss", "row3_hood", "row4_bridge", "l_bend"])
@@ -680,6 +653,23 @@ def test_origins_whose_difference_overflows_keep_their_pairs_apart():
     assert pairing.pairs == {1: (2, 3)}
     assert [pairing.role_of(f) for f in range(1, 9)] == [Role.REFERENCE, Role.WALL, Role.WALL,
                                                           Role.REFERENCE] + [Role.SIDE] * 4
+
+
+def test_cylinder_coaxiality_is_tested_in_face_id_order():
+    # _coaxial measures the axis-point offset across the first cylinder's
+    # axis only. Face 4's axis is tilted 5e-7 rad from face 3's, inside
+    # ANGULAR_TOL, and its axis point lies 20 mm along its own axis: the pair
+    # is coaxial with face 4 first, but 1e-5 off axis with face 3 first, as
+    # the full scan takes it. Radius order puts face 4, the smaller, first.
+    c, s = math.cos(5e-7), math.sin(5e-7)
+    big = Cylinder(vec(0, 0, 0), vec(1, 0, 0), 2.5)
+    small = Cylinder(vec(20 * c, 20 * s, 0), vec(c, s, 0), 1.5)
+    assert not features._coaxial(big, small) and features._coaxial(small, big)
+    surfaces = (Plane(vec(0, 0, 0), vec(0, 0, 1)), Plane(vec(0, 0, 3), vec(0, 0, -1)), big, small)
+    faces = {fid: Face(fid, surface, True, ((1, True),)) for fid, surface in enumerate(surfaces, 1)}
+    solid = Solid("tilted", {}, {}, {1: Loop(1, ())}, faces)
+    assert anti_parallel_pair_distances(solid) == [(1, 2, 3.0)]
+    assert compute_thickness(solid) == 3.0
 
 
 @settings(max_examples=100, deadline=None)
