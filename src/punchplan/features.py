@@ -9,12 +9,14 @@ feature's height above the reference plane.
 Every step reads one per-face geometry table (:class:`FaceTable`), built once
 per solid: planar faces grouped into plane classes, the faces of one normal
 and one plane, which are bucketed by outward normal and sorted by plane
-offset; cylinders, which are few, are compared pairwise. A planar face is
-compared only with the classes its buckets shortlist. Across two classes
-with exactly opposite normals every face pair is one separation apart, to
-the last bit, so the thickness, the opposite face and pairing test such a
-pair of planes once; in-plane overlap, and every other shortlisted pair, go
-through the same exact tests as a full pairwise scan would.
+offset; cylinders, which are few, are sorted by radius, and a cylinder is
+compared with those whose radius may differ from its own by the distance
+sought. A planar face is compared only with the classes its buckets
+shortlist. Across two classes with exactly opposite normals every face pair
+is one separation apart, to the last bit, so the thickness, the opposite
+face and pairing test such a pair of planes once; in-plane overlap, and
+every other shortlisted pair, go through the same exact tests as a full
+pairwise scan would.
 """
 from __future__ import annotations
 
