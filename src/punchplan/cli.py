@@ -284,10 +284,10 @@ def cmd_features(args) -> int:
         )
         if feat.id in analysis.height_errors:
             lines.append(f"  note: {analysis.height_errors[feat.id]}")
-    uncommitted = [e for e in analysis.classification.part_level]
-    if uncommitted:
-        total = sum(edge_length(solid.edges[eid], solid) for eid, _ in uncommitted)
-        lines.append(f"part-level edges: {len(uncommitted)} IEE (total length {total:.6f})")
+    part_level = analysis.classification.part_level
+    if part_level:
+        total = sum(edge_length(solid.edges[eid], solid) for eid, _ in part_level)
+        lines.append(f"part-level edges: {len(part_level)} IEE (total length {total:.6f})")
     for w in warnings:
         lines.append(f"warning: {w}")
     _write_output("\n".join(lines) + "\n", args.out)

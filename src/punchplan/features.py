@@ -12,10 +12,11 @@ and one plane, which are bucketed by outward normal and sorted by plane
 offset; cylinders, which are few, are sorted by radius, and a cylinder is
 compared with those whose radius may differ from its own by the distance
 sought. A planar face is compared only with the classes its buckets
-shortlist. Across two classes with exactly opposite normals every face pair
-is one separation apart, to the last bit, so the thickness, the opposite
-face and pairing test such a pair of planes once; in-plane overlap, and
-every other shortlisted pair, go through the same exact tests as a full
+shortlist, through one query, :meth:`FaceTable.across`, which serves both
+the opposite face and pairing. Across two classes with exactly opposite
+normals every face pair is one separation apart, to the last bit, so the
+thickness and that query test such a pair of planes once; in-plane overlap,
+and every other shortlisted pair, go through the same exact tests as a full
 pairwise scan would.
 """
 from __future__ import annotations
@@ -179,14 +180,12 @@ class FaceGeometry:
     Planar faces carry the outward normal, the plane origin and offset along
     that normal, the area, and the sample-point intervals along the in-plane
     basis ``(u, v) = plane_basis(normal)``. Cylindrical faces carry the
-    radius, the axis and the sample-point interval along the axis.
-    ``measure`` is the pairing sort measure: the area, or the lateral area of
-    the sampled axial span. ``plane`` is a planar face's plane-class key: the
-    normal, and the origin with its coordinates on the normal's zero
-    components set to 0 (see :class:`FaceTable`).
+    radius, the axis and the sample-point interval along the axis, and as
+    area the lateral area over that sampled axial span; pairing sorts faces
+    by area.
     """
 
-    __slots__ = ("face", "id", "measure", "normal", "origin", "offset", "area", "plane",
+    __slots__ = ("face", "id", "normal", "origin", "offset", "area",
                  "u_lo", "u_hi", "v_lo", "v_hi", "radius", "axis", "axis_lo", "axis_hi")
 
     def __init__(self, solid: Solid, face: Face):
@@ -200,8 +199,7 @@ class FaceGeometry:
             x, y, z = surface.origin
             nx, ny, nz = n
             self.offset = x * nx + y * ny + z * nz  # origin.dot(n), rounded the same
-            self.plane = n, x if nx else 0.0, y if ny else 0.0, z if nz else 0.0
-            self.area = self.measure = area
+            self.area = area
             u, v = plane_basis(n)
             self.u_lo, self.u_hi = _extent_along(points, u)
             self.v_lo, self.v_hi = _extent_along(points, v)
@@ -210,7 +208,7 @@ class FaceGeometry:
             self.radius = surface.radius
             self.axis = surface.axis_dir
             self.axis_lo, self.axis_hi = _extent_along(points, self.axis)
-            self.measure = 2.0 * math.pi * surface.radius * (self.axis_hi - self.axis_lo)
+            self.area = 2.0 * math.pi * surface.radius * (self.axis_hi - self.axis_lo)
 
 
 def _signed_separation(a: FaceGeometry, b: FaceGeometry) -> float:
@@ -219,6 +217,12 @@ def _signed_separation(a: FaceGeometry, b: FaceGeometry) -> float:
     bx, by, bz = b.origin
     nx, ny, nz = a.normal
     return (bx - ax) * nx + (by - ay) * ny + (bz - az) * nz
+
+
+def _at_separation(a: FaceGeometry, b: FaceGeometry, distance: float) -> bool:
+    """Whether planar face b is anti-parallel to a and lies ``distance`` from a's plane."""
+    return (a.normal.dot(b.normal) <= -_COS_ANGULAR_TOL
+            and abs(abs(_signed_separation(a, b)) - distance) <= TOL)
 
 
 def _windows(center: float, distance: float, half_width: float) -> tuple[tuple[float, float], ...]:
@@ -234,8 +238,9 @@ class FaceTable:
 
     A plane class is the list of planar faces with one outward normal
     (``==``) and the same plane-origin coordinates wherever that normal is
-    non-zero, that is with one ``FaceGeometry.plane`` key; members differ at
-    most where the normal is zero. ``classes`` lists them. Take two classes
+    non-zero: the table keys each face by its normal and its origin with the
+    coordinates on the normal's zero components set to 0, so members differ
+    at most where the normal is zero. ``classes`` lists them. Take two classes
     whose normals are exact negatives. Every face pair across them then
     gives one ``_signed_separation`` double, up to the sign of a zero, in
     either order:
@@ -262,10 +267,11 @@ class FaceTable:
     so bisecting the offsets finds every pair at a given separation once the
     search range is widened by ``window``: TOL plus twice ANGULAR_TOL times
     the largest plane-origin distance from the coordinate origin.
-    ``cylinders`` lists the cylindrical faces by radius. Callers test a class
-    pair with exactly opposite normals once, and every other shortlisted
-    pair, and every pair's overlap, face by face with the exact tests. So
-    the table changes no decision, only how many pairs are tried.
+    ``cylinders`` lists the cylindrical faces by radius. ``across`` tests a
+    class pair with exactly opposite normals once and every other
+    shortlisted pair face by face, and callers test every pair's overlap,
+    all with the exact tests. So the table changes no decision, only how
+    many pairs are tried.
 
     ``opposite`` maps each outward normal of a planar face to its negation
     and the buckets that may hold its anti-parallel partners. Normals that
@@ -288,11 +294,16 @@ class FaceTable:
         keyed: dict[tuple, list[FaceGeometry]] = {}
         cells: dict[tuple[int, int, int], list[list[FaceGeometry]]] = {}
         for g in self.planes:
-            key = (g.normal, g.origin) if whole else g.plane
+            n = g.normal
+            if whole:
+                key = n, g.origin
+            else:
+                (x, y, z), (nx, ny, nz) = g.origin, n
+                key = n, x if nx else 0.0, y if ny else 0.0, z if nz else 0.0
             same = keyed.get(key)
             if same is None:
                 keyed[key] = same = [g]
-                cells.setdefault(_cell(g.normal), []).append(same)
+                cells.setdefault(_cell(n), []).append(same)
             else:
                 same.append(g)
         self.classes: list[list[FaceGeometry]] = list(keyed.values())
@@ -307,17 +318,19 @@ class FaceTable:
                 opposed = -n
                 self.opposite[n] = (opposed, [buckets[k] for k in _cells_near(opposed) if k in buckets])
 
-    def classes_at(self, a: FaceGeometry, distance: float):
-        """Plane classes in a's opposite buckets that may lie ``distance`` from a's plane."""
-        opposite = self.opposite[a.normal][1]
+    def across(self, a: FaceGeometry, distance: float):
+        """For each plane class a's opposite buckets shortlist at ``distance``,
+        ``(faces, exact)``: its members that pass :func:`_at_separation`, and
+        whether the class normal is exactly a's negation. Such a class passes
+        or fails as a whole, so one member takes the test for all."""
+        opposed, opposite = self.opposite[a.normal]
         for lo, hi in _windows(-a.offset, distance, self.window):
             for offsets, cs in opposite:
-                yield from cs[bisect_left(offsets, lo):bisect_right(offsets, hi)]
-
-    def opposed_at(self, a: FaceGeometry, distance: float):
-        """Planar faces in a's opposite buckets that may lie ``distance`` from a's plane."""
-        for c in self.classes_at(a, distance):
-            yield from c
+                for c in cs[bisect_left(offsets, lo):bisect_right(offsets, hi)]:
+                    if c[0].normal == opposed:
+                        yield (c if _at_separation(a, c[0], distance) else ()), True
+                    else:
+                        yield [g for g in c if _at_separation(a, g, distance)], False
 
 
 def face_table(solid: Solid) -> FaceTable:
@@ -446,23 +459,8 @@ def select_reference_face(solid: Solid) -> int:
 
 def _opposite_face(solid: Solid, rf_id: int, thickness: float) -> int:
     table = face_table(solid)
-    rf = table.faces[rf_id]
-    opposed = table.opposite[rf.normal][0]
-
-    def at_thickness(g: FaceGeometry) -> bool:
-        return (rf.normal.dot(g.normal) <= -_COS_ANGULAR_TOL
-                and abs(abs(_signed_separation(rf, g)) - thickness) <= TOL)
-
-    found: list[FaceGeometry] = []
-    for c in table.classes_at(rf, thickness):
-        # A class with the exact negative normal passes or fails as a whole
-        # (see FaceTable).
-        if c[0].normal == opposed:
-            if at_thickness(c[0]):
-                found += c
-        else:
-            found += filter(at_thickness, c)
-    best = min(((-g.area, g.id) for g in found), default=None)
+    best = min(((-g.area, g.id) for faces, _ in table.across(table.faces[rf_id], thickness)
+                for g in faces), default=None)
     if best is None:
         raise NoOppositeFace(rf_id, thickness)
     return best[1]
@@ -484,17 +482,14 @@ def sheet_metrics(solid: Solid) -> SheetMetrics:
 # Pairing
 # ---------------------------------------------------------------------------
 
-def _opposite_overlap(a: FaceGeometry, b: FaceGeometry) -> bool:
+def _planes_face_each_other(solid: Solid, a: FaceGeometry, b: FaceGeometry, exact: bool) -> bool:
     # Plane separation alone treats planes as infinite; require the two
     # bounded faces to overlap when projected onto a's plane basis. For
     # exactly opposite normals b's basis is a's with u reversed (see
-    # plane_basis), so b's own intervals serve.
-    return _overlaps(a.u_lo, a.u_hi, -b.u_hi, -b.u_lo) and _overlaps(a.v_lo, a.v_hi, b.v_lo, b.v_hi)
-
-
-def _planes_face_each_other(solid: Solid, a: FaceGeometry, b: FaceGeometry) -> bool:
-    # _opposite_overlap for normals that are not exactly opposite: b's sample
-    # points are projected onto a's basis afresh.
+    # plane_basis), so b's own intervals serve; otherwise b's sample points
+    # are projected onto a's basis afresh.
+    if exact:
+        return _overlaps(a.u_lo, a.u_hi, -b.u_hi, -b.u_lo) and _overlaps(a.v_lo, a.v_hi, b.v_lo, b.v_hi)
     u, v = plane_basis(a.normal)
     points = brep._walk_face(solid, b.face)[0]
     return (_overlaps(a.u_lo, a.u_hi, *_extent_along(points, u))
@@ -529,15 +524,11 @@ def _cylinders_face_each_other(solid: Solid, a: FaceGeometry, b: FaceGeometry) -
 def pair_faces(solid: Solid, metrics: SheetMetrics) -> FacePairing:
     """Assign every face a role: reference pair, wall pair, bend pair, or side face.
 
-    Faces are taken in decreasing sort measure (ties by id). A planar face
-    looks for partners only in the plane classes its opposite buckets hold
-    at offsets one thickness away. A class whose normal is the exact
-    negative of the face's passes or fails the angle and distance tests as a
-    whole (see :class:`FaceTable`), so one member takes them for all and
-    each member takes only the role and overlap tests. The members of other
-    classes take every test. A cylindrical face looks only at the cylinders
-    whose radius is one thickness from its own. Every face is a side face
-    until it pairs.
+    Faces are taken in decreasing area (ties by id). A planar face's
+    partners are the faces :meth:`FaceTable.across` finds one thickness away
+    that are still side faces and overlap it. A cylindrical face looks only
+    at the cylinders whose radius is one thickness from its own. Every face
+    is a side face until it pairs.
     """
     t = metrics.thickness
     table = face_table(solid)
@@ -546,12 +537,7 @@ def pair_faces(solid: Solid, metrics: SheetMetrics) -> FacePairing:
     roles[metrics.reference_face] = roles[metrics.opposite_face] = Role.REFERENCE
     pairs: dict[int, tuple[int, int]] = {}
     remaining = sorted((table.faces[fid] for fid, role in roles.items() if role is side),
-                       key=lambda g: (-g.measure, g.id))
-
-    def at_thickness(a: FaceGeometry, b: FaceGeometry) -> bool:
-        return (a.normal.dot(b.normal) <= -_COS_ANGULAR_TOL
-                and abs(abs(_signed_separation(a, b)) - t) <= TOL)
-
+                       key=lambda g: (-g.area, g.id))
     for f in remaining:
         if roles[f.id] is not side:
             continue
@@ -561,16 +547,8 @@ def pair_faces(solid: Solid, metrics: SheetMetrics) -> FacePairing:
                           and _coaxial(f.face.surface, g.face.surface)
                           and _cylinders_face_each_other(solid, f, g)]
         else:
-            candidates = []
-            opposed = table.opposite[f.normal][0]
-            for c in table.classes_at(f, t):
-                if c[0].normal == opposed:
-                    # The whole class is one thickness away or none of it is.
-                    if at_thickness(f, c[0]):
-                        candidates += [g for g in c if roles[g.id] is side and _opposite_overlap(f, g)]
-                else:
-                    candidates += [g for g in c if roles[g.id] is side and at_thickness(f, g)
-                                   and _planes_face_each_other(solid, f, g)]
+            candidates = [g for faces, exact in table.across(f, t) for g in faces
+                          if roles[g.id] is side and _planes_face_each_other(solid, f, g, exact)]
         if len(candidates) > 1:
             raise AmbiguousPairing(f.id, [g.id for g in candidates])
         if candidates:
@@ -685,13 +663,17 @@ def measure_heights(
     features: list[SheetFeature],
     cut_height: float | None = None,
 ) -> tuple[list[SheetFeature], dict[int, str]]:
-    """Fill in feature heights; unmeasurable features get an error note instead."""
+    """Fill in feature heights; a feature that is unmeasurable, or whose height
+    is not finite, gets an error note instead."""
     out: list[SheetFeature] = []
     errors: dict[int, str] = {}
     for f in features:
         try:
-            out.append(replace(f, height=feature_height(solid, metrics, f, cut_height)))
-        except NoParallelFeatureFace as exc:
+            height = feature_height(solid, metrics, f, cut_height)
+            if not math.isfinite(height):
+                raise RecognitionError(f"feature {f.id} has height {height}, which is not finite")
+            out.append(replace(f, height=height))
+        except RecognitionError as exc:
             errors[f.id] = str(exc)
             out.append(f)
     return out, errors

@@ -14,6 +14,7 @@ import modelzoo
 from conftest import fixture_path, solid_from
 from punchplan import brep, features
 from punchplan.brep import Circle, Cylinder, Face, Loop, Plane, Solid
+from punchplan.cli import main
 from punchplan.features import (
     AmbiguousPairing,
     FacePairing,
@@ -355,7 +356,7 @@ def test_skins_just_outside_the_angular_tolerance_set_no_thickness():
     doc = _turned(modelzoo.box_doc(), 2, "normal", [0.0, math.sin(_TILT), math.cos(_TILT)])
     solid = solid_from(doc)
     table = features.face_table(solid)
-    assert table.faces[2] in list(table.opposed_at(table.faces[1], 2.0))
+    assert any(table.faces[2] in c for _, cs in table.opposite[table.faces[1].normal][1] for c in cs)
     assert not is_anti_parallel(table.faces[1].normal, table.faces[2].normal)
     assert compute_thickness(solid) == 80.0
 
@@ -366,7 +367,7 @@ def test_wall_skins_just_outside_the_angular_tolerance_do_not_pair():
     solid = solid_from(doc)
     metrics = sheet_metrics(solid)
     table = features.face_table(solid)
-    assert table.faces[7] in list(table.opposed_at(table.faces[6], metrics.thickness))
+    assert any(table.faces[7] in c for _, cs in table.opposite[table.faces[6].normal][1] for c in cs)
     pairing = pair_faces(solid, metrics)
     assert (pairing.role_of(6), pairing.role_of(7)) == (Role.SIDE, Role.SIDE)
     assert [pairing.role_of(f) for f in (4, 5)] == [Role.BEND, Role.BEND]
@@ -622,6 +623,50 @@ def test_far_from_the_origin_one_window_matches_the_full_scans(name):
     assert _pairs_or_ambiguity(s, t) == _reference_pairing(s, t)
 
 
+def _assert_across_is_a_full_scan(solid, t):
+    """FaceTable.across from every planar face finds, as a set, the planar
+    faces a scan of all of them finds, each once, and marks each as exact
+    when its normal is exactly the face's negation."""
+    table = features.face_table(solid)
+    for a in table.planes:
+        found = [(g, exact) for faces, exact in table.across(a, t) for g in faces]
+        assert len({g.id for g, _ in found}) == len(found)
+        assert ({g.id for g, _ in found}
+                == {g.id for g in table.planes if features._at_separation(a, g, t)})
+        assert all(exact == (g.normal == -a.normal) for g, exact in found)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(2, 4), *POSES)
+@example(4, 7, (0.0, 0.0, 1.0), 0.0, (0.0, 0.0, 0.0), 1.0, 0.0)
+@example(3, 11, (0.0, 0.0, 1.0), 0.0, (100.0, -40.0, 3.0), 0.05, 1e-7)
+def test_across_matches_a_full_scan_on_grid_sheets(k, seed, axis, angle, shift, scale, jitter):
+    rng = random.Random(seed)
+    doc = modelzoo.transform_doc(modelzoo.scale_doc(inputs.grid_sheet(rng, k, "grid")[0], scale),
+                                 modelzoo.rot_axis_angle(axis, angle), shift)
+    s = solid_from(_jitter_directions(doc, rng, jitter))
+    _assert_across_is_a_full_scan(s, compute_thickness(s))
+
+
+@pytest.mark.parametrize("name", ["row1_shelf", "row2_boss", "row3_hood", "row4_bridge", "l_bend"])
+def test_across_matches_a_full_scan_far_from_the_origin(name):
+    doc = json.loads(fixture_path(f"{name}.json").read_text(encoding="utf-8"))
+    s = solid_from(modelzoo.transform_doc(doc, None, (2e6, 2e6, 2e6)))
+    _assert_across_is_a_full_scan(s, compute_thickness(s))
+
+
+@pytest.mark.parametrize("solid", [
+    _straddling_skins(extra_skin=False),
+    _straddling_skins(extra_skin=True),
+    _straddling_skins(extra_skin=True, shift=FAR),
+    solid_from(_turned(modelzoo.box_doc(), 2, "normal", [0.0, math.sin(_TILT), math.cos(_TILT)])),
+    solid_from(_turned(modelzoo.lbend_doc(), 7, "normal", [-math.cos(_TILT), 0.0, math.sin(_TILT)])),
+], ids=["straddling", "straddling-third", "straddling-third-far", "tilted-box", "tilted-wall"])
+def test_across_matches_a_full_scan_on_skins_near_a_tolerance(solid):
+    _assert_across_is_a_full_scan(solid, compute_thickness(solid))
+    _assert_across_is_a_full_scan(solid, 2.0)
+
+
 def _split_rod(x: float = 1e308) -> dict:
     """A 0.5 x 0.25 rod from -x to +x. Its long faces are split at 0, and each
     half's plane origin sits at its own end, so that no face's span from its
@@ -653,6 +698,28 @@ def test_origins_whose_difference_overflows_keep_their_pairs_apart():
     assert pairing.pairs == {1: (2, 3)}
     assert [pairing.role_of(f) for f in range(1, 9)] == [Role.REFERENCE, Role.WALL, Role.WALL,
                                                           Role.REFERENCE] + [Role.SIDE] * 4
+
+
+def test_a_height_that_is_not_finite_fails_its_feature(capsys, tmp_path):
+    # Feature 1's height is face 2's separation from reference face 1, whose
+    # origins are 2e308 apart along x, where the normal is zero: inf * 0, NaN.
+    path = tmp_path / "rod.json"
+    path.write_text(json.dumps(_split_rod()), encoding="utf-8")
+    out = tmp_path / "rod.report.json"
+    assert main(["params", str(path), "--out", str(out)]) == 5
+    assert capsys.readouterr().err == ("error: none of 1 feature(s) produced parameters; "
+                                       "first: feature 1 has height nan, which is not finite\n")
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    [block] = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)["features"]
+    assert (block["h"], block["params"]) == (None, None)
+    assert block["error"] == "feature 1 has height nan, which is not finite"
+    assert main(["features", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "feature 1: kind=formed h=? members=[2,3]" in lines
+    assert "  note: feature 1 has height nan, which is not finite" in lines
 
 
 def test_cylinder_coaxiality_is_tested_in_face_id_order():
