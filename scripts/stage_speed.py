@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
-"""Recognition stage times on the benchmark's grid sheets.
+"""Stage times of the ``params`` pipeline on the benchmark's grid sheets.
 
-For each k, builds the seeded k x k grid sheet of ``perfbench/inputs.py``
-(imported read-only), loads it from JSON and times four stages in process:
+For each k, builds the seeded k x k grid sheet of ``perfbench/inputs.py``,
+writes it as JSON and as Part-21 with ``perfbench/stepwriter.py`` (both
+imported read-only) and times eight stages in process:
 
-- ``table``: building the face table (``features.FaceTable``);
-- ``metrics``: ``sheet_metrics`` once the table is built;
-- ``pairing``: ``pair_faces``;
-- ``group``: ``group_features``.
+- ``parse`` and ``resolve``: ``step.parse_exchange`` and ``step.resolve_brep``
+  on the Part-21 text;
+- ``load``: ``brep.load_brep_json`` on the JSON text;
+- ``validate``, ``table``, ``metrics``, ``pairing`` and ``group`` on the JSON
+  solid: ``brep.validate_manifold``, ``features.face_table``, then
+  ``sheet_metrics``, ``pair_faces`` and ``group_features`` on that table.
 
-Each figure is the median of ``--repeat`` runs on a freshly loaded solid, with
+Each time is the median of ``--repeat`` runs, each reading the texts anew, with
 the cyclic garbage collector paused as ``punchplan.cli.main`` runs them. One
-Markdown table row is printed per k, then the log-log slope of each stage
-against face count from the smallest to the largest k.
+Markdown row is printed per k: the Part-21 file size, the face count, each
+stage's time with the parse speed in MB/s, and the tracemalloc peak of parse
+plus resolve per byte of text (allocated before tracing starts), taken with
+the collector running as ``tests/test_memory.py`` takes it. Then comes the
+log-log slope of each stage against face count, smallest to largest k.
 
 Run from anywhere:
 
@@ -28,47 +34,64 @@ import random
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import inputs  # noqa: E402
-from punchplan import brep, features  # noqa: E402
+import stepwriter  # noqa: E402
+from punchplan import brep, features, step  # noqa: E402
 
 SEED = 7
-STAGES = ("table", "metrics", "pairing", "group")
+STAGES = ("parse", "resolve", "load", "validate", "table", "metrics", "pairing", "group")
 
 
-def _run_once(text: str) -> tuple[int, dict[str, float]]:
-    solid = brep.load_brep_json(text)
+def _peak(call) -> int:
+    """Bytes allocated at the peak of ``call()``, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _run_once(step_text: str, json_text: str) -> dict:
+    """The face count, and the seconds of each stage of one run."""
     clock = time.perf_counter
-    t0 = clock()
-    solid._face_table = features.FaceTable(solid)
-    t1 = clock()
-    metrics = features.sheet_metrics(solid)
-    t2 = clock()
-    pairing = features.pair_faces(solid, metrics)
-    t3 = clock()
-    features.group_features(solid, pairing, metrics)
-    t4 = clock()
-    return len(solid.faces), dict(zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)))
+    seconds = []
+
+    def timed(call, *args):
+        start = clock()
+        result = call(*args)
+        seconds.append(clock() - start)
+        return result
+
+    timed(step.resolve_brep, timed(step.parse_exchange, step_text))
+    solid = timed(brep.load_brep_json, json_text)
+    timed(brep.validate_manifold, solid)
+    timed(features.face_table, solid)
+    metrics = timed(features.sheet_metrics, solid)
+    pairing = timed(features.pair_faces, solid, metrics)
+    timed(features.group_features, solid, pairing, metrics)
+    return {"faces": len(solid.faces), **dict(zip(STAGES, seconds))}
 
 
 def measure(k: int, repeat: int) -> dict:
     doc, _ = inputs.grid_sheet(random.Random(SEED), k, f"grid_k{k:02d}")
-    text = json.dumps(doc)
-    runs = []
+    json_text = json.dumps(doc)
+    step_text, _ = stepwriter.write_step(doc)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for _ in range(repeat):
-            faces, seconds = _run_once(text)
-            runs.append(seconds)
+        runs = [_run_once(step_text, json_text) for _ in range(repeat)]
     finally:
         if enabled:
             gc.enable()
-    return {"k": k, "faces": faces,
+    peak = _peak(lambda: step.resolve_brep(step.parse_exchange(step_text)))
+    return {"k": k, "mb": len(step_text) / 1e6, "faces": runs[0]["faces"], "peak_per_byte": peak / len(step_text),
             **{stage: statistics.median(r[stage] for r in runs) for stage in STAGES}}
 
 
@@ -89,14 +112,16 @@ def main(argv: list[str] | None = None) -> None:
     if min(args.k) < 1:
         parser.error("--k must be at least 1")
     print(f"seed {SEED}, median of {args.repeat} runs, CPython {sys.version.split()[0]}")
-    print("| k | faces | " + " | ".join(STAGES) + " |")
-    print("|---|-------|" + "|".join("-" * (len(s) + 2) for s in STAGES) + "|")
+    print("| k | file | faces | " + " | ".join(STAGES) + " | parse+resolve peak |")
+    print("|---|------|-------|" + "|".join("-" * (len(s) + 2) for s in STAGES) + "|--------------------|")
     rows = []
     for k in sorted(set(args.k)):
         r = measure(k, args.repeat)
         rows.append(r)
-        print(f"| {k} | {r['faces']:,} | " + " | ".join(f"{r[s]:.4f} s" for s in STAGES) + " |",
-              flush=True)
+        print(f"| {k} | {r['mb']:.2f} MB | {r['faces']:,} | {r['parse']:.4f} s "
+              f"({r['mb'] / r['parse']:.1f} MB/s) | "
+              + " | ".join(f"{r[s]:.4f} s" for s in STAGES[1:])
+              + f" | {r['peak_per_byte']:.2f} B per byte |", flush=True)
     first, last = rows[0], rows[-1]
     print(f"\nlog-log slope against faces, k = {first['k']} to {last['k']}:")
     print("| stage | slope |")
