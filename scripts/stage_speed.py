@@ -16,9 +16,10 @@ Each time is the median of ``--repeat`` runs, each reading the texts anew, with
 the cyclic garbage collector paused as ``punchplan.cli.main`` runs them. One
 Markdown row is printed per k: the Part-21 file size, the face count, each
 stage's time with the parse speed in MB/s, and the tracemalloc peak of parse
-plus resolve per byte of text (allocated before tracing starts), taken with
-the collector running as ``tests/test_memory.py`` takes it. Then comes the
-log-log slope of each stage against face count, smallest to largest k.
+plus resolve per byte of text (allocated before tracing starts), taken as
+``tests/test_memory.py`` takes it: after a full collection, with the collector
+running. Then comes the log-log slope of each stage against face count,
+smallest to largest k.
 
 Run from anywhere:
 
@@ -49,7 +50,9 @@ STAGES = ("parse", "resolve", "load", "validate", "table", "metrics", "pairing",
 
 
 def _peak(call) -> int:
-    """Bytes allocated at the peak of ``call()``, as tracemalloc counts them."""
+    """Bytes allocated at the peak of ``call()``, as tracemalloc counts them,
+    from a collected heap."""
+    gc.collect()
     tracemalloc.start()
     try:
         call()

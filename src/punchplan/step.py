@@ -44,7 +44,7 @@ import math
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .brep import Circle, Cylinder, Edge, Face, Line, Loop, Plane, Solid
@@ -114,7 +114,6 @@ _MIN_ARGS = {
     "FACE_BOUND": 2, "FACE_OUTER_BOUND": 2, "PLANE": 2, "CYLINDRICAL_SURFACE": 3,
     "ADVANCED_FACE": 3, "CLOSED_SHELL": 2, "MANIFOLD_SOLID_BREP": 2,
 }
-SUPPORTED_ENTITIES = frozenset(_MIN_ARGS)
 
 
 class Placeholder(enum.Enum):
@@ -167,16 +166,7 @@ EntityRecord = Union[SimpleEntity, ComplexEntity]
 
 
 @dataclass
-class Header:
-    description: str = ""
-    name: str = ""
-    schema: tuple[str, ...] = ()
-    records: list[tuple[str, tuple]] = field(default_factory=list)
-
-
-@dataclass
 class ExchangeStructure:
-    header: Header
     entities: dict[int, EntityRecord]
     ignored_keywords: Counter
     warnings: list[str]
@@ -450,9 +440,9 @@ class _Reader:
         return sys.intern(keyword[0]), self.params(1)
 
 
-def _read(text: str) -> tuple[list[tuple[str, tuple]], dict[int, EntityRecord]]:
-    """Read a whole exchange file: the HEADER's ``(keyword, args)`` records and
-    the DATA section's id -> entity map.
+def _read(text: str) -> dict[int, EntityRecord]:
+    """Read a whole exchange file into the DATA section's id -> entity map.
+    Each HEADER record is read and checked like a DATA record, and not kept.
 
     The frame around the sections is ``_FRAME_TOKENS``; after its last ``;``
     one more token is read, as a parser that holds one token of lookahead
@@ -461,7 +451,6 @@ def _read(text: str) -> tuple[list[tuple[str, tuple]], dict[int, EntityRecord]]:
     can, and the reader goes on after the last one it took.
     """
     reader = _Reader(text)
-    header: list[tuple[str, tuple]] = []
     records: dict[int, EntityRecord] = {}
     for step, token in enumerate(_FRAME_TOKENS):
         if (m := reader.next())[0] != token:
@@ -482,7 +471,7 @@ def _read(text: str) -> tuple[list[tuple[str, tuple]], dict[int, EntityRecord]]:
                     raise _syntax_error(text, m.start(), f"ENDSEC for {'DATA' if data else 'HEADER'}")
                 raise _unexpected(text, m, "instance name '#<id>'" if data else "header entity keyword")
             if not data:
-                header.append(reader.record(m))
+                reader.record(m)
                 m = reader.expect(";")
                 continue
             # An instance name's errors come after those of the token that follows it.
@@ -513,36 +502,23 @@ def _read(text: str) -> tuple[list[tuple[str, tuple]], dict[int, EntityRecord]]:
             m = reader.expect(";")
         reader.expect(";")
     reader.next()
-    return header, records
-
-
-def _header(records: list[tuple[str, tuple]]) -> Header:
-    header = Header(records=records)
-    for keyword, args in records:
-        if keyword == "FILE_DESCRIPTION" and args:
-            if isinstance(args[0], tuple) and args[0] and isinstance(args[0][0], str):
-                header.description = args[0][0]
-        elif keyword == "FILE_NAME" and args and isinstance(args[0], str):
-            header.name = args[0]
-        elif keyword == "FILE_SCHEMA" and args and isinstance(args[0], tuple):
-            header.schema = tuple(s for s in args[0] if isinstance(s, str))
-    return header
+    return records
 
 
 def parse_exchange(text: str) -> ExchangeStructure:
-    """Parse a Part-21 exchange file into header fields and the entity map."""
-    records, entities = _read(text)
+    """Parse a Part-21 exchange file into its DATA section's entity map."""
+    entities = _read(text)
     ignored = Counter()
     warnings: list[str] = []
     for eid, rec in entities.items():
         if type(rec) is SimpleEntity:
-            if rec.keyword in SUPPORTED_ENTITIES:
+            if rec.keyword in _MIN_ARGS:
                 continue
             parts = ((rec.keyword, rec.args),)
         else:
             parts = rec.parts
         for kw, args in parts:
-            if kw in SUPPORTED_ENTITIES:
+            if kw in _MIN_ARGS:
                 continue
             ignored[kw] += 1
             if kw == "SI_UNIT":
@@ -554,7 +530,7 @@ def parse_exchange(text: str) -> ExchangeStructure:
                 unit = f" {args[0]!r}" if args and isinstance(args[0], str) else ""
                 warnings.append(f"entity #{eid}: CONVERSION_BASED_UNIT declares the length unit{unit}"
                                 " (coordinates are read as millimetres regardless)")
-    return ExchangeStructure(_header(records), entities, ignored, warnings)
+    return ExchangeStructure(entities, ignored, warnings)
 
 
 # ---------------------------------------------------------------------------

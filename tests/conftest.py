@@ -8,6 +8,10 @@ import modelzoo
 from punchplan import load_brep_json
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
+# Tests import the benchmark's input builders and writer, and the scripts, by
+# module name.
+ROOT = Path(__file__).resolve().parents[1]
+sys.path += [str(ROOT / "perfbench"), str(ROOT / "scripts")]
 # How many digits int() converts: 0 when there is no limit (Python before
 # 3.10.7, or PYTHONINTMAXSTRDIGITS=0), and then no digit string is refused.
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()

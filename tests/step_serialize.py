@@ -44,17 +44,11 @@ def _fmt_entity(rec: EntityRecord) -> str:
 
 
 def serialize_exchange(xs: ExchangeStructure) -> str:
-    """Write the structure back to Part-21 text (stable entity-id order)."""
-    lines = ["ISO-10303-21;", "HEADER;"]
-    records = xs.header.records or [
-        ("FILE_DESCRIPTION", ((xs.header.description,), "2;1")),
-        ("FILE_NAME", (xs.header.name, "", ("",), ("",), "", "", "")),
-        ("FILE_SCHEMA", (xs.header.schema,)),
-    ]
-    for kw, args in records:
-        lines.append(f"{kw}({','.join(_fmt_arg(a) for a in args)});")
-    lines.append("ENDSEC;")
-    lines.append("DATA;")
+    """Write the structure back to Part-21 text (stable entity-id order) under
+    one fixed HEADER."""
+    lines = ["ISO-10303-21;", "HEADER;", "FILE_DESCRIPTION((''),'2;1');",
+             "FILE_NAME('','',(''),(''),'','','');", "FILE_SCHEMA(('CONFIG_CONTROL_DESIGN'));",
+             "ENDSEC;", "DATA;"]
     for eid in sorted(xs.entities):
         lines.append(f"#{eid}={_fmt_entity(xs.entities[eid])};")
     lines.append("ENDSEC;")

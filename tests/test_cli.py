@@ -11,14 +11,12 @@ import pytest
 
 import modelzoo
 import punchplan
+import stepwriter
 from conftest import INT_DIGIT_LIMIT, fixture_path, needs_digit_limit
 from punchplan import cli
 from punchplan.cli import main
 from punchplan.report import CSV_HEADER
 from test_step_parser import INCH_UNIT, INCH_WARNING
-
-sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
-import stepwriter  # noqa: E402
 
 
 def write_doc(tmp_path: Path, doc: dict, name: str) -> Path:

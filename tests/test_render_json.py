@@ -56,7 +56,9 @@ class _Length(float):
     {}, [], (), {"a": {}, "b": [[]], "c": [{}]},
     {"kind": _Kind.TWO, "name": _Name("é"), "t": _Length(2.5), _Name("k"): [_Length(-0.0)]},
     [True, False, None, 0, -1, 10**400],
-], ids=["empty-dict", "empty-list", "empty-tuple", "nested-empties", "subclasses", "plain"])
+    [math.nan, math.inf, -math.inf], {"nan": math.nan, "inf": math.inf, "-inf": -math.inf},
+], ids=["empty-dict", "empty-list", "empty-tuple", "nested-empties", "subclasses", "plain",
+        "non-finite-items", "non-finite-values"])
 def test_render_json_matches_json_dumps_on_examples(x):
     assert render_json(x) == json.dumps(x, indent=2) + "\n"
 

@@ -1,9 +1,5 @@
 """``scripts/stage_speed.py``, the in-process stage timer, on two small sheets."""
-import sys
-from pathlib import Path
-
-sys.path.append(str(Path(__file__).resolve().parents[1] / "scripts"))
-import stage_speed  # noqa: E402
+import stage_speed
 
 
 def test_stage_speed_prints_a_row_per_k_and_a_slope_per_stage(capsys):

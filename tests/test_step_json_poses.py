@@ -12,20 +12,17 @@ blocks as a multiset.
 import json
 import math
 import random
-import sys
 from collections import Counter
-from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modelzoo
+import stepwriter
 from punchplan import brep, report, resources, step
 from punchplan.classify import ClassificationError
 from punchplan.features import RecognitionError
 
-sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
-import stepwriter  # noqa: E402
 
 # One quarter turn about each axis; integer entries keep the turned
 # coordinates exact.

@@ -287,13 +287,6 @@ def test_complex_instance_parses_and_counts_as_ignored():
     assert xs.ignored_keywords["GEOMETRIC_REPRESENTATION_CONTEXT"] == 1
 
 
-def test_header_fields_extracted():
-    xs = parse_exchange(wrap(""))
-    assert xs.header.description == "demo"
-    assert xs.header.name == "part"
-    assert xs.header.schema == ("CONFIG_CONTROL_DESIGN",)
-
-
 # ---------------------------------------------------------------------------
 # Resolver
 # ---------------------------------------------------------------------------

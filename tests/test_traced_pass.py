@@ -6,14 +6,10 @@ and reads ``anti_parallel_pair_distances``, ``PartAnalysis``'s positional
 fields and ``Classification.all_edges``. A part fails when its report fails
 the oracle or when the replay renders other bytes than ``cli.main`` wrote.
 """
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
-import inputs  # noqa: E402
-import traced  # noqa: E402
+import inputs
+import traced
 
 
 @pytest.mark.parametrize("workload, count", [("grid-json", 1), ("step-parts", 2), ("small-batch", 3)])
