@@ -13,18 +13,25 @@ only when a :class:`StepSyntaxError` is raised, whose message quotes the
 offending token as it is written.
 
 The DATA section has a fast lane. Each time the reader is about to read a
-record, one compiled pattern tries to match a whole simple instance there,
+record, two compiled patterns try to match a whole simple instance there, and
+the reader then goes on after the last record they matched one after another.
+The typed pattern comes first: one branch for each of the nine keywords that
+make up most of an exchange file's records (points, directions, vectors,
+lines, placements, vertices, edges, oriented edges and loops), written as
+exporters write them, with no blank inside the record and reals that hold a
+``.``. Each field is a group, and the record's arguments are built from its
+groups. The generic pattern matches any other simple instance,
 ``#id = KEYWORD ( ... ) ;`` with blanks between tokens and parameter lists at
-most four deep; the records it matches one after another are built from one
-``findall`` over each record's parameters, and the reader then goes on after
-the last of them. Whatever the pattern does not match is read token by token:
-the HEADER, comments, complex instances, deeper lists, ``#0``, a repeated id,
-an integer past the interpreter's digit limit and every malformed record. The
+most four deep, and its arguments are built from one ``findall`` over its
+parameters. Whatever neither pattern matches is read token by token: the
+HEADER, comments, complex instances, deeper lists, ``#0``, a repeated id, an
+integer past the interpreter's digit limit and every malformed record. The
 fast lane raises nothing, so every error, with its line and column, still
 comes from the token reader. Within one run of records it builds each record
-whose text holds no reference once: identical directions and points are one
-``SimpleEntity``. It builds its ``Ref`` and ``SimpleEntity`` records by setting
-their slots, which gives the same objects as their frozen ``__init__``.
+whose text holds no reference once, whichever pattern matched it: identical
+directions and points are one ``SimpleEntity``. It builds its ``Ref`` and
+``SimpleEntity`` records by setting their slots, which gives the same objects
+as their frozen ``__init__``.
 
 Only the geometry subset needed for sheet-metal parts is resolved
 (points, directions, placements, lines, circles, planes, cylinders, and
@@ -293,6 +300,66 @@ def _simple(keyword: str, args: tuple) -> SimpleEntity:
     return rec
 
 
+def _ref(digits: str) -> Ref:
+    ref = _new(Ref)
+    _set_ref_id(ref, int(digits))
+    return ref
+
+
+# The typed lane: the most frequent keywords of exchange files, each written
+# as exporters write it, with no blank inside the record, a name holding no
+# quote, and reals holding a '.'. Each field is a group. Every such text is
+# read by the token reader to the same values: a name is a string, a real is
+# _TOKEN's real and a flag its bool. Each keyword maps to its parameters as a
+# pattern and the builder of its arguments, which takes its fields in order.
+_NAME = r"'([^']*)'"
+_DOTTED = r"([+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+_POINT = rf"{_NAME},\({_DOTTED},{_DOTTED},{_DOTTED}\)"
+_REF = r"\#([0-9]+)"
+_FLAG = r"\.([TF])\."
+
+
+def _triple_args(name: str, x: str, y: str, z: str) -> tuple:
+    return name, (float(x), float(y), float(z))
+
+
+_TYPED_KEYWORDS = {
+    "ORIENTED_EDGE": (rf"{_NAME},\*,\*,{_REF},{_FLAG}",
+                      lambda name, edge, flag: (name, DERIVED, DERIVED, _ref(edge), flag == "T")),
+    "DIRECTION": (_POINT, _triple_args),
+    "CARTESIAN_POINT": (_POINT, _triple_args),
+    "EDGE_CURVE": (rf"{_NAME},{_REF},{_REF},{_REF},{_FLAG}",
+                   lambda name, start, end, curve, flag:
+                   (name, _ref(start), _ref(end), _ref(curve), flag == "T")),
+    "VECTOR": (rf"{_NAME},{_REF},{_DOTTED}", lambda name, d, length: (name, _ref(d), float(length))),
+    "LINE": (rf"{_NAME},{_REF},{_REF}", lambda name, p, v: (name, _ref(p), _ref(v))),
+    "VERTEX_POINT": (rf"{_NAME},{_REF}", lambda name, p: (name, _ref(p))),
+    "EDGE_LOOP": (rf"{_NAME},\((\#[0-9]+(?:,\#[0-9]+)*)\)",
+                  lambda name, edges: (name, tuple(map(_ref, edges[1:].split(",#"))))),
+    "AXIS2_PLACEMENT_3D": (rf"{_NAME},{_REF},{_REF},{_REF}",
+                           lambda name, p, axis, ref: (name, _ref(p), _ref(axis), _ref(ref))),
+}
+_TYPED = re.compile(rf"{_BLANK}\#([0-9]+)=(?:"
+                    + "|".join(rf"{kw}\({fields}\)" for kw, (fields, _) in _TYPED_KEYWORDS.items())
+                    + ");")
+
+
+def _typed_branches() -> dict[int, tuple]:
+    """_TYPED's branches by the number of their last group, which is a match's
+    ``lastindex``: each keyword, its group numbers, its builder, and whether
+    the record holds a reference. Group 1 is the id, and a builder's arity is
+    its branch's number of groups."""
+    branches = {}
+    last = 1
+    for keyword, (fields, build) in _TYPED_KEYWORDS.items():
+        first, last = last + 1, last + build.__code__.co_argcount
+        branches[last] = (keyword, tuple(range(first, last + 1)), build, "#" in fields)
+    return branches
+
+
+_TYPED_BRANCHES = _typed_branches()
+
+
 def _fast_args(text: str, start: int, end: int) -> tuple:
     """The arguments of a record that _FAST matched, from the span of its
     group 3. Each token is told by its first character."""
@@ -301,9 +368,7 @@ def _fast_args(text: str, start: int, end: int) -> tuple:
     for token in _ARG.findall(text, start, end):
         first = token[0]
         if first == "#":
-            ref = _new(Ref)
-            _set_ref_id(ref, int(token[1:]))
-            cur.append(ref)
+            cur.append(_ref(token[1:]))
         elif first in "0123456789+-" or first == "." and token[1] in "0123456789":
             cur.append(float(token) if "." in token or "e" in token or "E" in token else int(token))
         elif first == "'":
@@ -327,27 +392,40 @@ def _fast_args(text: str, start: int, end: int) -> tuple:
 
 def _fast_records(text: str, pos: int, records: dict[int, EntityRecord]) -> re.Match | None:
     """Take the simple instances that follow ``pos`` one after another, while
-    _FAST matches them, their id is positive and new, and each integer is
-    within the interpreter's digit limit. Returns the last one's match, or None
-    if it took none; raises nothing.
+    _TYPED or _FAST matches them, their id is positive and new, and each
+    integer is within the interpreter's digit limit. Returns the last one's
+    match, or None if it took none; raises nothing.
 
-    A record whose text, from its keyword through its parameters, holds no
-    ``#`` is built once per call: every later record with that same text is
-    the same object. A record holding a reference is always built anew."""
+    _TYPED is tried first at each record. A record it matches is built from
+    its fields by its branch's builder; any other record _FAST matches is
+    built by ``_fast_args``. A record whose text, from its keyword through its
+    parameters, holds no ``#`` is built once per call: every later record with
+    that same text, in either lane, is the same object. A record holding a
+    reference is always built anew."""
     intern = sys.intern
+    typed = _TYPED.match
     match = _FAST.match
+    branches = _TYPED_BRANCHES
     shared: dict[str, SimpleEntity] = {}
     last = None
     try:
-        while (m := match(text, pos)) is not None:
+        while (m := typed(text, pos) or match(text, pos)) is not None:
             eid = int(m[1])
             if eid <= 0 or eid in records:
                 break
-            start, end = m.span(3)
-            if text.find("#", start, end) >= 0:
-                rec = _simple(intern(m[2]), _fast_args(text, start, end))
-            elif (rec := shared.get(key := text[m.start(2):end])) is None:
-                rec = shared[key] = _simple(intern(m[2]), _fast_args(text, start, end))
+            if m.re is _FAST:
+                start, end = m.span(3)
+                if text.find("#", start, end) >= 0:
+                    rec = _simple(intern(m[2]), _fast_args(text, start, end))
+                elif (rec := shared.get(key := text[m.start(2):end])) is None:
+                    rec = shared[key] = _simple(intern(m[2]), _fast_args(text, start, end))
+            else:
+                keyword, groups, build, holds_ref = branches[m.lastindex]
+                if holds_ref:
+                    rec = _simple(keyword, build(*m.group(*groups)))
+                # The same key as above: the text from the keyword to the last ')'.
+                elif (rec := shared.get(key := text[m.end(1) + 1:m.end() - 2])) is None:
+                    rec = shared[key] = _simple(keyword, build(*m.group(*groups)))
             records[eid] = rec
             last = m
             pos = m.end()
