@@ -15,12 +15,28 @@ offending token as it is written.
 The DATA section has a fast lane. Each time the reader is about to read a
 record, two compiled patterns try to match a whole simple instance there, and
 the reader then goes on after the last record they matched one after another.
-The typed pattern comes first: one branch for each of the nine keywords that
-make up most of an exchange file's records (points, directions, vectors,
-lines, placements, vertices, edges, oriented edges and loops), written as
-exporters write them, with no blank inside the record and reals that hold a
-``.``. Each field is a group, and the record's arguments are built from its
-groups. The generic pattern matches any other simple instance,
+The typed pattern comes first. It covers the 17 keywords the resolver reads,
+written as exporters write them, with no blank inside the record and reals
+that hold a ``.``, in one branch per field shape:
+
+===============================  ========================================
+field shape                      keywords
+===============================  ========================================
+``(name, triple)``               DIRECTION, CARTESIAN_POINT
+``(name, ref)``                  VERTEX_POINT, PLANE, MANIFOLD_SOLID_BREP
+``(name, ref, real)``            VECTOR, CIRCLE, CYLINDRICAL_SURFACE
+``(name, ref, flag)``            FACE_OUTER_BOUND, FACE_BOUND
+``(name, (refs))``               EDGE_LOOP, CLOSED_SHELL
+``(name, (refs), ref, flag)``    ADVANCED_FACE
+``(name, ref, ref)``             LINE
+``(name, ref, ref, ref)``        AXIS2_PLACEMENT_3D
+``(name, ref, ref, ref, flag)``  EDGE_CURVE
+``(name, *, *, ref, flag)``      ORIENTED_EDGE
+===============================  ========================================
+
+Each field is a group, a shape of several keywords captures the keyword too,
+and the record's arguments are built from the groups. The generic pattern
+matches any other simple instance,
 ``#id = KEYWORD ( ... ) ;`` with blanks between tokens and parameter lists at
 most four deep, and its arguments are built from one ``findall`` over its
 parameters. Whatever neither pattern matches is read token by token: the
@@ -36,7 +52,8 @@ as their frozen ``__init__``.
 Only the geometry subset needed for sheet-metal parts is resolved
 (points, directions, placements, lines, circles, planes, cylinders, and
 the face/loop/edge/vertex topology). Anything else stays in the entity
-map and is counted as ignored.
+map and is counted as ignored. The resolver turns each DIRECTION record into
+its unit vector once, so the directions the fast lane shares are one vector.
 
 Coordinates are taken as millimetres; unit declarations are not applied.
 A warning is recorded if the file declares a non-millimetre length unit: an
@@ -306,16 +323,18 @@ def _ref(digits: str) -> Ref:
     return ref
 
 
-# The typed lane: the most frequent keywords of exchange files, each written
-# as exporters write it, with no blank inside the record, a name holding no
-# quote, and reals holding a '.'. Each field is a group. Every such text is
-# read by the token reader to the same values: a name is a string, a real is
-# _TOKEN's real and a flag its bool. Each keyword maps to its parameters as a
-# pattern and the builder of its arguments, which takes its fields in order.
+# The typed lane: every keyword the resolver reads, written as exporters write
+# it, with no blank inside the record, a name holding no quote, and reals
+# holding a '.'. Each field is a group. Every such text is read by the token
+# reader to the same values: a name is a string, a real is _TOKEN's real and a
+# flag its bool. The branches go by field shape, the frequent ones first: each
+# shape's keywords, its parameters as a pattern, and the builder of its
+# arguments, which takes its fields in order. A shape of several keywords
+# captures the keyword as a group before its fields.
 _NAME = r"'([^']*)'"
 _DOTTED = r"([+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
-_POINT = rf"{_NAME},\({_DOTTED},{_DOTTED},{_DOTTED}\)"
 _REF = r"\#([0-9]+)"
+_REFS = r"\((\#[0-9]+(?:,\#[0-9]+)*)\)"
 _FLAG = r"\.([TF])\."
 
 
@@ -323,37 +342,56 @@ def _triple_args(name: str, x: str, y: str, z: str) -> tuple:
     return name, (float(x), float(y), float(z))
 
 
-_TYPED_KEYWORDS = {
-    "ORIENTED_EDGE": (rf"{_NAME},\*,\*,{_REF},{_FLAG}",
-                      lambda name, edge, flag: (name, DERIVED, DERIVED, _ref(edge), flag == "T")),
-    "DIRECTION": (_POINT, _triple_args),
-    "CARTESIAN_POINT": (_POINT, _triple_args),
-    "EDGE_CURVE": (rf"{_NAME},{_REF},{_REF},{_REF},{_FLAG}",
-                   lambda name, start, end, curve, flag:
-                   (name, _ref(start), _ref(end), _ref(curve), flag == "T")),
-    "VECTOR": (rf"{_NAME},{_REF},{_DOTTED}", lambda name, d, length: (name, _ref(d), float(length))),
-    "LINE": (rf"{_NAME},{_REF},{_REF}", lambda name, p, v: (name, _ref(p), _ref(v))),
-    "VERTEX_POINT": (rf"{_NAME},{_REF}", lambda name, p: (name, _ref(p))),
-    "EDGE_LOOP": (rf"{_NAME},\((\#[0-9]+(?:,\#[0-9]+)*)\)",
-                  lambda name, edges: (name, tuple(map(_ref, edges[1:].split(",#"))))),
-    "AXIS2_PLACEMENT_3D": (rf"{_NAME},{_REF},{_REF},{_REF}",
-                           lambda name, p, axis, ref: (name, _ref(p), _ref(axis), _ref(ref))),
-}
+def _refs(refs: str) -> tuple:
+    """The references of a _REFS group, written ``#1,#2,...``."""
+    return tuple(map(_ref, refs[1:].split(",#")))
+
+
+_TYPED_SHAPES = (
+    (("ORIENTED_EDGE",), rf"{_NAME},\*,\*,{_REF},{_FLAG}",
+     lambda name, edge, flag: (name, DERIVED, DERIVED, _ref(edge), flag == "T")),
+    (("DIRECTION", "CARTESIAN_POINT"), rf"{_NAME},\({_DOTTED},{_DOTTED},{_DOTTED}\)", _triple_args),
+    (("EDGE_CURVE",), rf"{_NAME},{_REF},{_REF},{_REF},{_FLAG}",
+     lambda name, start, end, curve, flag: (name, _ref(start), _ref(end), _ref(curve), flag == "T")),
+    (("VECTOR", "CIRCLE", "CYLINDRICAL_SURFACE"), rf"{_NAME},{_REF},{_DOTTED}",
+     lambda name, ref, real: (name, _ref(ref), float(real))),
+    (("LINE",), rf"{_NAME},{_REF},{_REF}", lambda name, p, v: (name, _ref(p), _ref(v))),
+    (("VERTEX_POINT", "PLANE", "MANIFOLD_SOLID_BREP"), rf"{_NAME},{_REF}",
+     lambda name, ref: (name, _ref(ref))),
+    (("EDGE_LOOP", "CLOSED_SHELL"), rf"{_NAME},{_REFS}", lambda name, refs: (name, _refs(refs))),
+    (("AXIS2_PLACEMENT_3D",), rf"{_NAME},{_REF},{_REF},{_REF}",
+     lambda name, p, axis, ref: (name, _ref(p), _ref(axis), _ref(ref))),
+    (("FACE_OUTER_BOUND", "FACE_BOUND"), rf"{_NAME},{_REF},{_FLAG}",
+     lambda name, loop, flag: (name, _ref(loop), flag == "T")),
+    (("ADVANCED_FACE",), rf"{_NAME},{_REFS},{_REF},{_FLAG}",
+     lambda name, bounds, surface, flag: (name, _refs(bounds), _ref(surface), flag == "T")),
+)
+
+
+def _typed_branch(keywords: tuple[str, ...], fields: str) -> str:
+    keyword = keywords[0] if len(keywords) == 1 else f"({'|'.join(keywords)})"
+    return rf"{keyword}\({fields}\)"
+
+
 _TYPED = re.compile(rf"{_BLANK}\#([0-9]+)=(?:"
-                    + "|".join(rf"{kw}\({fields}\)" for kw, (fields, _) in _TYPED_KEYWORDS.items())
+                    + "|".join(_typed_branch(keywords, fields) for keywords, fields, _ in _TYPED_SHAPES)
                     + ");")
 
 
 def _typed_branches() -> dict[int, tuple]:
     """_TYPED's branches by the number of their last group, which is a match's
-    ``lastindex``: each keyword, its group numbers, its builder, and whether
-    the record holds a reference. Group 1 is the id, and a builder's arity is
-    its branch's number of groups."""
+    ``lastindex``: each shape's keywords, the number of the group that captures
+    the keyword (0 for a shape of one keyword), its field groups, its builder,
+    and whether the record holds a reference. Group 1 is the id, and a
+    builder's arity is its branch's number of field groups."""
     branches = {}
     last = 1
-    for keyword, (fields, build) in _TYPED_KEYWORDS.items():
+    for keywords, fields, build in _TYPED_SHAPES:
+        keyword_group = 0
+        if len(keywords) > 1:
+            keyword_group = last = last + 1
         first, last = last + 1, last + build.__code__.co_argcount
-        branches[last] = (keyword, tuple(range(first, last + 1)), build, "#" in fields)
+        branches[last] = (keywords, keyword_group, tuple(range(first, last + 1)), build, "#" in fields)
     return branches
 
 
@@ -397,7 +435,8 @@ def _fast_records(text: str, pos: int, records: dict[int, EntityRecord]) -> re.M
     match, or None if it took none; raises nothing.
 
     _TYPED is tried first at each record. A record it matches is built from
-    its fields by its branch's builder; any other record _FAST matches is
+    its fields by the builder of its branch, one per field shape, under the
+    keyword its branch names or captures; any other record _FAST matches is
     built by ``_fast_args``. A record whose text, from its keyword through its
     parameters, holds no ``#`` is built once per call: every later record with
     that same text, in either lane, is the same object. A record holding a
@@ -420,7 +459,8 @@ def _fast_records(text: str, pos: int, records: dict[int, EntityRecord]) -> re.M
                 elif (rec := shared.get(key := text[m.start(2):end])) is None:
                     rec = shared[key] = _simple(intern(m[2]), _fast_args(text, start, end))
             else:
-                keyword, groups, build, holds_ref = branches[m.lastindex]
+                keywords, keyword_group, groups, build, holds_ref = branches[m.lastindex]
+                keyword = intern(m[keyword_group]) if keyword_group else keywords[0]
                 if holds_ref:
                     rec = _simple(keyword, build(*m.group(*groups)))
                 # The same key as above: the text from the keyword to the last ')'.
@@ -665,6 +705,11 @@ class _Resolver:
         self.edges: dict[int, Edge] = {}
         self.loops: dict[int, Loop] = {}
         self.faces: dict[int, Face] = {}
+        # The unit vector of each DIRECTION record resolved so far, by the
+        # record's identity: the fast lane makes the directions written alike
+        # one record, and the entity map keeps every record, and so its id,
+        # alive. Only successes are kept, so an error comes from each use.
+        self.directions: dict[int, Vec3] = {}
 
     def _expect(self, from_id: int, ref, keywords: tuple[str, ...] | None = None
                 ) -> tuple[int, SimpleEntity]:
@@ -690,11 +735,14 @@ class _Resolver:
 
     def _direction(self, from_id: int, ref) -> Vec3:
         eid, rec = self._expect(from_id, ref, ("DIRECTION",))
+        if (unit := self.directions.get(id(rec))) is not None:
+            return unit
         components = _triple(eid, rec, "DIRECTION (needs 3 finite components)")
         try:
-            return components.normalized()
+            unit = self.directions[id(rec)] = components.normalized()
         except ValueError:
             raise UnsupportedGeometry(eid, "DIRECTION (must be non-zero)") from None
+        return unit
 
     def _axis2(self, from_id: int, ref) -> tuple[Vec3, Vec3]:
         eid, rec = self._expect(from_id, ref, ("AXIS2_PLACEMENT_3D",))

@@ -53,10 +53,12 @@ def test_json_loader_peaks_near_the_decoded_document(grid_doc):
 def test_step_reader_peak_per_byte_of_text(grid_doc):
     # About 15 bytes per byte of text with a dict per record, and 10.3-11.2
     # (CPython 3.11, by test order) while the fast lane built every identical
-    # reference-free record anew. Now 9.82 from a collected heap, where it read
-    # 7.9-9.9 by heap history before _peak collected first. Only CPython 3.11
-    # has been measured at the tighter bound; other interpreters keep the old one.
-    bound = 11 if sys.implementation.name == "cpython" and sys.version_info[:2] == (3, 11) else 13
+    # reference-free record anew. 9.82 from a collected heap, where it read
+    # 7.9-9.9 by heap history before _peak collected first, and now 9.35 with
+    # every record typed and each direction resolved to one shared unit vector.
+    # Only CPython 3.11 has been measured at the tighter bound; other
+    # interpreters keep the old one.
+    bound = 10.5 if sys.implementation.name == "cpython" and sys.version_info[:2] == (3, 11) else 13
     text, _ = stepwriter.write_step(grid_doc)
     peak = _peak(lambda: step.resolve_brep(step.parse_exchange(text)))
     assert peak <= bound * len(text), (peak, len(text), bound)

@@ -1,18 +1,22 @@
 """The Part-21 fast lane's typed records, against the generic lane and the token loop.
 
 ``step._fast_records`` first tries ``step._TYPED`` at each DATA record: one
-branch per frequent keyword, written the way exporters write it, with each
-field a group. What it does not match goes to ``step._FAST`` and from there to
-the token loop. All three ways must give the same entity map, or the same error
-with the same line and column. These tests read generated records of each typed
-keyword, and near misses of them, with the typed lane on, with ``_TYPED``
-matching nothing, and with the token loop only; and check that the typed lane
-takes every record it is meant for, shares what ``_FAST`` shares, and compiles
-nothing while reading.
+branch per field shape, which covers the 17 keywords the resolver reads, each
+written the way exporters write it, with each field a group. What it does not
+match goes to ``step._FAST`` and from there to the token loop. All three ways
+must give the same entity map, or the same error with the same line and
+column. These tests read generated records of each typed keyword, and near
+misses of them, with the typed lane on, with ``_TYPED`` matching nothing, and
+with the token loop only; and check that the typed lane takes every record it
+is meant for (every record of the benchmark's step-parts files), shares what
+``_FAST`` shares, names the same keywords as ``step._MIN_ARGS``, and compiles
+nothing while reading. The resolver's shared directions, one unit vector per
+DIRECTION record, are checked against the token loop too.
 """
 import re
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,10 +77,18 @@ SHAPES = {
     "CARTESIAN_POINT": ("name", "triple"),
     "EDGE_CURVE": ("name", "ref", "ref", "ref", "flag"),
     "VECTOR": ("name", "ref", "real"),
+    "CIRCLE": ("name", "ref", "radius"),
+    "CYLINDRICAL_SURFACE": ("name", "ref", "radius"),
     "LINE": ("name", "ref", "ref"),
     "VERTEX_POINT": ("name", "ref"),
+    "PLANE": ("name", "ref"),
+    "MANIFOLD_SOLID_BREP": ("name", "ref"),
     "EDGE_LOOP": ("name", "refs"),
+    "CLOSED_SHELL": ("name", "refs"),
     "AXIS2_PLACEMENT_3D": ("name", "ref", "ref", "ref"),
+    "FACE_OUTER_BOUND": ("name", "ref", "flag"),
+    "FACE_BOUND": ("name", "ref", "flag"),
+    "ADVANCED_FACE": ("name", "refs", "ref", "flag"),
 }
 DOTTED = st.from_regex(r"[+-]?(?:[0-9]{1,4}\.[0-9]{0,4}|\.[0-9]{1,4})(?:[eE][+-]?[0-9]{1,3})?",
                        fullmatch=True)
@@ -88,6 +100,7 @@ FIELDS = {
     "flag": st.sampled_from([".T.", ".F."]),
     "triple": st.lists(DOTTED, min_size=3, max_size=3).map(lambda xs: f"({','.join(xs)})"),
     "real": DOTTED,
+    "radius": DOTTED,
     "refs": st.lists(REF, min_size=1, max_size=4).map(lambda xs: f"({','.join(xs)})"),
 }
 # What each kind of field may be written as instead: text the token reader
@@ -100,7 +113,9 @@ NEAR_MISSES = {
     "triple": ["(1,2,3)", "(1.,2,3.)", "(1e5,0.,0.)", "(1.,2.)", "(1.,2.,3.,4.)", "( 1.,2.,3.)",
                "(1.,2.,3.,)", "(1.,2.,3.E)", "(.,1.,2.)", "(" + PAST_LIMIT + ",0.,0.)"],
     "real": ["7", "1e5", "-0", "1.E", ".", "$", "1.5e+07"],
-    "refs": ["()", "(#1,*)", "(#1,)", "(#1 ,#2)", "#1"],
+    "radius": ["4", "1e5", "$", "4.E", "+4"],
+    # A face's bound list and a shell's face list too.
+    "refs": ["()", "(#1,*)", "(#1,$)", "(#1,)", "(#1 ,#2)", "#1"],
 }
 
 
@@ -161,7 +176,11 @@ def test_typed_lane_takes_every_record_written_as_exporters_write_it(records):
 def test_near_misses_keep_the_values_the_token_loop_gives():
     text = FRAME.format("#1=CARTESIAN_POINT('',(1,2,3));\n#2=DIRECTION('',(1e5,0.,0.));\n"
                         "#3=VECTOR('',#2,7);\n#4=ORIENTED_EDGE('',$,*,#3,.X.);\n"
-                        "#5=VERTEX_POINT('a''b',#1);\n#6=CARTESIAN_POINT('',(1.,2.,3.,4.));\n")
+                        "#5=VERTEX_POINT('a''b',#1);\n#6=CARTESIAN_POINT('',(1.,2.,3.,4.));\n"
+                        "#7=CIRCLE('',#9,4);\n#8=CYLINDRICAL_SURFACE('',#9,1e5);\n"
+                        "#9=ADVANCED_FACE('',(),#9,.T.);\n#10=CLOSED_SHELL('',(#1,*));\n"
+                        "#11=FACE_BOUND('',#9,$);\n#12=MANIFOLD_SOLID_BREP('',*);\n"
+                        "#13=FACE_OUTER_BOUND('',#9,.U.);\n")
     with _TypedHook() as hook:
         entities = step.parse_exchange(text).entities
     assert hook.matches == 0
@@ -171,6 +190,13 @@ def test_near_misses_keep_the_values_the_token_loop_gives():
     assert entities[4].args == ("", step.UNSET, step.DERIVED, step.Ref(3), step.Enum("X"))
     assert entities[5].args[0] == "a'b"
     assert len(entities[6].args[1]) == 4
+    assert entities[7].args == ("", step.Ref(9), 4) and type(entities[7].args[2]) is int
+    assert entities[8].args == ("", step.Ref(9), 1e5) and type(entities[8].args[2]) is float
+    assert entities[9].args == ("", (), step.Ref(9), True)
+    assert entities[10].args == ("", (step.Ref(1), step.DERIVED))
+    assert entities[11].args == ("", step.Ref(9), step.UNSET)
+    assert entities[12].args == ("", step.DERIVED)
+    assert entities[13].args == ("", step.Ref(9), step.Enum("U"))
     _three_ways(text)
 
 
@@ -203,8 +229,8 @@ def test_typed_lane_takes_every_typed_keyword_of_the_benchmark_step_files(tmp_pa
         records += len(entities)
         assert taken.records == len(entities), part.name
         assert hook.matches == sum(rec.keyword in SHAPES for rec in entities.values()), part.name
-    # The typed keywords are most of the records.
-    assert len(parts) == 24 and typed > 0.8 * records
+    # Every record is of a typed keyword, and the typed lane takes it.
+    assert len(parts) == 24 and typed == records
 
 
 def test_typed_lane_shares_reference_free_records_within_a_parse():
@@ -232,17 +258,33 @@ def test_typed_lane_shares_reference_free_records_within_a_parse():
     assert all(second[eid] is not first[eid] for eid in first)
 
 
+def test_typed_shapes_name_the_keywords_the_resolver_reads():
+    # A keyword added to _MIN_ARGS without a shape, or a shape whose keyword
+    # the resolver does not read, fails here.
+    typed = [kw for keywords, *_ in step._TYPED_BRANCHES.values() for kw in keywords]
+    assert len(typed) == len(set(typed))
+    assert sorted(typed) == sorted(step._MIN_ARGS) == sorted(SHAPES)
+    # Each shape holds at least the arguments the resolver reads.
+    assert all(step._MIN_ARGS[kw] <= len(SHAPES[kw]) for kw in SHAPES)
+
+
 def test_typed_pattern_stays_small_and_is_compiled_at_import():
     # Every process that imports the reader compiles _TYPED: about 2 ms for its
-    # 818 characters under CPython 3.11 on a 2-vCPU VM. The bound keeps its
+    # 853 characters under CPython 3.11 on a 2-vCPU VM. The bound keeps its
     # branches from growing unnoticed.
     assert isinstance(step._TYPED, re.Pattern)
     assert len(step._TYPED.pattern) < 1024
-    # The branches are the typed keywords, and their builders take all of
-    # _TYPED's groups but the id.
-    assert sorted(kw for kw, *_ in step._TYPED_BRANCHES.values()) == sorted(SHAPES)
-    fields = sum(len(groups) for _, groups, _, _ in step._TYPED_BRANCHES.values())
-    assert fields == step._TYPED.groups - 1
+    # The branches, one per field shape, cover the typed keywords. A shape of
+    # several keywords captures its keyword, and the builders take each of
+    # _TYPED's other groups but the id, once.
+    branches = step._TYPED_BRANCHES
+    assert sorted(kw for keywords, *_ in branches.values() for kw in keywords) == sorted(SHAPES)
+    taken = []
+    for last, (keywords, keyword_group, groups, build, _) in branches.items():
+        assert (keyword_group > 0) == (len(keywords) > 1)
+        assert build.__code__.co_argcount == len(groups) and groups[-1] == last
+        taken += [keyword_group] * (keyword_group > 0) + list(groups)
+    assert sorted(taken) == list(range(2, step._TYPED.groups + 1))
 
     # As in test_step_fast_lane: every module-level re call passes through
     # re._compile, and reading a file, also one with errors, must make none.
@@ -263,3 +305,97 @@ def test_typed_pattern_stays_small_and_is_compiled_at_import():
                 pass
     assert compiled == [], f"patterns compiled while reading: {compiled!r}"
     assert hook.matches > 100
+
+
+# ---------------------------------------------------------------------------
+# The resolver's shared directions
+# ---------------------------------------------------------------------------
+
+SHEET = fixture_path("flat_sheet_100x80x2.step").read_text(encoding="utf-8")
+
+
+def _resolved(text: str):
+    """``load_step``'s solid as comparable values, or its error."""
+    try:
+        solid = step.load_step(text)
+    except step.StepError as exc:
+        return f"{type(exc).__name__} {exc}"
+    return solid.name, solid.vertices, solid.edges, solid.loops, solid.faces
+
+
+def test_a_zero_direction_shared_by_two_vectors_fails_at_its_first_use():
+    zero = "DIRECTION('',(0.,0.,0.));"
+    text = (SHEET.replace("#49=DIRECTION('',(0.0,0.0,1.0));", f"#49={zero}")
+            .replace("#53=DIRECTION('',(0.0,0.0,1.0));", f"#53={zero}"))
+    entities = step.parse_exchange(text).entities
+    # One record for both, each used by its own VECTOR (#50 and #54).
+    assert entities[49] is entities[53]
+    message = ("UnsupportedGeometry entity #53 (DIRECTION (must be non-zero)) "
+               "is outside the supported geometry subset")
+    assert _resolved(text) == message
+    with _token_loop_only():
+        assert _resolved(text) == message
+
+
+def test_a_non_finite_direction_that_no_solid_record_reaches_is_not_read():
+    text = SHEET.replace("ENDSEC;\nEND-ISO-10303-21;",
+                         "#900=DIRECTION('',(1.E400,0.,0.));\n#901=VECTOR('',#900,1.);\n"
+                         "ENDSEC;\nEND-ISO-10303-21;")
+    assert text != SHEET
+    solid = _resolved(text)
+    assert solid == _resolved(SHEET) and len(solid[2]) == 12
+    with _token_loop_only():
+        assert _resolved(text) == solid
+    # Reached from a line, it fails there, as the parent reader's resolver said.
+    used = text.replace("#19=LINE('',#1,#18);", "#19=LINE('',#1,#901);")
+    message = ("UnsupportedGeometry entity #900 (DIRECTION (needs 3 finite components)) "
+               "is outside the supported geometry subset")
+    assert _resolved(used) == message
+    with _token_loop_only():
+        assert _resolved(used) == message
+
+
+# A direction reference that the resolver must refuse on its use, whatever
+# directions it resolved before: the messages are the reader's before it kept
+# any unit vector.
+BAD_DIRECTIONS = {
+    "a point": (("#22=VECTOR('',#21,1.);", "#22=VECTOR('',#1,1.);"),
+                "UnsupportedGeometry entity #1 (CARTESIAN_POINT) is outside the supported geometry subset"),
+    "dangling": (("#22=VECTOR('',#21,1.);", "#22=VECTOR('',#999,1.);"),
+                 "DanglingReference entity #23 references #999, which does not exist"),
+    "unset": (("#22=VECTOR('',#21,1.);", "#22=VECTOR('',$,1.);"),
+              "UnsupportedGeometry entity #23 (expected entity reference, got $) "
+              "is outside the supported geometry subset"),
+    "too few arguments": (("#21=DIRECTION('',(0.0,1.0,0.0));", "#21=DIRECTION('');"),
+                          "UnsupportedGeometry entity #21 (DIRECTION (needs 2 arguments)) "
+                          "is outside the supported geometry subset"),
+    "complex": (("#21=DIRECTION('',(0.0,1.0,0.0));", "#21=(DIRECTION('',(0.0,1.0,0.0)));"),
+                "UnsupportedGeometry entity #21 (DIRECTION) is outside the supported geometry subset"),
+}
+
+
+@pytest.mark.parametrize("edit, message", BAD_DIRECTIONS.values(), ids=BAD_DIRECTIONS)
+def test_each_direction_reference_is_checked_at_its_use(edit, message):
+    text = SHEET.replace(*edit)
+    assert text != SHEET
+    assert _resolved(text) == message
+    with _token_loop_only():
+        assert _resolved(text) == message
+
+
+def test_each_direction_record_resolves_to_one_unit_vector():
+    # The sheet's four +z DIRECTION records are one record, so their lines
+    # share one unit vector; with the token loop they are four records, and
+    # their lines hold four equal vectors.
+    def directions(solid) -> dict:
+        by_value: dict = {}
+        for edge in solid.edges.values():
+            by_value.setdefault(edge.curve.direction, set()).add(id(edge.curve.direction))
+        return by_value
+
+    shared = directions(step.load_step(SHEET))
+    with _token_loop_only():
+        apart = directions(step.load_step(SHEET))
+    z = (0.0, 0.0, 1.0)
+    assert shared.keys() == apart.keys() and z in shared
+    assert len(shared[z]) == 1 and len(apart[z]) == 4
