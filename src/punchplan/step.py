@@ -12,12 +12,12 @@ nested parameter list. Outside strings and comments only ASCII is accepted
 only when a :class:`StepSyntaxError` is raised, whose message quotes the
 offending token as it is written.
 
-The DATA section has a fast lane. Each time the reader is about to read a
-record, two compiled patterns try to match a whole simple instance there, and
-the reader then goes on after the last record they matched one after another.
-The typed pattern comes first. It covers the 17 keywords the resolver reads,
-written as exporters write them, with no blank inside the record and reals
-that hold a ``.``, in one branch per field shape:
+The DATA section has a fast lane: one compiled pattern. Each time the reader
+is about to read a record, the pattern tries to match a whole simple instance
+there, and the reader then goes on after the last record it matched one after
+another. It covers the 17 keywords the resolver reads, written as exporters
+write them, with no blank inside the record and reals that hold a ``.``, in
+one branch per field shape:
 
 ===============================  ========================================
 field shape                      keywords
@@ -35,19 +35,18 @@ field shape                      keywords
 ===============================  ========================================
 
 Each field is a group, a shape of several keywords captures the keyword too,
-and the record's arguments are built from the groups. The generic pattern
-matches any other simple instance,
-``#id = KEYWORD ( ... ) ;`` with blanks between tokens and parameter lists at
-most four deep, and its arguments are built from one ``findall`` over its
-parameters. Whatever neither pattern matches is read token by token: the
-HEADER, comments, complex instances, deeper lists, ``#0``, a repeated id, an
-integer past the interpreter's digit limit and every malformed record. The
+and the record's arguments are built from the groups. Whatever the pattern
+does not match is read token by token: the HEADER, comments, complex
+instances, every other keyword, a typed keyword written with blanks inside
+the record or around its ``=``, ``#0``, a repeated id, an integer past the
+interpreter's digit limit and every malformed record. Those read to the same
+entities, in about three times the time the pattern takes for a record. The
 fast lane raises nothing, so every error, with its line and column, still
 comes from the token reader. Within one run of records it builds each record
-whose text holds no reference once, whichever pattern matched it: identical
-directions and points are one ``SimpleEntity``. It builds its ``Ref`` and
-``SimpleEntity`` records by setting their slots, which gives the same objects
-as their frozen ``__init__``.
+whose text holds no reference once: identical directions and points are one
+``SimpleEntity``. It builds its ``Ref`` and ``SimpleEntity`` records by
+setting their slots, which gives the same objects as their frozen
+``__init__``.
 
 Only the geometry subset needed for sheet-metal parts is resolved
 (points, directions, placements, lines, circles, planes, cylinders, and
@@ -208,7 +207,6 @@ class ExchangeStructure:
 # end of the text, so the end reaches the parser as one more token. The
 # alternatives are tried in order, most frequent first; the only ones that can
 # start with the same character (integer, real, bool, enum) keep that order.
-# The fast lane below spells its tokens with the same pieces.
 _STRING = r"'[^']*(?:''[^']*)*'(?!')"
 _KEYWORD = r"[A-Za-z_][A-Za-z0-9_-]*"
 _REAL = r"[+-]?(?=\.?[0-9])[0-9]*(?:\.[0-9]*|(?!\.))(?:[eE][+-]?[0-9]+|(?![eE0-9]))"
@@ -228,6 +226,7 @@ _TOKEN = re.compile(rf"""
   | (?P<eof>\Z)
 """, re.VERBOSE)
 
+_CONSTANTS = {".T.": True, ".F.": False, "$": UNSET, "*": DERIVED}
 _NUMBER_START = re.compile(r"[+-]|\.?[0-9]")
 _EXPONENT = re.compile(r"[+-]?[0-9]*(?:\.[0-9]*)?[eE][+-]?(?P<digit>[0-9]?)")
 
@@ -267,43 +266,9 @@ MAX_NESTING = 64
 _FRAME_TOKENS = ("ISO-10303-21", ";", "HEADER", ";", "DATA", ";", "END-ISO-10303-21", ";")
 
 
-# The DATA section's fast lane. A simple instance whose parameter lists nest at
-# most _FAST_DEPTH deep and hold no comment is matched whole by _FAST, from the
-# blanks before its '#' to its ';'; _ARG then lists the parameter tokens of
-# group 3. Each alternative of _VALUE is a token of _TOKEN as the reader reads
-# it there (its number is _TOKEN's real, which also matches every integer), so a
-# record _FAST matches reads the same either way; anything else is left to the
-# token reader, which reports every error. Each list item is written once and
-# followed by ',' or a look at ')' (``(?!\))`` after a ',' rejects a trailing
-# comma), so the pattern grows linearly with the depth; writing ``item (, item)*``
-# would double it at each level.
-_FAST_DEPTH = 4
-_BLANK = r"[ \t\r\n]*"
-_VALUE = rf"\#[0-9]+|{_STRING}|{_REAL}|\.{_ENUM}\.|[$*]"
-
-
-def _list_body(depth: int) -> str:
-    """The text between a parameter list's parentheses, with ``depth`` lists
-    allowed: this one and those nested in it."""
-    item = _VALUE
-    if depth > 1:
-        item += rf"|(?:{_KEYWORD}{_BLANK})?\({_list_body(depth - 1)}\)"
-    return rf"{_BLANK}(?:(?:{item}){_BLANK}(?:,{_BLANK}(?!\))|(?=\))))*"
-
-
-_FAST = re.compile(rf"{_BLANK}\#([0-9]+){_BLANK}={_BLANK}({_KEYWORD}){_BLANK}"
-                   rf"\(({_list_body(_FAST_DEPTH)})\){_BLANK};")
-# The parameter tokens inside a list that _FAST matched: a reference, a
-# parenthesis, a string, a typed parameter's keyword with its '(', or the rest
-# (a number, an enumeration, '$' or '*'), each after the blanks and the comma
-# before it.
-_ARG = re.compile(rf"[ \t\r\n,]*(\#[0-9]+|[()]|{_STRING}|{_KEYWORD}{_BLANK}\(|[^ \t\r\n,()']+)")
-_CONSTANTS = {".T.": True, ".F.": False, "$": UNSET, "*": DERIVED}
-
-
-# The fast lane builds its Ref and SimpleEntity records by setting their slots
-# directly: the same objects as their frozen __init__ gives, without the
-# object.__setattr__ call per field.
+# The DATA section's fast lane builds its Ref and SimpleEntity records by
+# setting their slots directly: the same objects as their frozen __init__
+# gives, without the object.__setattr__ call per field.
 _new = object.__new__
 _set_ref_id = Ref.id.__set__
 _set_keyword = SimpleEntity.keyword.__set__
@@ -373,7 +338,7 @@ def _typed_branch(keywords: tuple[str, ...], fields: str) -> str:
     return rf"{keyword}\({fields}\)"
 
 
-_TYPED = re.compile(rf"{_BLANK}\#([0-9]+)=(?:"
+_TYPED = re.compile(r"[ \t\r\n]*\#([0-9]+)=(?:"
                     + "|".join(_typed_branch(keywords, fields) for keywords, fields, _ in _TYPED_SHAPES)
                     + ");")
 
@@ -398,74 +363,33 @@ def _typed_branches() -> dict[int, tuple]:
 _TYPED_BRANCHES = _typed_branches()
 
 
-def _fast_args(text: str, start: int, end: int) -> tuple:
-    """The arguments of a record that _FAST matched, from the span of its
-    group 3. Each token is told by its first character."""
-    cur: list = []
-    stack: list[tuple[list, bool]] = []
-    for token in _ARG.findall(text, start, end):
-        first = token[0]
-        if first == "#":
-            cur.append(_ref(token[1:]))
-        elif first in "0123456789+-" or first == "." and token[1] in "0123456789":
-            cur.append(float(token) if "." in token or "e" in token or "E" in token else int(token))
-        elif first == "'":
-            cur.append(token[1:-1].replace("''", "'"))
-        elif first == "(":
-            stack.append((cur, False))
-            cur = []
-        elif first == ")":
-            value = tuple(cur)
-            cur, typed = stack.pop()
-            cur.append(value[0] if typed and len(value) == 1 else value)
-        elif token in _CONSTANTS:
-            cur.append(_CONSTANTS[token])
-        elif first == ".":
-            cur.append(Enum(token[1:-1]))
-        else:  # a typed parameter's keyword and '('
-            stack.append((cur, True))
-            cur = []
-    return tuple(cur)
-
-
 def _fast_records(text: str, pos: int, records: dict[int, EntityRecord]) -> re.Match | None:
     """Take the simple instances that follow ``pos`` one after another, while
-    _TYPED or _FAST matches them, their id is positive and new, and each
-    integer is within the interpreter's digit limit. Returns the last one's
-    match, or None if it took none; raises nothing.
+    _TYPED matches them, their id is positive and new, and each integer is
+    within the interpreter's digit limit. Returns the last one's match, or None
+    if it took none; raises nothing.
 
-    _TYPED is tried first at each record. A record it matches is built from
-    its fields by the builder of its branch, one per field shape, under the
-    keyword its branch names or captures; any other record _FAST matches is
-    built by ``_fast_args``. A record whose text, from its keyword through its
-    parameters, holds no ``#`` is built once per call: every later record with
-    that same text, in either lane, is the same object. A record holding a
-    reference is always built anew."""
+    A record is built from its fields by the builder of its branch, one per
+    field shape, under the keyword its branch names or captures. A record whose
+    text, from its keyword to its last ``)``, holds no ``#`` is built once per
+    call: every later record with that same text is the same object. A record
+    holding a reference is always built anew."""
     intern = sys.intern
-    typed = _TYPED.match
-    match = _FAST.match
+    match = _TYPED.match
     branches = _TYPED_BRANCHES
     shared: dict[str, SimpleEntity] = {}
     last = None
     try:
-        while (m := typed(text, pos) or match(text, pos)) is not None:
+        while (m := match(text, pos)) is not None:
             eid = int(m[1])
             if eid <= 0 or eid in records:
                 break
-            if m.re is _FAST:
-                start, end = m.span(3)
-                if text.find("#", start, end) >= 0:
-                    rec = _simple(intern(m[2]), _fast_args(text, start, end))
-                elif (rec := shared.get(key := text[m.start(2):end])) is None:
-                    rec = shared[key] = _simple(intern(m[2]), _fast_args(text, start, end))
-            else:
-                keywords, keyword_group, groups, build, holds_ref = branches[m.lastindex]
-                keyword = intern(m[keyword_group]) if keyword_group else keywords[0]
-                if holds_ref:
-                    rec = _simple(keyword, build(*m.group(*groups)))
-                # The same key as above: the text from the keyword to the last ')'.
-                elif (rec := shared.get(key := text[m.end(1) + 1:m.end() - 2])) is None:
-                    rec = shared[key] = _simple(keyword, build(*m.group(*groups)))
+            keywords, keyword_group, groups, build, holds_ref = branches[m.lastindex]
+            keyword = intern(m[keyword_group]) if keyword_group else keywords[0]
+            if holds_ref:
+                rec = _simple(keyword, build(*m.group(*groups)))
+            elif (rec := shared.get(key := text[m.end(1) + 1:m.end() - 2])) is None:
+                rec = shared[key] = _simple(keyword, build(*m.group(*groups)))
             records[eid] = rec
             last = m
             pos = m.end()

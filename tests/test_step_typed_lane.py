@@ -1,17 +1,17 @@
-"""The Part-21 fast lane's typed records, against the generic lane and the token loop.
+"""The Part-21 fast lane's typed records, against the token loop.
 
-``step._fast_records`` first tries ``step._TYPED`` at each DATA record: one
-branch per field shape, which covers the 17 keywords the resolver reads, each
-written the way exporters write it, with each field a group. What it does not
-match goes to ``step._FAST`` and from there to the token loop. All three ways
-must give the same entity map, or the same error with the same line and
-column. These tests read generated records of each typed keyword, and near
-misses of them, with the typed lane on, with ``_TYPED`` matching nothing, and
-with the token loop only; and check that the typed lane takes every record it
-is meant for (every record of the benchmark's step-parts files), shares what
-``_FAST`` shares, names the same keywords as ``step._MIN_ARGS``, and compiles
-nothing while reading. The resolver's shared directions, one unit vector per
-DIRECTION record, are checked against the token loop too.
+``step._fast_records`` tries ``step._TYPED`` at each DATA record: one branch
+per field shape, which covers the 17 keywords the resolver reads, each written
+the way exporters write it, with each field a group. What it does not match
+goes to the token loop. Both ways must give the same entity map, or the same
+error with the same line and column. These tests read generated records of
+each typed keyword, and near misses of them, with the typed lane on and with
+the token loop only; and check that the typed lane takes every record it is
+meant for (every record of the benchmark's step-parts files), shares each
+reference-free record once per parse, names the same keywords as
+``step._MIN_ARGS``, and compiles nothing while reading. The resolver's shared
+directions, one unit vector per DIRECTION record, and its keyword checks on
+each reference it follows are checked against the token loop too.
 """
 import re
 from unittest import mock
@@ -51,18 +51,11 @@ class _TypedHook:
         self._patch.stop()
 
 
-def _generic_lane_only():
-    """The reader with the typed lane matching nothing."""
-    return mock.patch.object(step, "_TYPED", re.compile(r"(?!)"))
-
-
-def _three_ways(text: str) -> str:
+def _both_ways(text: str) -> str:
     typed = _outcome(text)
-    with _generic_lane_only():
-        generic = _outcome(text)
     with _token_loop_only():
         tokens = _outcome(text)
-    assert typed == generic == tokens, text
+    assert typed == tokens, text
     return typed
 
 
@@ -104,7 +97,7 @@ FIELDS = {
     "refs": st.lists(REF, min_size=1, max_size=4).map(lambda xs: f"({','.join(xs)})"),
 }
 # What each kind of field may be written as instead: text the token reader
-# reads, or rejects, and the typed lane must leave to the others.
+# reads, or rejects, and the typed lane must leave to it.
 NEAR_MISSES = {
     "name": ["'a''b'", "''''", "'it''s'"],
     "derived": ["$", "#5", "1."],
@@ -148,8 +141,8 @@ def _data(draw) -> str:
 
 @settings(max_examples=400, deadline=None)
 @given(_data())
-def test_typed_records_and_near_misses_read_the_same_three_ways(data):
-    _three_ways(FRAME.format(data))
+def test_typed_records_and_near_misses_read_the_same_both_ways(data):
+    _both_ways(FRAME.format(data))
 
 
 @st.composite
@@ -167,7 +160,7 @@ def _exported(draw) -> list[str]:
 @given(_exported())
 def test_typed_lane_takes_every_record_written_as_exporters_write_it(records):
     text = FRAME.format("".join(records))
-    assert _three_ways(text).startswith("(")
+    assert _both_ways(text).startswith("(")
     with _TypedHook() as hook, _Taken() as taken:
         step.parse_exchange(text)
     assert hook.matches == taken.records == len(records)
@@ -197,7 +190,7 @@ def test_near_misses_keep_the_values_the_token_loop_gives():
     assert entities[11].args == ("", step.Ref(9), step.UNSET)
     assert entities[12].args == ("", step.DERIVED)
     assert entities[13].args == ("", step.Ref(9), step.Enum("U"))
-    _three_ways(text)
+    _both_ways(text)
 
 
 def test_declined_ids_and_digits_keep_their_errors():
@@ -208,7 +201,7 @@ def test_declined_ids_and_digits_keep_their_errors():
         f"#1=VERTEX_POINT('',#{PAST_LIMIT});\n": "digits",
     }
     for data, message in cases.items():
-        outcome = _three_ways(FRAME.format(data))
+        outcome = _both_ways(FRAME.format(data))
         if message == "digits" and not INT_DIGIT_LIMIT:
             assert outcome.startswith("("), outcome
         else:
@@ -239,10 +232,11 @@ def test_typed_lane_shares_reference_free_records_within_a_parse():
                         "#5=CARTESIAN_POINT('',(1.,2.,3.));\n#6=CARTESIAN_POINT('',(1.,2.,3.));\n"
                         "#7=EDGE_LOOP('',(#3,#4));\n#8=EDGE_LOOP('',(#3,#4));\n"
                         "#9=DIRECTION('',(0.,0.,1.0));\n"
-                        "#10 = DIRECTION('',(0.,0.,1.)) ;\n")
-    with _TypedHook() as hook:
+                        "#10 = DIRECTION('',(0.,0.,1.)) ;\n#11=DIRECTION('', (0.,0.,1.));\n"
+                        "#12=DIRECTION ('',(0.,0.,1.));\n")
+    with _TypedHook() as hook, _Taken() as taken:
         first = step.parse_exchange(text).entities
-    assert hook.matches == 9
+    assert hook.matches == taken.records == 9
     # The same text without a reference: one record.
     assert first[1] is first[2] and first[5] is first[6]
     # The same text holding a reference: two records.
@@ -250,8 +244,9 @@ def test_typed_lane_shares_reference_free_records_within_a_parse():
         assert first[a] == first[b] and first[a] is not first[b]
     # Another text of the same values: an equal record, not the same one.
     assert first[9] == first[1] and first[9] is not first[1]
-    # _FAST keys its records by the same text, from the keyword to the last ')'.
-    assert first[10] is first[1]
+    # The same text with blanks, which the token loop reads: equal records, not one.
+    assert first[10] == first[11] == first[12] == first[1]
+    assert len({id(first[eid]) for eid in (1, 10, 11, 12)}) == 4
     # Nothing is shared between two parses.
     second = step.parse_exchange(text).entities
     assert second == first
@@ -286,8 +281,10 @@ def test_typed_pattern_stays_small_and_is_compiled_at_import():
         taken += [keyword_group] * (keyword_group > 0) + list(groups)
     assert sorted(taken) == list(range(2, step._TYPED.groups + 1))
 
-    # As in test_step_fast_lane: every module-level re call passes through
+    # Every module-level re call (re.compile, re.sub, ...) passes through
     # re._compile, and reading a file, also one with errors, must make none.
+    # The wrapper only records, and is removed before the test returns, so the
+    # test runner's own re calls are left alone.
     compiled = []
     real_compile = re._compile
 
@@ -376,6 +373,31 @@ BAD_DIRECTIONS = {
 
 @pytest.mark.parametrize("edit, message", BAD_DIRECTIONS.values(), ids=BAD_DIRECTIONS)
 def test_each_direction_reference_is_checked_at_its_use(edit, message):
+    text = SHEET.replace(*edit)
+    assert text != SHEET
+    assert _resolved(text) == message
+    with _token_loop_only():
+        assert _resolved(text) == message
+
+
+# A reference the resolver follows to a point, a placement or a line's
+# vector, naming a record of another keyword that holds what the resolver
+# reads there; each is refused by the keyword check at that reference.
+BAD_REFERENCES = {
+    "vertex to a direction": (("#9=VERTEX_POINT('',#1);", "#9=VERTEX_POINT('',#17);"),
+                              "UnsupportedGeometry entity #17 (DIRECTION) "
+                              "is outside the supported geometry subset"),
+    "plane to a point": (("#68=PLANE('',#67);", "#68=PLANE('',#1);"),
+                         "UnsupportedGeometry entity #1 (CARTESIAN_POINT) "
+                         "is outside the supported geometry subset"),
+    "line to a direction": (("#19=LINE('',#1,#18);", "#19=LINE('',#1,#17);"),
+                            "UnsupportedGeometry entity #17 (DIRECTION) "
+                            "is outside the supported geometry subset"),
+}
+
+
+@pytest.mark.parametrize("edit, message", BAD_REFERENCES.values(), ids=BAD_REFERENCES)
+def test_each_point_placement_and_vector_reference_checks_its_keyword(edit, message):
     text = SHEET.replace(*edit)
     assert text != SHEET
     assert _resolved(text) == message
