@@ -172,6 +172,55 @@ def test_fast_lane_takes_every_data_record():
         assert taken.records == len(xs.entities) > 100
 
 
+def test_fast_lane_shares_reference_free_records_within_a_parse():
+    text = FRAME.format("#1=DIRECTION('',(0.,0.,1.));\n#2=DIRECTION('',(0.,0.,1.));\n"
+                        "#3=VECTOR('',#1,1.);\n#4=VECTOR('',#1,1.);\n"
+                        "#5=DIRECTION('', (0.,0.,1.));\n#6=DIRECTION ('',(0.,0.,1.));\n")
+    with _Taken() as taken:
+        first = step.parse_exchange(text).entities
+    # The records written with blanks are left to the token loop.
+    assert taken.records == 4
+    # The same text without a reference: one record.
+    assert first[1] is first[2]
+    # The same text holding a reference: two records.
+    assert first[3] == first[4] and first[3] is not first[4]
+    # Texts that differ only in blanks: equal records, not one.
+    assert first[5] == first[6] == first[1]
+    assert len({id(first[1]), id(first[5]), id(first[6])}) == 3
+    # Nothing is shared between two parses.
+    second = step.parse_exchange(text).entities
+    assert second == first
+    assert all(second[eid] is not first[eid] for eid in first)
+
+
+def test_fast_lane_pattern_stays_small_and_is_compiled_at_import():
+    # An item written twice per list, '\( item (, item)* \)', doubles a
+    # pattern at each nesting level; the fast lane's one pattern lists each
+    # field shape once and stays under a kilobyte.
+    assert isinstance(step._TYPED, re.Pattern)
+    assert len(step._TYPED.pattern) < 1024
+
+    # Every module-level re call (re.compile, re.sub, ...) passes through
+    # re._compile. The wrapper only records, and is removed before the test
+    # returns, so the test runner's own re calls are left alone.
+    compiled = []
+    real_compile = re._compile
+
+    def recording_compile(pattern, flags):
+        compiled.append(pattern)
+        return real_compile(pattern, flags)
+
+    text = fixture_path("flat_sheet_100x80x2.step").read_text(encoding="utf-8")
+    with mock.patch.object(re, "_compile", recording_compile):
+        step.load_step(text)
+        for bad in (text.replace("#9=", "#9 ", 1), text.replace("0.0", "0.E", 1)):
+            try:
+                step.parse_exchange(bad)
+            except step.StepSyntaxError:
+                pass
+    assert compiled == [], f"patterns compiled while reading: {compiled!r}"
+
+
 # ---------------------------------------------------------------------------
 # Generated valid records
 # ---------------------------------------------------------------------------
