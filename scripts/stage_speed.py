@@ -15,7 +15,8 @@ imported read-only) and times eight stages in process:
 Each time is the median of ``--repeat`` runs, each reading the texts anew, with
 the cyclic garbage collector paused as ``punchplan.cli.main`` runs them. One
 Markdown row is printed per k: the Part-21 file size, the face count, each
-stage's time with the parse speed in MB/s, and the tracemalloc peak of parse
+stage's time with the parse speed in MB/s, the JSON path's total (``load``
+through ``group``, summed within each run), and the tracemalloc peak of parse
 plus resolve per byte of text (allocated before tracing starts), taken as
 ``tests/test_memory.py`` takes it: after a full collection, with the collector
 running. Then comes the log-log slope of each stage against face count,
@@ -47,6 +48,7 @@ from punchplan import brep, features, step  # noqa: E402
 
 SEED = 7
 STAGES = ("parse", "resolve", "load", "validate", "table", "metrics", "pairing", "group")
+JSON_PATH = STAGES[STAGES.index("load"):]
 
 
 def _peak(call) -> int:
@@ -79,7 +81,8 @@ def _run_once(step_text: str, json_text: str) -> dict:
     metrics = timed(features.sheet_metrics, solid)
     pairing = timed(features.pair_faces, solid, metrics)
     timed(features.group_features, solid, pairing, metrics)
-    return {"faces": len(solid.faces), **dict(zip(STAGES, seconds))}
+    times = dict(zip(STAGES, seconds))
+    return {"faces": len(solid.faces), "json total": sum(times[s] for s in JSON_PATH), **times}
 
 
 def measure(k: int, repeat: int) -> dict:
@@ -95,7 +98,7 @@ def measure(k: int, repeat: int) -> dict:
             gc.enable()
     peak = _peak(lambda: step.resolve_brep(step.parse_exchange(step_text)))
     return {"k": k, "mb": len(step_text) / 1e6, "faces": runs[0]["faces"], "peak_per_byte": peak / len(step_text),
-            **{stage: statistics.median(r[stage] for r in runs) for stage in STAGES}}
+            **{stage: statistics.median(r[stage] for r in runs) for stage in (*STAGES, "json total")}}
 
 
 def slope(a: dict, b: dict, stage: str) -> float:
@@ -115,15 +118,16 @@ def main(argv: list[str] | None = None) -> None:
     if min(args.k) < 1:
         parser.error("--k must be at least 1")
     print(f"seed {SEED}, median of {args.repeat} runs, CPython {sys.version.split()[0]}")
-    print("| k | file | faces | " + " | ".join(STAGES) + " | parse+resolve peak |")
-    print("|---|------|-------|" + "|".join("-" * (len(s) + 2) for s in STAGES) + "|--------------------|")
+    print("| k | file | faces | " + " | ".join(STAGES) + " | json total | parse+resolve peak |")
+    print("|---|------|-------|" + "|".join("-" * (len(s) + 2) for s in STAGES)
+          + "|------------|--------------------|")
     rows = []
     for k in sorted(set(args.k)):
         r = measure(k, args.repeat)
         rows.append(r)
         print(f"| {k} | {r['mb']:.2f} MB | {r['faces']:,} | {r['parse']:.4f} s "
               f"({r['mb'] / r['parse']:.1f} MB/s) | "
-              + " | ".join(f"{r[s]:.4f} s" for s in STAGES[1:])
+              + " | ".join(f"{r[s]:.4f} s" for s in (*STAGES[1:], "json total"))
               + f" | {r['peak_per_byte']:.2f} B per byte |", flush=True)
     first, last = rows[0], rows[-1]
     print(f"\nlog-log slope against faces, k = {first['k']} to {last['k']}:")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 from .geom import TOL, Vec3, distance, plane_basis
@@ -69,13 +69,38 @@ class SchemaError(BrepError):
         self.reason = reason
 
 
-@dataclass(frozen=True, slots=True)
+def _slot_init(cls: type) -> type:
+    """Give a frozen slotted dataclass, declared with ``init=False``, an
+    ``__init__`` that sets each field's slot through its member descriptor.
+
+    The dataclass's own frozen ``__init__`` sets each field with a call to
+    ``object.__setattr__`` by name; the descriptor's ``__set__`` is the same
+    store for a fraction of the cost. The new ``__init__`` takes the fields in
+    order, by position or keyword, none with a default, and then calls
+    ``__post_init__`` if the class has one.
+    """
+    names = [f.name for f in fields(cls)]
+    setters = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    body = "".join(f"    _set_{name}(self, {name})\n" for name in names)
+    if hasattr(cls, "__post_init__"):
+        body += "    self.__post_init__()\n"
+    made: dict = {}
+    exec(f"def __init__(self, {', '.join(names)}):\n{body}", setters, made)
+    init = made["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+@_slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class Line:
     point: Vec3
     direction: Vec3  # unit
 
 
-@dataclass(frozen=True, slots=True)
+@_slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class Circle:
     center: Vec3
     axis: Vec3  # unit
@@ -89,13 +114,15 @@ class Circle:
 CurveGeometry = Union[Line, Circle]
 
 
-@dataclass(frozen=True, slots=True)
+@_slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class Plane:
     origin: Vec3
     normal: Vec3  # unit
 
 
-@dataclass(frozen=True, slots=True)
+@_slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class Cylinder:
     axis_point: Vec3
     axis_dir: Vec3  # unit
@@ -109,7 +136,8 @@ class Cylinder:
 SurfaceGeometry = Union[Plane, Cylinder]
 
 
-@dataclass(frozen=True, slots=True)
+@_slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class Edge:
     id: int
     curve: CurveGeometry
@@ -117,13 +145,15 @@ class Edge:
     end: int    # vertex id; start == end only for full circles
 
 
-@dataclass(frozen=True, slots=True)
+@_slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class Loop:
     id: int
     oriented_edges: tuple[tuple[int, bool], ...]  # (edge id, sense)
 
 
-@dataclass(frozen=True, slots=True)
+@_slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class Face:
     id: int
     surface: SurfaceGeometry
@@ -234,26 +264,36 @@ def face_normal(face: Face) -> Vec3:
     return n if face.same_sense else -n
 
 
-def _walk_face(solid: Solid, face: Face) -> tuple[list[Vec3], float | None]:
-    """One pass over a face's bounds, loops and edges: its sample points and,
-    for a planar face, its area.
+def _walk_face(solid: Solid, face: Face, d: Vec3,
+               e: Vec3) -> tuple[float, float, float, float, float | None]:
+    """One pass over a face's bounds, loops and edges: the intervals
+    ``(d_lo, d_hi, e_lo, e_hi)`` of its sample points along d and along e
+    and, for a planar face, its area.
 
-    The samples are seven interior points on each arc use, then the boundary
-    vertices. The area is |outer loop area| minus the hole loop areas, each
-    loop's by Green's theorem in the (u, v) = plane_basis(normal) frame:
-    straight segments contribute the shoelace cross term; arcs contribute the
-    exact integral r^2*phi/2 plus the chordal part, with phi signed by
-    traversal direction and by the circle axis relative to the face normal.
-    Projections are spelled out on coordinates, in Vec3's operand order.
-    An area that is not finite is a :class:`BrepError`.
+    The samples are seven interior points on each arc use, at sweep*k/8 for
+    k = 1..7, then the boundary vertices. No point is built: each arc sample
+    is projected straight from the coordinates Vec3 arithmetic would give it,
+    and each boundary vertex once, in ``Vec3.dot``'s operand order. So an
+    interval is the min and max of the very doubles ``Vec3.dot`` gives over
+    the sample points. A face without boundary edges has the empty interval
+    ``(inf, -inf)``, which overlaps nothing.
+
+    The area is |outer loop area| minus the hole loop areas, each loop's by
+    Green's theorem in the face's own (u, v) = plane_basis(normal) frame,
+    whatever d and e are: straight segments contribute the shoelace cross
+    term; arcs contribute the exact integral r^2*phi/2 plus the chordal part,
+    with phi signed by traversal direction and by the circle axis relative to
+    the face normal. An area that is not finite is a :class:`BrepError`.
     """
     vertices, edges = solid.vertices, solid.edges
     planar = isinstance(face.surface, Plane)
     if planar:
         n = face_normal(face)
         (ox, oy, oz), ((ux, uy, uz), (vx, vy, vz)) = face.surface.origin, plane_basis(n)
+    (dx, dy, dz), (ex, ey, ez) = d, e
     vids: set[int] = set()
-    pts: list[Vec3] = []
+    ds: list[float] = []
+    es: list[float] = []
     outer = holes = 0.0
     for lid, is_outer in face.bounds:
         total = 0.0
@@ -267,11 +307,13 @@ def _walk_face(solid: Solid, face: Face) -> tuple[list[Vec3], float | None]:
                 (aux, auy, auz), (avx, avy, avz), sweep = _arc_frame(circ, a, None if full else b)
                 # center + u * (r cos) + v * (r sin), on coordinates in Vec3's operand order.
                 cx, cy, cz = circ.center
+                r = circ.radius
                 for k in range(1, 8):
                     ang = sweep * k / 8.0
-                    c, s = circ.radius * math.cos(ang), circ.radius * math.sin(ang)
-                    pts.append(Vec3(cx + aux * c + avx * s, cy + auy * c + avy * s,
-                                    cz + auz * c + avz * s))
+                    c, s = r * math.cos(ang), r * math.sin(ang)
+                    x, y, z = cx + aux * c + avx * s, cy + auy * c + avy * s, cz + auz * c + avz * s
+                    ds.append(x * dx + y * dy + z * dz)
+                    es.append(x * ex + y * ey + z * ez)
             if not planar:
                 continue
             if not sense:
@@ -286,26 +328,32 @@ def _walk_face(solid: Solid, face: Face) -> tuple[list[Vec3], float | None]:
                 signed = sweep * (1.0 if sense else -1.0) * (1.0 if circ.axis.dot(n) > 0 else -1.0)
                 cx, cy, cz = cx - ox, cy - oy, cz - oz
                 cu, cv = cx * ux + cy * uy + cz * uz, cx * vx + cy * vy + cz * vz
-                total += 0.5 * (circ.radius * circ.radius * signed + cu * (vb - va) - cv * (ub - ua))
+                total += 0.5 * (r * r * signed + cu * (vb - va) - cv * (ub - ua))
         if is_outer:
             outer += abs(total)
         else:
             holes += abs(total)
-    pts += [vertices[vid] for vid in vids]
+    boundary = [vertices[vid] for vid in vids]
+    ds += [x * dx + y * dy + z * dz for x, y, z in boundary]
+    es += [x * ex + y * ey + z * ez for x, y, z in boundary]
+    if ds:
+        spans = min(ds), max(ds), min(es), max(es)
+    else:
+        spans = math.inf, -math.inf, math.inf, -math.inf
     if not planar:
-        return pts, None
+        return *spans, None
     area = outer - holes
     if not math.isfinite(area):
         # The shoelace products of a part this large overflow.
         raise BrepError(f"face {face.id} is too large to measure: its area is not finite ({area})")
-    return pts, area
+    return *spans, area
 
 
 def face_area(face: Face, solid: Solid) -> float:
     """Planar face area: |outer loop area| minus the hole loop areas."""
     if not isinstance(face.surface, Plane):
         raise NonPlanarFace(face.id)
-    return _walk_face(solid, face)[1]
+    return _walk_face(solid, face, *plane_basis(face_normal(face)))[4]
 
 
 @dataclass(frozen=True, slots=True)
@@ -476,23 +524,32 @@ def _elements(doc: dict, key: str, kind: str, seen: dict):
 def _uses(owner: dict, key: str, ref: str, flag: str, table: dict,
           *where) -> tuple[tuple[int, bool], ...]:
     """``owner[key]``, a non-empty list of ``{ref: <id in table>, flag: <bool>}``
-    objects, as ``(id, flag)`` pairs: a loop's oriented edges, a face's bounds."""
+    objects, as ``(id, flag)`` pairs: a loop's oriented edges, a face's bounds.
+
+    Each item takes one combined check; the first item that fails it is
+    checked again field by field, in order, for its error."""
     raw = owner.get(key, _ABSENT)
     if type(raw) is not list or not raw:
         raise _error(raw, "expected non-empty list", *where, key)
     pairs = []
-    for j, item in enumerate(raw):
-        if type(item) is not dict:
-            raise _error(item, f"expected object, got {type(item).__name__}", *where, key, j)
-        rid, value = item.get(ref, _ABSENT), item.get(flag, _ABSENT)
-        if type(rid) is not int:
-            raise _not_id(rid, *where, key, j, ref)
-        if rid not in table:
-            raise _error(rid, f"unknown {ref} {rid}", *where, key, j, ref)
-        if type(value) is not bool:
-            raise _error(value, "expected boolean", *where, key, j, flag)
+    for item in raw:
+        if not (type(item) is dict and type(rid := item.get(ref)) is int and rid in table
+                and type(value := item.get(flag)) is bool):
+            raise _use_error(item, ref, flag, table, *where, key, len(pairs))
         pairs.append((rid, value))
     return tuple(pairs)
+
+
+def _use_error(item, ref: str, flag: str, table: dict, *where) -> SchemaError:
+    """The error of an item :func:`_uses` refuses, at the pointer ``where``."""
+    if type(item) is not dict:
+        return _error(item, f"expected object, got {type(item).__name__}", *where)
+    rid, value = item.get(ref, _ABSENT), item.get(flag, _ABSENT)
+    if type(rid) is not int:
+        return _not_id(rid, *where, ref)
+    if rid not in table:
+        return _error(rid, f"unknown {ref} {rid}", *where, ref)
+    return _error(value, "expected boolean", *where, flag)
 
 
 def load_brep_json(text: str, default_name: str = "") -> Solid:

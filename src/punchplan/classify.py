@@ -107,20 +107,22 @@ def classify_reference_edges(
     return result
 
 
+# The classes in EdgeClassTotals' count order. ``tuple.index`` finds a class by
+# identity, so the totals hash no enum member: Enum.__hash__ is Python code.
+_CLASSES = (EdgeClass.CEE, EdgeClass.IEE, EdgeClass.CIE, EdgeClass.IIE)
+
+
 def totals(feature_edges: list[tuple[int, EdgeClass]], solid: Solid) -> EdgeClassTotals:
-    """Per-class counts and summed lengths for one feature's edge list."""
-    counts = {cls: 0 for cls in EdgeClass}
-    sums = {cls: 0.0 for cls in EdgeClass}
+    """Per-class counts and summed lengths for one feature's edge list; each
+    class's lengths are summed in list order."""
+    counts = [0, 0, 0, 0]
+    sums = [0.0, 0.0, 0.0, 0.0]
+    index = _CLASSES.index
     for eid, cls in feature_edges:
-        counts[cls] += 1
-        sums[cls] += edge_length(solid.edges[eid], solid)
-    return EdgeClassTotals(
-        n_cee=counts[EdgeClass.CEE],
-        n_iee=counts[EdgeClass.IEE],
-        n_cie=counts[EdgeClass.CIE],
-        n_iie=counts[EdgeClass.IIE],
-        tl_iie=sums[EdgeClass.IIE],
-        tl_cie=sums[EdgeClass.CIE],
-        tl_cee=sums[EdgeClass.CEE],
-        tl_iee=sums[EdgeClass.IEE],
-    )
+        i = index(cls)
+        counts[i] += 1
+        sums[i] += edge_length(solid.edges[eid], solid)
+    n_cee, n_iee, n_cie, n_iie = counts
+    tl_cee, tl_iee, tl_cie, tl_iie = sums
+    return EdgeClassTotals(n_cee=n_cee, n_iee=n_iee, n_cie=n_cie, n_iie=n_iie,
+                           tl_iie=tl_iie, tl_cie=tl_cie, tl_cee=tl_cee, tl_iee=tl_iee)

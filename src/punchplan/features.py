@@ -159,17 +159,6 @@ def _norm1(p: Vec3) -> float:
     return abs(x) + abs(y) + abs(z)
 
 
-def _extent_along(points: list[Vec3], d: Vec3) -> tuple[float, float]:
-    """Interval of ``p . d`` over the points, rounded exactly as Vec3.dot would."""
-    dx, dy, dz = d
-    return _interval([x * dx + y * dy + z * dz for x, y, z in points])
-
-
-def _interval(values: list[float]) -> tuple[float, float]:
-    # A face without boundary edges has the empty interval, which overlaps nothing.
-    return (min(values), max(values)) if values else (math.inf, -math.inf)
-
-
 def _overlaps(a_lo: float, a_hi: float, b_lo: float, b_hi: float) -> bool:
     return min(a_hi, b_hi) - max(a_lo, b_lo) > TOL
 
@@ -182,7 +171,8 @@ class FaceGeometry:
     basis ``(u, v) = plane_basis(normal)``. Cylindrical faces carry the
     radius, the axis and the sample-point interval along the axis, and as
     area the lateral area over that sampled axial span; pairing sorts faces
-    by area.
+    by area. Each face is walked once, by :func:`brep._walk_face`, which
+    projects the samples as it goes; no sample point is kept.
     """
 
     __slots__ = ("face", "id", "normal", "origin", "offset", "area",
@@ -191,7 +181,6 @@ class FaceGeometry:
     def __init__(self, solid: Solid, face: Face):
         self.face = face
         self.id = face.id
-        points, area = brep._walk_face(solid, face)
         surface = face.surface
         if isinstance(surface, Plane):
             self.normal = n = face_normal(face)
@@ -199,15 +188,13 @@ class FaceGeometry:
             x, y, z = surface.origin
             nx, ny, nz = n
             self.offset = x * nx + y * ny + z * nz  # origin.dot(n), rounded the same
-            self.area = area
-            u, v = plane_basis(n)
-            self.u_lo, self.u_hi = _extent_along(points, u)
-            self.v_lo, self.v_hi = _extent_along(points, v)
+            self.u_lo, self.u_hi, self.v_lo, self.v_hi, self.area = brep._walk_face(
+                solid, face, *plane_basis(n))
         else:
             self.normal = None
             self.radius = surface.radius
-            self.axis = surface.axis_dir
-            self.axis_lo, self.axis_hi = _extent_along(points, self.axis)
+            self.axis = axis = surface.axis_dir
+            self.axis_lo, self.axis_hi, _, _, _ = brep._walk_face(solid, face, axis, axis)
             self.area = 2.0 * math.pi * surface.radius * (self.axis_hi - self.axis_lo)
 
 
@@ -486,14 +473,12 @@ def _planes_face_each_other(solid: Solid, a: FaceGeometry, b: FaceGeometry, exac
     # Plane separation alone treats planes as infinite; require the two
     # bounded faces to overlap when projected onto a's plane basis. For
     # exactly opposite normals b's basis is a's with u reversed (see
-    # plane_basis), so b's own intervals serve; otherwise b's sample points
-    # are projected onto a's basis afresh.
+    # plane_basis), so b's own intervals serve; otherwise b is walked again
+    # and its samples projected onto a's basis.
     if exact:
         return _overlaps(a.u_lo, a.u_hi, -b.u_hi, -b.u_lo) and _overlaps(a.v_lo, a.v_hi, b.v_lo, b.v_hi)
-    u, v = plane_basis(a.normal)
-    points = brep._walk_face(solid, b.face)[0]
-    return (_overlaps(a.u_lo, a.u_hi, *_extent_along(points, u))
-            and _overlaps(a.v_lo, a.v_hi, *_extent_along(points, v)))
+    u_lo, u_hi, v_lo, v_hi, _ = brep._walk_face(solid, b.face, *plane_basis(a.normal))
+    return _overlaps(a.u_lo, a.u_hi, u_lo, u_hi) and _overlaps(a.v_lo, a.v_hi, v_lo, v_hi)
 
 
 def _radii_apart(cylinders: list[FaceGeometry], r: float, t: float) -> list[FaceGeometry]:
@@ -517,7 +502,7 @@ def _cylinders_face_each_other(solid: Solid, a: FaceGeometry, b: FaceGeometry) -
     if b.axis == a.axis:
         lo, hi = b.axis_lo, b.axis_hi
     else:
-        lo, hi = _extent_along(brep._walk_face(solid, b.face)[0], a.axis)
+        lo, hi, _, _, _ = brep._walk_face(solid, b.face, a.axis, a.axis)
     return _overlaps(a.axis_lo, a.axis_hi, lo, hi)
 
 

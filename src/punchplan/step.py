@@ -44,9 +44,8 @@ entities, in about three times the time the pattern takes for a record. The
 fast lane raises nothing, so every error, with its line and column, still
 comes from the token reader. Within one run of records it builds each record
 whose text holds no reference once: identical directions and points are one
-``SimpleEntity``. It builds its ``Ref`` and ``SimpleEntity`` records by
-setting their slots, which gives the same objects as their frozen
-``__init__``.
+``SimpleEntity``. ``Ref`` and ``SimpleEntity`` take their ``__init__`` from
+``brep._slot_init``, which sets each slot through its member descriptor.
 
 Only the geometry subset needed for sheet-metal parts is resolved
 (points, directions, placements, lines, circles, planes, cylinders, and
@@ -70,7 +69,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
-from .brep import Circle, Cylinder, Edge, Face, Line, Loop, Plane, Solid
+from .brep import Circle, Cylinder, Edge, Face, Line, Loop, Plane, Solid, _slot_init
 from .geom import Vec3, vec
 
 
@@ -154,7 +153,8 @@ UNSET = Placeholder.UNSET
 DERIVED = Placeholder.DERIVED
 
 
-@dataclass(frozen=True, slots=True)
+@_slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class Ref:
     id: int
 
@@ -170,7 +170,8 @@ class Enum:
         return f".{self.name}."
 
 
-@dataclass(frozen=True, slots=True)
+@_slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class SimpleEntity:
     keyword: str
     args: tuple
@@ -266,28 +267,6 @@ MAX_NESTING = 64
 _FRAME_TOKENS = ("ISO-10303-21", ";", "HEADER", ";", "DATA", ";", "END-ISO-10303-21", ";")
 
 
-# The DATA section's fast lane builds its Ref and SimpleEntity records by
-# setting their slots directly: the same objects as their frozen __init__
-# gives, without the object.__setattr__ call per field.
-_new = object.__new__
-_set_ref_id = Ref.id.__set__
-_set_keyword = SimpleEntity.keyword.__set__
-_set_args = SimpleEntity.args.__set__
-
-
-def _simple(keyword: str, args: tuple) -> SimpleEntity:
-    rec = _new(SimpleEntity)
-    _set_keyword(rec, keyword)
-    _set_args(rec, args)
-    return rec
-
-
-def _ref(digits: str) -> Ref:
-    ref = _new(Ref)
-    _set_ref_id(ref, int(digits))
-    return ref
-
-
 # The typed lane: every keyword the resolver reads, written as exporters write
 # it, with no blank inside the record, a name holding no quote, and reals
 # holding a '.'. Each field is a group. Every such text is read by the token
@@ -309,27 +288,28 @@ def _triple_args(name: str, x: str, y: str, z: str) -> tuple:
 
 def _refs(refs: str) -> tuple:
     """The references of a _REFS group, written ``#1,#2,...``."""
-    return tuple(map(_ref, refs[1:].split(",#")))
+    return tuple(map(Ref, map(int, refs[1:].split(",#"))))
 
 
 _TYPED_SHAPES = (
     (("ORIENTED_EDGE",), rf"{_NAME},\*,\*,{_REF},{_FLAG}",
-     lambda name, edge, flag: (name, DERIVED, DERIVED, _ref(edge), flag == "T")),
+     lambda name, edge, flag: (name, DERIVED, DERIVED, Ref(int(edge)), flag == "T")),
     (("DIRECTION", "CARTESIAN_POINT"), rf"{_NAME},\({_DOTTED},{_DOTTED},{_DOTTED}\)", _triple_args),
     (("EDGE_CURVE",), rf"{_NAME},{_REF},{_REF},{_REF},{_FLAG}",
-     lambda name, start, end, curve, flag: (name, _ref(start), _ref(end), _ref(curve), flag == "T")),
+     lambda name, start, end, curve, flag: (name, Ref(int(start)), Ref(int(end)), Ref(int(curve)),
+                                            flag == "T")),
     (("VECTOR", "CIRCLE", "CYLINDRICAL_SURFACE"), rf"{_NAME},{_REF},{_DOTTED}",
-     lambda name, ref, real: (name, _ref(ref), float(real))),
-    (("LINE",), rf"{_NAME},{_REF},{_REF}", lambda name, p, v: (name, _ref(p), _ref(v))),
+     lambda name, ref, real: (name, Ref(int(ref)), float(real))),
+    (("LINE",), rf"{_NAME},{_REF},{_REF}", lambda name, p, v: (name, Ref(int(p)), Ref(int(v)))),
     (("VERTEX_POINT", "PLANE", "MANIFOLD_SOLID_BREP"), rf"{_NAME},{_REF}",
-     lambda name, ref: (name, _ref(ref))),
+     lambda name, ref: (name, Ref(int(ref)))),
     (("EDGE_LOOP", "CLOSED_SHELL"), rf"{_NAME},{_REFS}", lambda name, refs: (name, _refs(refs))),
     (("AXIS2_PLACEMENT_3D",), rf"{_NAME},{_REF},{_REF},{_REF}",
-     lambda name, p, axis, ref: (name, _ref(p), _ref(axis), _ref(ref))),
+     lambda name, p, axis, ref: (name, Ref(int(p)), Ref(int(axis)), Ref(int(ref)))),
     (("FACE_OUTER_BOUND", "FACE_BOUND"), rf"{_NAME},{_REF},{_FLAG}",
-     lambda name, loop, flag: (name, _ref(loop), flag == "T")),
+     lambda name, loop, flag: (name, Ref(int(loop)), flag == "T")),
     (("ADVANCED_FACE",), rf"{_NAME},{_REFS},{_REF},{_FLAG}",
-     lambda name, bounds, surface, flag: (name, _refs(bounds), _ref(surface), flag == "T")),
+     lambda name, bounds, surface, flag: (name, _refs(bounds), Ref(int(surface)), flag == "T")),
 )
 
 
@@ -387,9 +367,9 @@ def _fast_records(text: str, pos: int, records: dict[int, EntityRecord]) -> re.M
             keywords, keyword_group, groups, build, holds_ref = branches[m.lastindex]
             keyword = intern(m[keyword_group]) if keyword_group else keywords[0]
             if holds_ref:
-                rec = _simple(keyword, build(*m.group(*groups)))
+                rec = SimpleEntity(keyword, build(*m.group(*groups)))
             elif (rec := shared.get(key := text[m.end(1) + 1:m.end() - 2])) is None:
-                rec = shared[key] = _simple(keyword, build(*m.group(*groups)))
+                rec = shared[key] = SimpleEntity(keyword, build(*m.group(*groups)))
             records[eid] = rec
             last = m
             pos = m.end()

@@ -2,11 +2,52 @@
 
 The area oracle counts grid-cell centers inside a polygon-with-holes region
 (ray casting for polygon membership, exact radius tests for circular holes)
-and never touches the production Green's-theorem path.
+and never touches the production Green's-theorem path. The sample oracle
+builds a face's sample points as ``Vec3`` values, apart from the production
+walk, which projects its samples without building them.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from punchplan.brep import Circle
+from punchplan.geom import TOL, Vec3
+
+
+def face_samples(solid, face) -> list[Vec3]:
+    """A face's sample points, built with Vec3 arithmetic: for each arc use,
+    in bound, loop and edge order, the seven interior points at sweep*k/8
+    (k = 1..7) counterclockwise about the circle axis from its start vertex,
+    then the face's boundary vertices once each. An arc whose end vertex is
+    its start, or lies within TOL of it, is a full circle."""
+    points: list[Vec3] = []
+    vids: set[int] = set()
+    for lid, _ in face.bounds:
+        for eid, _ in solid.loops[lid].oriented_edges:
+            edge = solid.edges[eid]
+            vids.update((edge.start, edge.end))
+            circle = edge.curve
+            if not isinstance(circle, Circle):
+                continue
+            start, end = solid.vertices[edge.start], solid.vertices[edge.end]
+            u = start - circle.center
+            u = u - circle.axis * u.dot(circle.axis)
+            u = u * (1.0 / u.norm())
+            v = circle.axis.cross(u)
+            if edge.start == edge.end or (start - end).norm() <= TOL:
+                sweep = 2.0 * math.pi
+            else:
+                w = end - circle.center
+                sweep = math.atan2(w.dot(v), w.dot(u))
+                if sweep < 0:
+                    sweep += 2.0 * math.pi
+            for k in range(1, 8):
+                ang = sweep * k / 8.0
+                points.append(circle.center + u * (circle.radius * math.cos(ang))
+                              + v * (circle.radius * math.sin(ang)))
+    return points + [solid.vertices[vid] for vid in vids]
 
 
 def polygon_contains(px: np.ndarray, py: np.ndarray,

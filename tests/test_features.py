@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import inputs
 import modelzoo
+import oracles
 from conftest import fixture_path, solid_from
 from punchplan import brep, features
 from punchplan.brep import Circle, Cylinder, Face, Loop, Plane, Solid
@@ -34,7 +35,7 @@ from punchplan.features import (
     select_reference_face,
     sheet_metrics,
 )
-from punchplan.geom import ANGULAR_TOL, is_anti_parallel, vec
+from punchplan.geom import ANGULAR_TOL, is_anti_parallel, plane_basis, vec
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +109,11 @@ def test_thickness_matches_pair_enumeration(seed, axis, angle, shift, scale, jit
 
 def _reference_pairing(solid, t):
     """Face roles by the full quadratic scan: every face tested against every other."""
-    from punchplan.brep import _walk_face, face_area, face_normal
+    from punchplan.brep import face_area, face_normal
     from punchplan.features import _coaxial, _overlaps
-    from punchplan.geom import plane_basis
 
     def extent(face, d):
-        values = [d.dot(vec(*p)) for p in _walk_face(solid, face)[0]]
+        values = [d.dot(vec(*p)) for p in oracles.face_samples(solid, face)]
         return min(values), max(values)
 
     def qualifies(a, b):
@@ -551,10 +551,9 @@ def test_face_table_builds_one_arc_frame_per_arc_use(monkeypatch, name):
     assert len(calls) == arc_uses
 
 
-def test_arc_between_coincident_vertices_samples_the_full_circle():
-    # Two vertex ids at one point: the arc is a full circle, in its samples
-    # as in its length and area.
-    doc = {
+def _disc_between_coincident_vertices():
+    """One planar face bounded by one arc whose two vertex ids share a point."""
+    return solid_from({
         "name": "disc",
         "vertices": [{"id": 1, "x": 5.0, "y": 0.0, "z": 0.0}, {"id": 2, "x": 5.0, "y": 0.0, "z": 0.0}],
         "edges": [{"id": 1, "start": 1, "end": 2, "curve": {
@@ -562,14 +561,58 @@ def test_arc_between_coincident_vertices_samples_the_full_circle():
         "loops": [{"id": 1, "oriented_edges": [{"edge": 1, "sense": True}]}],
         "faces": [{"id": 1, "same_sense": True, "bounds": [{"loop": 1, "outer": True}],
                    "surface": {"kind": "plane", "origin": [0, 0, 0], "normal": [0, 0, 1]}}],
-    }
-    solid = solid_from(doc)
+    })
+
+
+def test_arc_between_coincident_vertices_samples_the_full_circle():
+    # Two vertex ids at one point: the arc is a full circle, in its samples
+    # as in its length and area.
+    solid = _disc_between_coincident_vertices()
     g = features.FaceGeometry(solid, solid.faces[1])
     assert brep.edge_length(solid.edges[1], solid) == pytest.approx(10.0 * math.pi, rel=1e-12)
     assert g.area == pytest.approx(25.0 * math.pi, rel=1e-12)
     for lo, hi in ((g.u_lo, g.u_hi), (g.v_lo, g.v_hi)):
         assert lo == pytest.approx(-5.0, abs=1e-9)
         assert hi == pytest.approx(5.0, abs=1e-9)
+
+
+def _edgeless_faces():
+    """A planar and a cylindrical face, each bounded by one loop of no edges."""
+    origin, z = vec(0, 0, 0), vec(0, 0, 1)
+    return Solid("edgeless", {}, {}, {1: Loop(1, ())},
+                 {1: Face(1, Plane(origin, z), True, ((1, True),)),
+                  2: Face(2, Cylinder(origin, z, 3.0), True, ((1, True),))})
+
+
+_WALKED = {
+    **{name: lambda build=build: solid_from(build()) for name, build in sorted(modelzoo.FIXTURES.items())},
+    **{f"posed_{seed}": lambda seed=seed: _random_posed_sheet(
+        seed, (0.3, -0.7, 0.5), 0.37 * seed, (41.5, -233.0, 7.25), (0.05, 1.0, 7.5)[seed % 3],
+        (0.0, 1e-7)[seed % 2]) for seed in range(1, 9)},
+    "disc_between_coincident_vertices": _disc_between_coincident_vertices,
+    "edgeless": _edgeless_faces,
+}
+
+
+@pytest.mark.parametrize("name", _WALKED)
+def test_face_intervals_are_the_sample_projections_to_the_bit(name):
+    # The walk projects samples it never builds; its intervals must be the very
+    # doubles of Vec3.dot over the oracle's Vec3 samples, and an edgeless face's
+    # interval the empty one. The planar area agrees with face_area's walk.
+    solid = _WALKED[name]()
+    for face in solid.faces.values():
+        g = features.FaceGeometry(solid, face)
+        samples = oracles.face_samples(solid, face)
+        if g.normal is None:
+            spans = [(g.axis_lo, g.axis_hi, g.axis)]
+        else:
+            u, v = plane_basis(g.normal)
+            spans = [(g.u_lo, g.u_hi, u), (g.v_lo, g.v_hi, v)]
+            assert brep.face_area(face, solid).hex() == g.area.hex()
+        for lo, hi, d in spans:
+            values = [d.dot(p) for p in samples]
+            want = (min(values), max(values)) if values else (math.inf, -math.inf)
+            assert (lo.hex(), hi.hex()) == (want[0].hex(), want[1].hex()), (face.id, d)
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,7 @@ def test_slotted_records_behave_as_frozen_dataclasses(record, text):
     _assert_frozen_slotted(record, text)
 
 
-# The fast lane builds its Ref and SimpleEntity records by setting their slots,
-# not through __init__; what it builds must behave the same.
+# The records the fast lane builds must behave as those built anywhere else.
 @pytest.mark.parametrize("pick, text", [
     (lambda entities: entities[1].args[1], "#2"),
     (lambda entities: entities[1], "SimpleEntity(keyword='VERTEX_POINT', args=('', #2))"),
@@ -119,6 +118,8 @@ def _assert_frozen_slotted(record, text):
     assert repr(record) == text
     fields = tuple(getattr(record, f.name) for f in dataclasses.fields(record))
     assert hash(record) == hash(fields)
+    by_keyword = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    assert type(record)(**by_keyword) == record
     for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert twin == record and hash(twin) == hash(record) and type(twin) is type(record)
     assert record != dataclasses.replace(record, **{dataclasses.fields(record)[0].name: None})
