@@ -87,9 +87,10 @@ def _read_text(path: Path, code: int) -> str:
 def _load_solid(path: Path, requested: str) -> tuple[Solid, list[str], int | None]:
     """Read a model file; returns (solid, warnings, entity count for STEP input).
 
-    A model without a name of its own is named after the file's stem. The
-    text goes straight to its reader and is not kept here, so it is freed
-    once decoded, before the Solid is built.
+    A model without a name of its own is named after the file's stem; a part
+    name that UTF-8 cannot encode exits 2, as text that is not UTF-8 does.
+    The text goes straight to its reader and is not kept here, so it is
+    freed once decoded, before the Solid is built.
     """
     fmt = _detect_format(path, requested)
     try:
@@ -98,8 +99,14 @@ def _load_solid(path: Path, requested: str) -> tuple[Solid, list[str], int | Non
             warnings = list(xs.warnings)
             for kw, count in sorted(xs.ignored_keywords.items()):
                 warnings.append(f"ignored {count} {kw} entities")
-            return resolve_brep(xs, path.stem), warnings, len(xs.entities)
-        return load_brep_json(_read_text(path, EXIT_PARSE), path.stem), [], None
+            loaded = resolve_brep(xs, path.stem), warnings, len(xs.entities)
+        else:
+            loaded = load_brep_json(_read_text(path, EXIT_PARSE), path.stem), [], None
+        loaded[0].name.encode("utf-8")
+        return loaded
+    except UnicodeEncodeError as exc:
+        raise CliError(EXIT_PARSE, f"{path}: part name is not valid UTF-8: {exc.reason} "
+                                   f"at character {exc.start}") from None
     except (OSError, StepError, BrepError) as exc:
         raise CliError(EXIT_PARSE, f"{path}: {exc}") from None
 
@@ -454,7 +461,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        # A path that is not UTF-8 is written as a real process's stderr writes it.
+        sys.stderr.write(f"error: {exc}\n".encode("utf-8", "backslashreplace").decode("utf-8"))
         return exc.code
     finally:
         if enabled:

@@ -11,13 +11,13 @@ per solid: planar faces grouped into plane classes, the faces of one normal
 and one plane, which are bucketed by outward normal and sorted by plane
 offset; cylinders, which are few, are sorted by radius, and a cylinder is
 compared with those whose radius may differ from its own by the distance
-sought. A planar face is compared only with the classes its buckets
-shortlist, through one query, :meth:`FaceTable.across`, which serves both
-the opposite face and pairing. Across two classes with exactly opposite
-normals every face pair is one separation apart, to the last bit, so the
-thickness and that query test such a pair of planes once; in-plane overlap,
-and every other shortlisted pair, go through the same exact tests as a full
-pairwise scan would.
+sought. A planar face is compared only with the classes one plane query,
+:meth:`FaceTable.opposed`, finds across from it; the thickness, the
+opposite face and pairing all read it. Across two classes with exactly
+opposite normals every face pair is one separation apart, to the last bit,
+so such a pair of planes is tested once; in-plane overlap, and every other
+shortlisted pair, go through the same exact tests as a full pairwise scan
+would.
 """
 from __future__ import annotations
 
@@ -212,14 +212,6 @@ def _at_separation(a: FaceGeometry, b: FaceGeometry, distance: float) -> bool:
             and abs(abs(_signed_separation(a, b)) - distance) <= TOL)
 
 
-def _windows(center: float, distance: float, half_width: float) -> tuple[tuple[float, float], ...]:
-    """The ranges within ``half_width`` of ``center - distance`` and ``center + distance``."""
-    d, w = abs(distance), half_width
-    if d > w:
-        return (center - d - w, center - d + w), (center + d - w, center + d + w)
-    return ((center - d - w, center + d + w),)
-
-
 class FaceTable:
     """One solid's per-face geometry, with planar faces grouped into plane classes.
 
@@ -254,11 +246,11 @@ class FaceTable:
     so bisecting the offsets finds every pair at a given separation once the
     search range is widened by ``window``: TOL plus twice ANGULAR_TOL times
     the largest plane-origin distance from the coordinate origin.
-    ``cylinders`` lists the cylindrical faces by radius. ``across`` tests a
-    class pair with exactly opposite normals once and every other
-    shortlisted pair face by face, and callers test every pair's overlap,
-    all with the exact tests. So the table changes no decision, only how
-    many pairs are tried.
+    ``opposed`` is that bisection. ``cylinders`` lists the cylindrical faces
+    by radius. The thickness and ``across`` test a class pair with exactly
+    opposite normals once and every other shortlisted pair face by face, and
+    callers test every pair's overlap, all with the exact tests. So the
+    table changes no decision, only how many pairs are tried.
 
     ``opposite`` maps each outward normal of a planar face to its negation
     and the buckets that may hold its anti-parallel partners. Normals that
@@ -305,19 +297,27 @@ class FaceTable:
                 opposed = -n
                 self.opposite[n] = (opposed, [buckets[k] for k in _cells_near(opposed) if k in buckets])
 
-    def across(self, a: FaceGeometry, distance: float):
-        """For each plane class a's opposite buckets shortlist at ``distance``,
-        ``(faces, exact)``: its members that pass :func:`_at_separation`, and
-        whether the class normal is exactly a's negation. Such a class passes
-        or fails as a whole, so one member takes the test for all."""
+    def opposed(self, a: FaceGeometry, lo: float, hi: float):
+        """``(c, exact)`` for each plane class c in a's opposite buckets with
+        offset in ``[lo, hi]``; exact: whether c's normal is exactly -a.normal."""
         opposed, opposite = self.opposite[a.normal]
-        for lo, hi in _windows(-a.offset, distance, self.window):
-            for offsets, cs in opposite:
-                for c in cs[bisect_left(offsets, lo):bisect_right(offsets, hi)]:
-                    if c[0].normal == opposed:
-                        yield (c if _at_separation(a, c[0], distance) else ()), True
-                    else:
-                        yield [g for g in c if _at_separation(a, g, distance)], False
+        for offsets, cs in opposite:
+            for c in cs[bisect_left(offsets, lo):bisect_right(offsets, hi)]:
+                yield c, c[0].normal == opposed
+
+    def across(self, a: FaceGeometry, distance: float):
+        """``(faces, exact)`` for each class :meth:`opposed` finds within the
+        window of ``distance`` from a's plane, on either side: its members
+        that pass :func:`_at_separation`. An exact class passes or fails as a
+        whole, so one member takes the test for all."""
+        x, d, w = -a.offset, abs(distance), self.window
+        windows = ((x - d - w, x - d + w), (x + d - w, x + d + w)) if d > w else ((x - d - w, x + d + w),)
+        for lo, hi in windows:
+            for c, exact in self.opposed(a, lo, hi):
+                if exact:
+                    yield (c if _at_separation(a, c[0], distance) else ()), True
+                else:
+                    yield [g for g in c if _at_separation(a, g, distance)], False
 
 
 def face_table(solid: Solid) -> FaceTable:
@@ -379,39 +379,29 @@ def anti_parallel_pair_distances(solid: Solid) -> list[tuple[int, int, float]]:
 def compute_thickness(solid: Solid) -> float:
     """Minimum separation over anti-parallel same-kind face pairs.
 
-    Each plane class walks its opposite buckets outward from the offset of its
-    own plane and stops once the window-widened offset gap exceeds the best
-    separation so far. A class whose normal is the exact negative is measured
-    once, by the first members (see :class:`FaceTable`); across any other
+    Each plane class reads the classes :meth:`FaceTable.opposed` finds within
+    the window-widened best separation so far of its own plane (all of them
+    while none is known); a class outside lies farther away than the best.
+    A class whose normal is the exact negative is measured once, by the
+    first members (both bounds are in :class:`FaceTable`); across any other
     class every face pair is measured with the lower face id first, as in
     :func:`anti_parallel_pair_distances`, and so is every cylinder pair
     tested for coaxiality, which is not symmetric. So the minimum is the
     same double.
     """
     table = face_table(solid)
-    w = table.window
     best: float | None = None
     for c in table.classes:
         a = c[0]
-        x = -a.offset
-        opposed, opposite = table.opposite[a.normal]
-        for offsets, cs in opposite:
-            start = bisect_left(offsets, x)
-            for walk in (range(start, len(offsets)), range(start - 1, -1, -1)):
-                for j in walk:
-                    if best is not None and abs(offsets[j] - x) - w > best:
-                        break
-                    b = cs[j]
-                    if b[0].normal == opposed:
-                        across = ((a, b[0]),)
-                    else:
-                        across = ((f, g) if f.id < g.id else (g, f) for f in c for g in b)
-                    for lo, hi in across:
-                        if not lo.normal.dot(hi.normal) <= -_COS_ANGULAR_TOL:
-                            continue
-                        sep = abs(_signed_separation(lo, hi))
-                        if sep > TOL and (best is None or sep < best):
-                            best = sep
+        x, r = -a.offset, math.inf if best is None else best + table.window
+        for b, exact in table.opposed(a, x - r, x + r):
+            across = ((a, b[0]),) if exact else ((f, g) if f.id < g.id else (g, f) for f in c for g in b)
+            for lo, hi in across:
+                if not lo.normal.dot(hi.normal) <= -_COS_ANGULAR_TOL:
+                    continue
+                sep = abs(_signed_separation(lo, hi))
+                if sep > TOL and (best is None or sep < best):
+                    best = sep
     # With the cylinders in radius order, b.radius - a.radius rounds to the
     # same double as abs(a.radius - b.radius) and never shrinks along the
     # list, so each cylinder bisects past the pairs within TOL and stops at

@@ -17,35 +17,20 @@ is about to read a record, the pattern tries to match a whole simple instance
 there, and the reader then goes on after the last record it matched one after
 another. It covers the 17 keywords the resolver reads, written as exporters
 write them, with no blank inside the record and reals that hold a ``.``, in
-one branch per field shape:
-
-===============================  ========================================
-field shape                      keywords
-===============================  ========================================
-``(name, triple)``               DIRECTION, CARTESIAN_POINT
-``(name, ref)``                  VERTEX_POINT, PLANE, MANIFOLD_SOLID_BREP
-``(name, ref, real)``            VECTOR, CIRCLE, CYLINDRICAL_SURFACE
-``(name, ref, flag)``            FACE_OUTER_BOUND, FACE_BOUND
-``(name, (refs))``               EDGE_LOOP, CLOSED_SHELL
-``(name, (refs), ref, flag)``    ADVANCED_FACE
-``(name, ref, ref)``             LINE
-``(name, ref, ref, ref)``        AXIS2_PLACEMENT_3D
-``(name, ref, ref, ref, flag)``  EDGE_CURVE
-``(name, *, *, ref, flag)``      ORIENTED_EDGE
-===============================  ========================================
-
-Each field is a group, a shape of several keywords captures the keyword too,
-and the record's arguments are built from the groups. Whatever the pattern
-does not match is read token by token: the HEADER, comments, complex
-instances, every other keyword, a typed keyword written with blanks inside
-the record or around its ``=``, ``#0``, a repeated id, an integer past the
-interpreter's digit limit and every malformed record. Those read to the same
-entities, in about three times the time the pattern takes for a record. The
-fast lane raises nothing, so every error, with its line and column, still
-comes from the token reader. Within one run of records it builds each record
-whose text holds no reference once: identical directions and points are one
-``SimpleEntity``. ``Ref`` and ``SimpleEntity`` take their ``__init__`` from
-``brep._slot_init``, which sets each slot through its member descriptor.
+one branch per field shape (``_TYPED_SHAPES`` lists them, and README
+"Speed" tabulates them). Each field is a group, a shape of several keywords
+captures the keyword too, and the record's arguments are built from the
+groups. Whatever the pattern does not match is read token by token: the
+HEADER, comments, complex instances, every other keyword, a typed keyword
+written with blanks inside the record or around its ``=``, ``#0``, a
+repeated id, an integer past the interpreter's digit limit and every
+malformed record. Those read to the same entities, in about three times the
+time the pattern takes for a record. The fast lane raises nothing, so every
+error, with its line and column, still comes from the token reader. Within
+one run of records it builds each record whose text holds no reference
+once: identical directions and points are one ``SimpleEntity``. ``Ref`` and
+``SimpleEntity`` take their ``__init__`` from ``brep._slot_init``, which
+sets each slot through its member descriptor.
 
 Only the geometry subset needed for sheet-metal parts is resolved
 (points, directions, placements, lines, circles, planes, cylinders, and

@@ -657,6 +657,67 @@ def _leftovers(directory: Path) -> list[str]:
     return sorted(p.name for p in directory.iterdir() if p.name.endswith(".tmp"))
 
 
+def _bad_name_model(directory: Path, case: str) -> Path:
+    """A model whose part name UTF-8 cannot encode, in an ASCII file: a JSON
+    name that escapes a lone surrogate, or an unnamed model in a file whose
+    name holds the byte 0xff, whose stem names the part."""
+    doc = json.loads(fixture_path("row4_bridge.json").read_text(encoding="utf-8"))
+    doc["name"] = "" if case == "0xff stem" else case
+    path = directory / (os.fsdecode(b"stem_\xff.json") if case == "0xff stem" else "bad.json")
+    try:
+        path.write_text(json.dumps(doc), encoding="ascii")
+    except (OSError, UnicodeEncodeError):
+        pytest.skip("this file system takes no file name that is not UTF-8")
+    return path
+
+
+BAD_NAMES = pytest.mark.parametrize("case", ["\ud800", "\udcff", "0xff stem"],
+                                    ids=["d800", "dcff", "0xff-stem"])
+
+
+@BAD_NAMES
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("argv", [["inspect"], ["features"], ["params", "--format", "json"],
+                                  ["params", "--format", "csv"], ["params", "--format", "table"]],
+                         ids=["inspect", "features", "json", "csv", "table"])
+def test_part_name_that_utf8_cannot_encode_exits_2(capsys, tmp_path, case, argv, to_file):
+    path = _bad_name_model(tmp_path, case)
+    target = tmp_path / "report.txt"
+    out_args = ["--out", str(target)] if to_file else []
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:], *out_args)
+    assert (code, out) == (2, "")
+    at = 5 if case == "0xff stem" else 0
+    line = f"error: {path}: part name is not valid UTF-8: surrogates not allowed at character {at}\n"
+    assert err == line.encode("utf-8", "backslashreplace").decode("utf-8")
+    assert _leftovers(tmp_path) == [] and not target.exists()
+
+
+@BAD_NAMES
+def test_part_name_that_utf8_cannot_encode_is_a_batch_error_entry(capsys, tmp_path, case):
+    src = tmp_path / "models"
+    src.mkdir()
+    src.joinpath("a.json").write_text(fixture_path("row2_boss.json").read_text())
+    path = _bad_name_model(src, case)
+    out_dir = tmp_path / "reports"
+    code, out, err = run(capsys, "batch", str(src), "--out-dir", str(out_dir))
+    assert (code, out, err) == (1, "processed 2 model(s), 1 ok, 1 failed\n", "")
+    entry = json.loads((out_dir / "index.json").read_text())["results"][1]
+    assert entry["status"] == "error" and entry["report"] is None
+    assert entry["error"].startswith(f"{path}: part name is not valid UTF-8: surrogates not allowed")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["a.report.json", "index.json"]
+
+
+@BAD_NAMES
+def test_part_name_that_utf8_cannot_encode_exits_2_from_a_real_process(tmp_path, case):
+    # A real process writes through its own stdout and stderr encoders, whose
+    # error handlers follow its locale and differ from those of capsys.
+    path = _bad_name_model(tmp_path, case)
+    for command in ("inspect", "features", "params"):
+        code, out, err = _run_alone([command, str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_out_with_a_long_file_name(capsys, tmp_path):
     # 250 bytes, within the usual 255-byte limit on one file name.
     target = tmp_path / ("r" * 245 + ".json")
