@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Union
 
-from .geom import TOL, Vec3, distance, plane_basis
+from .geom import TOL, Vec3, _new, distance, plane_basis
 
 
 class BrepError(Exception):
@@ -273,9 +273,11 @@ def _walk_face(solid: Solid, face: Face, d: Vec3,
     The samples are seven interior points on each arc use, at sweep*k/8 for
     k = 1..7, then the boundary vertices. No point is built: each arc sample
     is projected straight from the coordinates Vec3 arithmetic would give it,
-    and each boundary vertex once, in ``Vec3.dot``'s operand order. So an
-    interval is the min and max of the very doubles ``Vec3.dot`` gives over
-    the sample points. A face without boundary edges has the empty interval
+    and each boundary vertex, in ``Vec3.dot``'s operand order, once per use
+    chain: where a use reads it as its head, or as its tail when that is not
+    the head just read. So an interval is the min and max of the very doubles
+    ``Vec3.dot`` gives over the sample points; when e is d, they are projected
+    once. A face without boundary edges has the empty interval
     ``(inf, -inf)``, which overlaps nothing.
 
     The area is |outer loop area| minus the hole loop areas, each loop's by
@@ -285,24 +287,24 @@ def _walk_face(solid: Solid, face: Face, d: Vec3,
     with phi signed by traversal direction and by the circle axis relative to
     the face normal. An area that is not finite is a :class:`BrepError`.
     """
-    vertices, edges = solid.vertices, solid.edges
+    vertices, edges, loops = solid.vertices, solid.edges, solid.loops
     planar = isinstance(face.surface, Plane)
     if planar:
         n = face_normal(face)
         (ox, oy, oz), ((ux, uy, uz), (vx, vy, vz)) = face.surface.origin, plane_basis(n)
     (dx, dy, dz), (ex, ey, ez) = d, e
-    vids: set[int] = set()
+    both = e is not d
     ds: list[float] = []
     es: list[float] = []
     outer = holes = 0.0
     for lid, is_outer in face.bounds:
         total = 0.0
-        for eid, sense in solid.loops[lid].oriented_edges:
+        last = None  # the head vertex id of the use before; (ub, vb) is its (u, v)
+        for eid, sense in loops[lid].oriented_edges:
             edge = edges[eid]
-            vids.update((edge.start, edge.end))
-            a, b = vertices[edge.start], vertices[edge.end]
             circ = edge.curve
             if isinstance(circ, Circle):
+                a, b = vertices[edge.start], vertices[edge.end]
                 full = _full_circle(edge, a, b)
                 (aux, auy, auz), (avx, avy, avz), sweep = _arc_frame(circ, a, None if full else b)
                 # center + u * (r cos) + v * (r sin), on coordinates in Vec3's operand order.
@@ -313,15 +315,27 @@ def _walk_face(solid: Solid, face: Face, d: Vec3,
                     c, s = r * math.cos(ang), r * math.sin(ang)
                     x, y, z = cx + aux * c + avx * s, cy + auy * c + avy * s, cz + auz * c + avz * s
                     ds.append(x * dx + y * dy + z * dz)
+                    if both:
+                        es.append(x * ex + y * ey + z * ez)
+            tail, head = (edge.start, edge.end) if sense else (edge.end, edge.start)
+            if tail != last:
+                x, y, z = vertices[tail]
+                ds.append(x * dx + y * dy + z * dz)
+                if both:
                     es.append(x * ex + y * ey + z * ez)
+                if planar:
+                    x, y, z = x - ox, y - oy, z - oz
+                    ub, vb = x * ux + y * uy + z * uz, x * vx + y * vy + z * vz
+            last = head
+            x, y, z = vertices[head]
+            ds.append(x * dx + y * dy + z * dz)
+            if both:
+                es.append(x * ex + y * ey + z * ez)
             if not planar:
                 continue
-            if not sense:
-                a, b = b, a
-            ax, ay, az = a[0] - ox, a[1] - oy, a[2] - oz
-            bx, by, bz = b[0] - ox, b[1] - oy, b[2] - oz
-            ua, va = ax * ux + ay * uy + az * uz, ax * vx + ay * vy + az * vz
-            ub, vb = bx * ux + by * uy + bz * uz, bx * vx + by * vy + bz * vz
+            ua, va = ub, vb
+            x, y, z = x - ox, y - oy, z - oz
+            ub, vb = x * ux + y * uy + z * uz, x * vx + y * vy + z * vz
             if isinstance(circ, Line):
                 total += 0.5 * (ua * vb - ub * va)
             else:
@@ -333,11 +347,9 @@ def _walk_face(solid: Solid, face: Face, d: Vec3,
             outer += abs(total)
         else:
             holes += abs(total)
-    boundary = [vertices[vid] for vid in vids]
-    ds += [x * dx + y * dy + z * dz for x, y, z in boundary]
-    es += [x * ex + y * ey + z * ez for x, y, z in boundary]
     if ds:
-        spans = min(ds), max(ds), min(es), max(es)
+        lo, hi = min(ds), max(ds)
+        spans = (lo, hi, min(es), max(es)) if both else (lo, hi, lo, hi)
     else:
         spans = math.inf, -math.inf, math.inf, -math.inf
     if not planar:
@@ -476,22 +488,27 @@ def _num(value, *where) -> float:
 
 
 def _coords(x, y, z, keys, *where) -> Vec3:
-    """Three JSON numbers as a Vec3; ``keys`` name them in an error's path."""
-    if not (type(x) is float and type(y) is float and type(z) is float
-            and _finite(x) and _finite(y) and _finite(z)):
-        x, y, z = (_num(c, *where, k) for c, k in zip((x, y, z), keys))
-    return Vec3(x, y, z)
+    """Three JSON numbers, each checked, as a Vec3; ``keys`` name them in an
+    error's path. The inline checks call this for all but three finite floats."""
+    x, y, z = (_num(c, *where, k) for c, k in zip((x, y, z), keys))
+    return _new(Vec3, (x, y, z))
 
 
 def _vec3(value, *where) -> Vec3:
     if type(value) is not list or len(value) != 3:
         raise _error(value, "expected [x, y, z]", *where)
-    return _coords(*value, range(3), *where)
+    x, y, z = value
+    if (type(x) is float and type(y) is float and type(z) is float
+            and _finite(x) and _finite(y) and _finite(z)):
+        return _new(Vec3, (x, y, z))
+    return _coords(x, y, z, range(3), *where)
 
 
 def _unit3(value, *where) -> Vec3:
-    try:
-        return _vec3(value, *where).normalized()
+    x, y, z = v = _vec3(value, *where)
+    n = math.sqrt(x * x + y * y + z * z)
+    try:  # v.normalized(), inline unless it must rescale or refuse
+        return _new(Vec3, (x / n, y / n, z / n)) if TOL * TOL < n < math.inf else v.normalized()
     except ValueError:
         raise _error(value, "direction must be non-zero", *where) from None
 
@@ -578,8 +595,12 @@ def load_brep_json(text: str, default_name: str = "") -> Solid:
 
     vertices: dict[int, Vec3] = {}
     for i, v, vid in _elements(doc, "vertices", "vertex", vertices):
-        vertices[vid] = _coords(v.get("x", _ABSENT), v.get("y", _ABSENT), v.get("z", _ABSENT),
-                                "xyz", "vertices", i)
+        x, y, z = v.get("x", _ABSENT), v.get("y", _ABSENT), v.get("z", _ABSENT)
+        if (type(x) is float and type(y) is float and type(z) is float
+                and _finite(x) and _finite(y) and _finite(z)):
+            vertices[vid] = _new(Vec3, (x, y, z))
+        else:
+            vertices[vid] = _coords(x, y, z, "xyz", "vertices", i)
 
     edges: dict[int, Edge] = {}
     for i, e, eid in _elements(doc, "edges", "edge", edges):
@@ -597,11 +618,15 @@ def load_brep_json(text: str, default_name: str = "") -> Solid:
             raise _error(cobj, f"expected object, got {type(cobj).__name__}", "edges", i, "curve")
         ckind = cobj.get("kind", _ABSENT)
         if ckind == "line":
-            a = vertices[start]
-            try:
-                curve: CurveGeometry = Line(a, (vertices[end] - a).normalized())
+            (ax, ay, az), (x, y, z) = a, b = vertices[start], vertices[end]
+            x, y, z = x - ax, y - ay, z - az
+            n = math.sqrt(x * x + y * y + z * z)
+            try:  # (b - a).normalized(), inline unless it must rescale or refuse
+                direction = (_new(Vec3, (x / n, y / n, z / n)) if TOL * TOL < n < math.inf
+                             else (b - a).normalized())
             except ValueError:
                 raise SchemaError(f"/edges/{i}", "line edge with coincident endpoints") from None
+            curve: CurveGeometry = Line(a, direction)
         elif ckind == "circle":
             radius = _radius(cobj.get("radius", _ABSENT), "edges", i, "curve", "radius")
             curve = Circle(_vec3(cobj.get("center", _ABSENT), "edges", i, "curve", "center"),

@@ -4,7 +4,10 @@ The area oracle counts grid-cell centers inside a polygon-with-holes region
 (ray casting for polygon membership, exact radius tests for circular holes)
 and never touches the production Green's-theorem path. The sample oracle
 builds a face's sample points as ``Vec3`` values, apart from the production
-walk, which projects its samples without building them.
+walk, which projects its samples without building them, and the Green's
+theorem oracle sums a planar face's loops in ``Vec3`` arithmetic, projecting
+both ends of every edge use, where the walk reuses a shared vertex's
+projection.
 """
 from __future__ import annotations
 
@@ -13,7 +16,21 @@ import math
 import numpy as np
 
 from punchplan.brep import Circle
-from punchplan.geom import TOL, Vec3
+from punchplan.geom import TOL, Vec3, plane_basis
+
+
+def _arc_frame(edge, circle, start: Vec3, end: Vec3) -> tuple[Vec3, Vec3, float]:
+    """Unit axes (u toward start, v = axis x u) of an arc and its CCW sweep
+    from start to end; an end at or within TOL of the start sweeps 2*pi."""
+    u = start - circle.center
+    u = u - circle.axis * u.dot(circle.axis)
+    u = u * (1.0 / u.norm())
+    v = circle.axis.cross(u)
+    if edge.start == edge.end or (start - end).norm() <= TOL:
+        return u, v, 2.0 * math.pi
+    w = end - circle.center
+    sweep = math.atan2(w.dot(v), w.dot(u))
+    return u, v, sweep + 2.0 * math.pi if sweep < 0 else sweep
 
 
 def face_samples(solid, face) -> list[Vec3]:
@@ -31,23 +48,50 @@ def face_samples(solid, face) -> list[Vec3]:
             circle = edge.curve
             if not isinstance(circle, Circle):
                 continue
-            start, end = solid.vertices[edge.start], solid.vertices[edge.end]
-            u = start - circle.center
-            u = u - circle.axis * u.dot(circle.axis)
-            u = u * (1.0 / u.norm())
-            v = circle.axis.cross(u)
-            if edge.start == edge.end or (start - end).norm() <= TOL:
-                sweep = 2.0 * math.pi
-            else:
-                w = end - circle.center
-                sweep = math.atan2(w.dot(v), w.dot(u))
-                if sweep < 0:
-                    sweep += 2.0 * math.pi
+            u, v, sweep = _arc_frame(edge, circle, solid.vertices[edge.start],
+                                     solid.vertices[edge.end])
             for k in range(1, 8):
                 ang = sweep * k / 8.0
                 points.append(circle.center + u * (circle.radius * math.cos(ang))
                               + v * (circle.radius * math.sin(ang)))
     return points + [solid.vertices[vid] for vid in vids]
+
+
+def face_area(solid, face) -> float:
+    """A planar face's area by Green's theorem per edge use, in Vec3
+    arithmetic: |outer loop area| minus the hole loop areas. A loop's area is
+    the sum over its uses, each from tail a to head b in the face's
+    (u, v) = plane_basis(outward normal) frame about the plane origin, of
+    (ua*vb - ub*va)/2 for a line, and for an arc of (r^2*phi + cu*(vb - va)
+    - cv*(ub - ua))/2, with c its center and phi its sweep signed by the use's
+    sense and by the circle axis against the normal."""
+    plane = face.surface
+    n = plane.normal if face.same_sense else -plane.normal
+    u, v = plane_basis(n)
+    outer = holes = 0.0
+    for lid, is_outer in face.bounds:
+        total = 0.0
+        for eid, sense in solid.loops[lid].oriented_edges:
+            edge = solid.edges[eid]
+            a, b = solid.vertices[edge.start], solid.vertices[edge.end]
+            curve = edge.curve
+            if isinstance(curve, Circle):
+                sweep = _arc_frame(edge, curve, a, b)[2]
+            if not sense:
+                a, b = b, a
+            ua, va = (a - plane.origin).dot(u), (a - plane.origin).dot(v)
+            ub, vb = (b - plane.origin).dot(u), (b - plane.origin).dot(v)
+            if not isinstance(curve, Circle):
+                total += 0.5 * (ua * vb - ub * va)
+                continue
+            phi = sweep * (1.0 if sense else -1.0) * (1.0 if curve.axis.dot(n) > 0 else -1.0)
+            cu, cv = (curve.center - plane.origin).dot(u), (curve.center - plane.origin).dot(v)
+            total += 0.5 * (curve.radius * curve.radius * phi + cu * (vb - va) - cv * (ub - ua))
+        if is_outer:
+            outer += abs(total)
+        else:
+            holes += abs(total)
+    return outer - holes
 
 
 def polygon_contains(px: np.ndarray, py: np.ndarray,

@@ -584,8 +584,29 @@ def _edgeless_faces():
                   2: Face(2, Cylinder(origin, z, 3.0), True, ((1, True),))})
 
 
+def _rewired(doc: dict, rewire) -> Solid:
+    """The solid of ``doc`` with each loop's list of edge uses passed through ``rewire``."""
+    for lp in doc["loops"]:
+        lp["oriented_edges"] = rewire(lp["oriented_edges"])
+    return solid_from(doc)
+
+
+def _out_of_chain_order(uses: list) -> list:
+    # Last use first: no use starts where the use before it ends.
+    return uses[::-1]
+
+
+def _reversed_mid_chain(uses: list) -> list:
+    # The second use flipped: it and the use after it start off the chain.
+    return uses[:1] + [dict(use, sense=not use["sense"]) for use in uses[1:2]] + uses[2:]
+
+
 _WALKED = {
     **{name: lambda build=build: solid_from(build()) for name, build in sorted(modelzoo.FIXTURES.items())},
+    **{f"{name}_out_of_chain_order": lambda build=build: _rewired(build(), _out_of_chain_order)
+       for name, build in sorted(modelzoo.FIXTURES.items())},
+    **{f"{name}_reversed_mid_chain": lambda build=build: _rewired(build(), _reversed_mid_chain)
+       for name, build in sorted(modelzoo.FIXTURES.items())},
     **{f"posed_{seed}": lambda seed=seed: _random_posed_sheet(
         seed, (0.3, -0.7, 0.5), 0.37 * seed, (41.5, -233.0, 7.25), (0.05, 1.0, 7.5)[seed % 3],
         (0.0, 1e-7)[seed % 2]) for seed in range(1, 9)},
@@ -613,6 +634,20 @@ def test_face_intervals_are_the_sample_projections_to_the_bit(name):
             values = [d.dot(p) for p in samples]
             want = (min(values), max(values)) if values else (math.inf, -math.inf)
             assert (lo.hex(), hi.hex()) == (want[0].hex(), want[1].hex()), (face.id, d)
+
+
+@pytest.mark.parametrize("name", _WALKED)
+def test_face_area_is_greens_theorem_per_edge_use_to_the_bit(name):
+    # The walk reuses a use's head projection as the next use's tail when
+    # they are one vertex, and projects the tail anew otherwise; the oracle
+    # projects both ends of every use. Loops out of chain order or with a use
+    # reversed must still give the very same double.
+    solid = _WALKED[name]()
+    for face in solid.faces.values():
+        if isinstance(face.surface, Plane):
+            want = oracles.face_area(solid, face).hex()
+            assert features.FaceGeometry(solid, face).area.hex() == want, face.id
+            assert brep.face_area(face, solid).hex() == want, face.id
 
 
 # ---------------------------------------------------------------------------
