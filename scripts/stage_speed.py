@@ -20,7 +20,7 @@ through ``group``, summed within each run), and the tracemalloc peak of parse
 plus resolve per byte of text (allocated before tracing starts), taken as
 ``tests/test_memory.py`` takes it: after a full collection, with the collector
 running. Then comes the log-log slope of each stage against face count,
-smallest to largest k.
+from each smaller k to the largest, one table per smaller k.
 
 Run from anywhere:
 
@@ -129,12 +129,13 @@ def main(argv: list[str] | None = None) -> None:
               f"({r['mb'] / r['parse']:.1f} MB/s) | "
               + " | ".join(f"{r[s]:.4f} s" for s in (*STAGES[1:], "json total"))
               + f" | {r['peak_per_byte']:.2f} B per byte |", flush=True)
-    first, last = rows[0], rows[-1]
-    print(f"\nlog-log slope against faces, k = {first['k']} to {last['k']}:")
-    print("| stage | slope |")
-    print("|-------|-------|")
-    for stage in STAGES:
-        print(f"| {stage} | {slope(first, last, stage):.2f} |")
+    last = rows[-1]
+    for first in rows[:-1] or rows:
+        print(f"\nlog-log slope against faces, k = {first['k']} to {last['k']}:")
+        print("| stage | slope |")
+        print("|-------|-------|")
+        for stage in STAGES:
+            print(f"| {stage} | {slope(first, last, stage):.2f} |")
 
 
 if __name__ == "__main__":

@@ -264,8 +264,8 @@ def face_normal(face: Face) -> Vec3:
     return n if face.same_sense else -n
 
 
-def _walk_face(solid: Solid, face: Face, d: Vec3,
-               e: Vec3) -> tuple[float, float, float, float, float | None]:
+def _walk_face(solid: Solid, face: Face, d: Vec3, e: Vec3,
+               arcs: dict | None = None) -> tuple[float, float, float, float, float | None]:
     """One pass over a face's bounds, loops and edges: the intervals
     ``(d_lo, d_hi, e_lo, e_hi)`` of its sample points along d and along e
     and, for a planar face, its area.
@@ -280,6 +280,10 @@ def _walk_face(solid: Solid, face: Face, d: Vec3,
     once. A face without boundary edges has the empty interval
     ``(inf, -inf)``, which overlaps nothing.
 
+    An arc's sweep and samples depend on its edge alone: walks sharing a map
+    ``arcs`` store them at an arc edge's first use and take them out at its
+    next, so each arc edge of a manifold solid is framed and sampled once.
+
     The area is |outer loop area| minus the hole loop areas, each loop's by
     Green's theorem in the face's own (u, v) = plane_basis(normal) frame,
     whatever d and e are: straight segments contribute the shoelace cross
@@ -288,6 +292,7 @@ def _walk_face(solid: Solid, face: Face, d: Vec3,
     the face normal. An area that is not finite is a :class:`BrepError`.
     """
     vertices, edges, loops = solid.vertices, solid.edges, solid.loops
+    arcs = {} if arcs is None else arcs
     planar = isinstance(face.surface, Plane)
     if planar:
         n = face_normal(face)
@@ -304,16 +309,22 @@ def _walk_face(solid: Solid, face: Face, d: Vec3,
             edge = edges[eid]
             circ = edge.curve
             if isinstance(circ, Circle):
-                a, b = vertices[edge.start], vertices[edge.end]
-                full = _full_circle(edge, a, b)
-                (aux, auy, auz), (avx, avy, avz), sweep = _arc_frame(circ, a, None if full else b)
-                # center + u * (r cos) + v * (r sin), on coordinates in Vec3's operand order.
-                cx, cy, cz = circ.center
-                r = circ.radius
-                for k in range(1, 8):
-                    ang = sweep * k / 8.0
-                    c, s = r * math.cos(ang), r * math.sin(ang)
-                    x, y, z = cx + aux * c + avx * s, cy + auy * c + avy * s, cz + auz * c + avz * s
+                (cx, cy, cz), r = circ.center, circ.radius
+                shared = arcs.pop(eid, None)
+                if shared is None:
+                    a, b = vertices[edge.start], vertices[edge.end]
+                    full = _full_circle(edge, a, b)
+                    (aux, auy, auz), (avx, avy, avz), sweep = _arc_frame(circ, a, None if full else b)
+                    # center + u * (r cos) + v * (r sin), on coordinates in Vec3's operand order.
+                    points = []
+                    for k in range(1, 8):
+                        ang = sweep * k / 8.0
+                        c, s = r * math.cos(ang), r * math.sin(ang)
+                        points.append((cx + aux * c + avx * s, cy + auy * c + avy * s,
+                                       cz + auz * c + avz * s))
+                    shared = arcs[eid] = sweep, points
+                sweep, points = shared
+                for x, y, z in points:
                     ds.append(x * dx + y * dy + z * dz)
                     if both:
                         es.append(x * ex + y * ey + z * ez)

@@ -7,17 +7,15 @@ radius), group paired faces into connected features, and measure each
 feature's height above the reference plane.
 
 Every step reads one per-face geometry table (:class:`FaceTable`), built once
-per solid: planar faces grouped into plane classes, the faces of one normal
-and one plane, which are bucketed by outward normal and sorted by plane
-offset; cylinders, which are few, are sorted by radius, and a cylinder is
-compared with those whose radius may differ from its own by the distance
-sought. A planar face is compared only with the classes one plane query,
-:meth:`FaceTable.opposed`, finds across from it; the thickness, the
-opposite face and pairing all read it. Across two classes with exactly
-opposite normals every face pair is one separation apart, to the last bit,
-so such a pair of planes is tested once; in-plane overlap, and every other
-shortlisted pair, go through the same exact tests as a full pairwise scan
-would.
+per solid: plane classes, the planar faces of one normal and one plane,
+bucketed by outward normal and sorted by plane offset; cylinders by radius and
+by axis line. The thickness, the opposite face and pairing compare a planar
+face only with the classes one plane query, :meth:`FaceTable.opposed`, finds
+across from it, and pairing only with the members a sweep keeps, a cylinder
+only within its axis buckets. Across two classes with exactly opposite
+normals every face pair is one separation apart, to the last bit, so such a
+pair of planes is tested once; in-plane overlap, and every other shortlisted
+pair, go through the same exact tests as a full pairwise scan would.
 """
 from __future__ import annotations
 
@@ -129,9 +127,9 @@ class SheetFeature:
 # Face geometry table
 # ---------------------------------------------------------------------------
 
-# Planar faces are bucketed by outward normal on a grid of _CELL per
-# component. A lookup visits every cell within _REACH of the wanted normal,
-# which covers every normal within ANGULAR_TOL of it (with margin for
+# Planar faces are bucketed by outward normal, cylinders by axis, on a grid of
+# _CELL per component. A lookup visits every cell within _REACH of the wanted
+# unit vector, which covers every one within ANGULAR_TOL of it (with margin for
 # rounding), so bucketing never hides a pair the exact tests would accept.
 _CELL = 1.0 / 1024
 _REACH = 2.0 * ANGULAR_TOL
@@ -142,7 +140,7 @@ def _cell(n: Vec3) -> tuple[int, int, int]:
 
 
 def _cells_near(n: Vec3) -> tuple[tuple[int, int, int], ...]:
-    """Keys of every normal cell (see ``_cell``) within _REACH of n.
+    """Keys of every direction cell (see ``_cell``) within _REACH of n.
 
     _REACH is far below half a cell, so that is one or two cells per
     coordinate.
@@ -172,13 +170,13 @@ class FaceGeometry:
     radius, the axis and the sample-point interval along the axis, and as
     area the lateral area over that sampled axial span; pairing sorts faces
     by area. Each face is walked once, by :func:`brep._walk_face`, which
-    projects the samples as it goes; no sample point is kept.
+    projects the samples as it goes and shares arc samples through ``arcs``.
     """
 
     __slots__ = ("face", "id", "normal", "origin", "offset", "area",
                  "u_lo", "u_hi", "v_lo", "v_hi", "radius", "axis", "axis_lo", "axis_hi")
 
-    def __init__(self, solid: Solid, face: Face):
+    def __init__(self, solid: Solid, face: Face, arcs: dict | None = None):
         self.face = face
         self.id = face.id
         surface = face.surface
@@ -189,12 +187,12 @@ class FaceGeometry:
             nx, ny, nz = n
             self.offset = x * nx + y * ny + z * nz  # origin.dot(n), rounded the same
             self.u_lo, self.u_hi, self.v_lo, self.v_hi, self.area = brep._walk_face(
-                solid, face, *plane_basis(n))
+                solid, face, *plane_basis(n), arcs)
         else:
             self.normal = None
             self.radius = surface.radius
             self.axis = axis = surface.axis_dir
-            self.axis_lo, self.axis_hi, _, _, _ = brep._walk_face(solid, face, axis, axis)
+            self.axis_lo, self.axis_hi, _, _, _ = brep._walk_face(solid, face, axis, axis, arcs)
             self.area = 2.0 * math.pi * surface.radius * (self.axis_hi - self.axis_lo)
 
 
@@ -212,6 +210,40 @@ def _at_separation(a: FaceGeometry, b: FaceGeometry, distance: float) -> bool:
             and abs(abs(_signed_separation(a, b)) - distance) <= TOL)
 
 
+_SCANNED = 8  # a class this small stays a list: indexing it costs more than it saves
+
+
+class _PlaneClass(list):
+    """A plane class of more than _SCANNED members, in table order, with a
+    sweep-and-prune index (I-COLLIDE, 1995): ``swept`` holds the members
+    sorted by interval start as an exactly opposite face sees it (see
+    plane_basis: u reversed, v as is), along v where the starts spread wider
+    (an unturned part's walls all start at one height along u), with those
+    starts and the running maximum of the ends. A NaN bound or infinities of
+    both signs leave every member in every sweep."""
+
+    __slots__ = ("along_v", "swept", "starts", "ends")
+
+    def __init__(self, members: list[FaceGeometry]):
+        super().__init__(members)
+        u, v = [-g.u_hi for g in members], [g.v_lo for g in members]
+        self.along_v = along_v = max(v) - min(v) > max(u) - min(u)
+        starts = v if along_v else u
+        ends = [g.v_hi for g in members] if along_v else [-g.u_lo for g in members]
+        total = sum(starts) + sum(ends)
+        if total != total:
+            starts, ends = [-math.inf] * len(members), [math.inf] * len(members)
+        order = sorted(range(len(members)), key=starts.__getitem__)
+        self.swept, self.starts = [members[i] for i in order], [starts[i] for i in order]
+        top = -math.inf  # the running maximum
+        self.ends = [top := ends[i] if ends[i] > top else top for i in order]
+
+    def facing(self, a: FaceGeometry) -> list[FaceGeometry]:
+        """Every member that may overlap a, whose normal is exactly -(the class normal)."""
+        lo, hi = (a.v_lo, a.v_hi) if self.along_v else (a.u_lo, a.u_hi)
+        return self.swept[bisect_right(self.ends, lo):bisect_left(self.starts, hi)]
+
+
 class FaceTable:
     """One solid's per-face geometry, with planar faces grouped into plane classes.
 
@@ -219,10 +251,11 @@ class FaceTable:
     (``==``) and the same plane-origin coordinates wherever that normal is
     non-zero: the table keys each face by its normal and its origin with the
     coordinates on the normal's zero components set to 0, so members differ
-    at most where the normal is zero. ``classes`` lists them. Take two classes
-    whose normals are exact negatives. Every face pair across them then
-    gives one ``_signed_separation`` double, up to the sign of a zero, in
-    either order:
+    at most where the normal is zero. ``classes`` lists them, those of more
+    than _SCANNED members as :class:`_PlaneClass`, whose ``facing`` pairing
+    reads. Take two classes whose normals are exact negatives. Every face
+    pair across them then gives one ``_signed_separation`` double, up to the
+    sign of a zero, in either order:
 
     - each term on a zero component of the normal is +-0, as long as no
       coordinate difference overflows;
@@ -249,8 +282,15 @@ class FaceTable:
     ``opposed`` is that bisection. ``cylinders`` lists the cylindrical faces
     by radius. The thickness and ``across`` test a class pair with exactly
     opposite normals once and every other shortlisted pair face by face, and
-    callers test every pair's overlap, all with the exact tests. So the
-    table changes no decision, only how many pairs are tried.
+    callers test every pair's overlap and coaxiality, all with the exact
+    tests. So the table changes no decision, only how many pairs are tried.
+
+    ``coaxial`` maps each cylinder's id to the buckets, in radius order, that
+    may hold a cylinder coaxial with it, keyed by axis cell and by the axis
+    line's distance from the origin in cells of 64 reaches. Coaxial lines'
+    points nearest the origin are at most TOL plus ANGULAR_TOL times the axis
+    point's norm apart, within the reach: TOL plus twice ANGULAR_TOL times the
+    largest axis-point 1-norm. Where a distance could overflow, axes alone key.
 
     ``opposite`` maps each outward normal of a planar face to its negation
     and the buckets that may hold its anti-parallel partners. Normals that
@@ -263,7 +303,8 @@ class FaceTable:
     """
 
     def __init__(self, solid: Solid):
-        self.faces = {fid: FaceGeometry(solid, f) for fid, f in solid.faces.items()}
+        arcs: dict = {}  # the walks' shared arc samples, dropped with this frame
+        self.faces = {fid: FaceGeometry(solid, f, arcs) for fid, f in solid.faces.items()}
         self.planes = [g for g in self.faces.values() if g.normal is not None]
         self.cylinders = sorted((g for g in self.faces.values() if g.normal is None),
                                 key=lambda g: (g.radius, g.id))
@@ -271,7 +312,6 @@ class FaceTable:
         self.window = TOL + 2.0 * ANGULAR_TOL * extent
         whole = 2.0 * extent >= sys.float_info.max
         keyed: dict[tuple, list[FaceGeometry]] = {}
-        cells: dict[tuple[int, int, int], list[list[FaceGeometry]]] = {}
         for g in self.planes:
             n = g.normal
             if whole:
@@ -281,11 +321,13 @@ class FaceTable:
                 key = n, x if nx else 0.0, y if ny else 0.0, z if nz else 0.0
             same = keyed.get(key)
             if same is None:
-                keyed[key] = same = [g]
-                cells.setdefault(_cell(n), []).append(same)
+                keyed[key] = [g]
             else:
                 same.append(g)
-        self.classes: list[list[FaceGeometry]] = list(keyed.values())
+        self.classes = [_PlaneClass(c) if len(c) > _SCANNED else c for c in keyed.values()]
+        cells: dict[tuple[int, int, int], list[list[FaceGeometry]]] = {}
+        for c in self.classes:
+            cells.setdefault(_cell(c[0].normal), []).append(c)
         buckets = {}
         for cell, classes in cells.items():
             classes.sort(key=lambda c: (c[0].offset, c[0].id))
@@ -296,6 +338,23 @@ class FaceTable:
             if n not in self.opposite:
                 opposed = -n
                 self.opposite[n] = (opposed, [buckets[k] for k in _cells_near(opposed) if k in buckets])
+        spread = max((_norm1(g.face.surface.axis_point) for g in self.cylinders), default=0.0)
+        apart = 2.0 * spread < sys.float_info.max
+        reach = TOL + 2.0 * ANGULAR_TOL * spread if apart else 0.0
+        size = 64.0 * reach if apart else 1.0
+        turns = {d: (_cell(d), _cells_near(d) + _cells_near(-d))  # its cell; the cells near it or -it
+                 for d in {g.axis for g in self.cylinders}}
+        axes: dict[tuple, list[FaceGeometry]] = {}
+        near = []
+        for g in self.cylinders:
+            (px, py, pz), (dx, dy, dz) = g.face.surface.axis_point, g.axis
+            along = px * dx + py * dy + pz * dz
+            r = math.hypot(px - dx * along, py - dy * along, pz - dz * along) if apart else 0.0
+            cell, cells = turns[g.axis]
+            axes.setdefault((cell, round(r / size)), []).append(g)
+            rs = range(round((r - reach) / size), round((r + reach) / size) + 1)
+            near.append((g.id, [(c, j) for c in cells for j in rs]))
+        self.coaxial = {fid: [axes[k] for k in keys if k in axes] for fid, keys in near}
 
     def opposed(self, a: FaceGeometry, lo: float, hi: float):
         """``(c, exact)`` for each plane class c in a's opposite buckets with
@@ -501,9 +560,10 @@ def pair_faces(solid: Solid, metrics: SheetMetrics) -> FacePairing:
 
     Faces are taken in decreasing area (ties by id). A planar face's
     partners are the faces :meth:`FaceTable.across` finds one thickness away
-    that are still side faces and overlap it. A cylindrical face looks only
-    at the cylinders whose radius is one thickness from its own. Every face
-    is a side face until it pairs.
+    that are still side faces and overlap it, of an exactly opposite
+    :class:`_PlaneClass` only those its ``facing`` keeps. A cylindrical
+    face looks only at the cylinders in its ``coaxial`` buckets whose radius
+    is one thickness from its own. Every face is a side face until it pairs.
     """
     t = metrics.thickness
     table = face_table(solid)
@@ -517,12 +577,13 @@ def pair_faces(solid: Solid, metrics: SheetMetrics) -> FacePairing:
         if roles[f.id] is not side:
             continue
         if f.normal is None:
-            candidates = [g for g in _radii_apart(table.cylinders, f.radius, t)
+            candidates = [g for axis in table.coaxial[f.id] for g in _radii_apart(axis, f.radius, t)
                           if g.id != f.id and roles[g.id] is side
                           and _coaxial(f.face.surface, g.face.surface)
                           and _cylinders_face_each_other(solid, f, g)]
         else:
-            candidates = [g for faces, exact in table.across(f, t) for g in faces
+            candidates = [g for faces, exact in table.across(f, t)
+                          for g in (faces.facing(f) if exact and len(faces) > _SCANNED else faces)
                           if roles[g.id] is side and _planes_face_each_other(solid, f, g, exact)]
         if len(candidates) > 1:
             raise AmbiguousPairing(f.id, [g.id for g in candidates])
@@ -567,7 +628,11 @@ def group_features(solid: Solid, pairing: FacePairing, metrics: SheetMetrics) ->
     members = uf.parent  # keyed by member face; each root is its component's smallest id
     for a, b in pairing.pairs.values():
         uf.union(a, b)
-    for eid, uses in solid.edge_uses.items():
+    for uses in solid.edge_uses.values():
+        if len(uses) == 2:
+            if uses[0] in members and uses[1] in members:
+                uf.union(*uses)
+            continue
         shared = [fid for fid in uses if fid in members]
         for a, b in zip(shared, shared[1:]):
             uf.union(a, b)

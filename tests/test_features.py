@@ -537,18 +537,21 @@ def test_vertical_tab_height_unmeasurable(l_bend):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["hole_sheet_r10", "l_bend", "row2_boss"])
-def test_face_table_builds_one_arc_frame_per_arc_use(monkeypatch, name):
-    # One walk per face measures its samples and area; each arc use in it
-    # builds its frame once.
+def test_face_table_builds_one_arc_frame_per_arc_edge(monkeypatch, name):
+    # One walk per face measures its samples and area; the walks of one table
+    # share each arc edge's frame and samples, so each arc edge, used by two
+    # faces, is framed and tested for closing once.
     solid = brep.load_brep_json(fixture_path(f"{name}.json").read_text(encoding="utf-8"))
-    arc_uses = sum(isinstance(solid.edges[eid].curve, Circle)
-                   for f in solid.faces.values() for lid, _ in f.bounds
-                   for eid, _ in solid.loops[lid].oriented_edges)
-    frame, calls = brep._arc_frame, []
-    monkeypatch.setattr(brep, "_arc_frame", lambda *args: calls.append(args) or frame(*args))
+    arc_edges = {eid for f in solid.faces.values() for lid, _ in f.bounds
+                 for eid, _ in solid.loops[lid].oriented_edges
+                 if isinstance(solid.edges[eid].curve, Circle)}
+    calls = {"_arc_frame": [], "_full_circle": []}
+    for fn, made in calls.items():
+        monkeypatch.setattr(brep, fn, lambda *args, real=getattr(brep, fn), made=made:
+                            made.append(args) or real(*args))
     features.FaceTable(solid)
-    assert arc_uses > 0
-    assert len(calls) == arc_uses
+    assert arc_edges
+    assert {fn: len(made) for fn, made in calls.items()} == dict.fromkeys(calls, len(arc_edges))
 
 
 def _disc_between_coincident_vertices():
@@ -610,6 +613,10 @@ _WALKED = {
     **{f"posed_{seed}": lambda seed=seed: _random_posed_sheet(
         seed, (0.3, -0.7, 0.5), 0.37 * seed, (41.5, -233.0, 7.25), (0.05, 1.0, 7.5)[seed % 3],
         (0.0, 1e-7)[seed % 2]) for seed in range(1, 9)},
+    # Faces in reverse order: an arc edge's first use moves from the planar
+    # face to the cylinder or the other way round.
+    **{f"{name}_faces_reversed": lambda build=modelzoo.FIXTURES[name]: solid_from(
+        dict(doc := build(), faces=doc["faces"][::-1])) for name in ("row2_boss", "l_bend")},
     "disc_between_coincident_vertices": _disc_between_coincident_vertices,
     "edgeless": _edgeless_faces,
 }
@@ -648,6 +655,18 @@ def test_face_area_is_greens_theorem_per_edge_use_to_the_bit(name):
             want = oracles.face_area(solid, face).hex()
             assert features.FaceGeometry(solid, face).area.hex() == want, face.id
             assert brep.face_area(face, solid).hex() == want, face.id
+
+
+@pytest.mark.parametrize("name", _WALKED)
+def test_face_table_shares_arc_samples_to_the_bit(name):
+    # A table's walks share each arc edge's samples; every field of every face
+    # must be the very value a walk of that face alone gives.
+    solid = _WALKED[name]()
+    table = features.FaceTable(solid)
+    for face in solid.faces.values():
+        alone, shared = features.FaceGeometry(solid, face), table.faces[face.id]
+        for slot in features.FaceGeometry.__slots__:
+            assert repr(getattr(shared, slot, None)) == repr(getattr(alone, slot, None)), (face.id, slot)
 
 
 # ---------------------------------------------------------------------------
