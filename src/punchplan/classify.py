@@ -80,16 +80,12 @@ def classify_reference_edges(
     result = Classification(by_feature={feat.id: [] for feat in features})
     for lid, is_outer in rf.bounds:
         for eid, _sense in solid.loops[lid].oriented_edges:
-            uses = solid.edge_uses[eid]
-            if len(uses) == 2 and (uses[0] == rf.id) != (uses[1] == rf.id):
-                other = uses[1] if uses[0] == rf.id else uses[0]
-            else:
-                others = [fid for fid in uses if fid != rf.id]
-                if len(others) != 1:
-                    raise InconsistentTopology(
-                        eid, f"expected exactly one non-reference adjacent face, found {others}"
-                    )
-                other = others[0]
+            others = [fid for fid in solid.edge_uses[eid] if fid != rf.id]
+            if len(others) != 1:
+                raise InconsistentTopology(
+                    eid, f"expected exactly one non-reference adjacent face, found {others}"
+                )
+            other = others[0]
             if pairing.role_of(other) is Role.REFERENCE:
                 raise InconsistentTopology(
                     eid, "adjacent face belongs to the reference pair"
