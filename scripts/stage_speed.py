@@ -3,10 +3,11 @@
 
 For each k, builds the seeded k x k grid sheet of ``perfbench/inputs.py``,
 writes it as JSON and as Part-21 with ``perfbench/stepwriter.py`` (both
-imported read-only) and times eight stages in process:
+imported read-only) and times nine stages in process:
 
 - ``parse`` and ``resolve``: ``step.parse_exchange`` and ``step.resolve_brep``
-  on the Part-21 text;
+  on the Part-21 text, and ``step validate``: ``brep.validate_manifold`` on
+  the solid that resolves to;
 - ``load``: ``brep.load_brep_json`` on the JSON text;
 - ``validate``, ``table``, ``metrics``, ``pairing`` and ``group`` on the JSON
   solid: ``brep.validate_manifold``, ``features.face_table``, then
@@ -47,7 +48,7 @@ import stepwriter  # noqa: E402
 from punchplan import brep, features, step  # noqa: E402
 
 SEED = 7
-STAGES = ("parse", "resolve", "load", "validate", "table", "metrics", "pairing", "group")
+STAGES = ("parse", "resolve", "step validate", "load", "validate", "table", "metrics", "pairing", "group")
 JSON_PATH = STAGES[STAGES.index("load"):]
 
 
@@ -74,7 +75,8 @@ def _run_once(step_text: str, json_text: str) -> dict:
         seconds.append(clock() - start)
         return result
 
-    timed(step.resolve_brep, timed(step.parse_exchange, step_text))
+    solid = timed(step.resolve_brep, timed(step.parse_exchange, step_text))
+    timed(brep.validate_manifold, solid)
     solid = timed(brep.load_brep_json, json_text)
     timed(brep.validate_manifold, solid)
     timed(features.face_table, solid)

@@ -35,8 +35,16 @@ sets each slot through its member descriptor.
 Only the geometry subset needed for sheet-metal parts is resolved
 (points, directions, placements, lines, circles, planes, cylinders, and
 the face/loop/edge/vertex topology). Anything else stays in the entity
-map and is counted as ignored. The resolver turns each DIRECTION record into
-its unit vector once, so the directions the fast lane shares are one vector.
+map and is counted as ignored. The resolver turns each CARTESIAN_POINT record
+into one ``Vec3`` and each DIRECTION record into its unit vector once, so the
+points and directions the fast lane shares are one vector each, and a line
+whose point record is its vertex's holds the vertex's own ``Vec3``. Each
+reference it follows takes one combined check: that it names a simple
+instance of the keyword read there, with that keyword's fewest arguments.
+Only a reference that fails the check is checked again step by step, for its
+error. Along the edge chain (ORIENTED_EDGE, EDGE_CURVE, VERTEX_POINT, LINE,
+VECTOR) the edge and vertex caches are read before any record, and the
+references are followed inline.
 
 Coordinates are taken as millimetres; unit declarations are not applied.
 A warning is recorded if the file declares a non-millimetre length unit: an
@@ -594,10 +602,12 @@ class _Resolver:
         self.edges: dict[int, Edge] = {}
         self.loops: dict[int, Loop] = {}
         self.faces: dict[int, Face] = {}
-        # The unit vector of each DIRECTION record resolved so far, by the
-        # record's identity: the fast lane makes the directions written alike
-        # one record, and the entity map keeps every record, and so its id,
-        # alive. Only successes are kept, so an error comes from each use.
+        # The Vec3 of each CARTESIAN_POINT record and the unit vector of each
+        # DIRECTION record resolved so far, by the record's identity: the fast
+        # lane makes the points and directions written alike one record, and
+        # the entity map keeps every record, and so its id, alive. Only
+        # successes are kept, so an error comes from each use.
+        self.points: dict[int, Vec3] = {}
         self.directions: dict[int, Vec3] = {}
 
     def _expect(self, from_id: int, ref, keywords: tuple[str, ...] | None = None
@@ -618,67 +628,103 @@ class _Resolver:
             raise UnsupportedGeometry(eid, rec.keyword)
         return eid, rec
 
+    # Each reference below takes one combined check: that it names a simple
+    # entity of a keyword the resolver reads there, with that keyword's
+    # _MIN_ARGS arguments (the checks written inline spell the counts out).
+    # Only a reference that fails it goes to _expect, for its error.
+
+    def _simple(self, from_id: int, ref, keywords: tuple[str, ...]) -> tuple[int, SimpleEntity]:
+        """``_expect(from_id, ref, keywords)``, through the combined check."""
+        if (type(ref) is Ref and type(rec := self.entities.get(ref.id)) is SimpleEntity
+                and rec.keyword in keywords and len(rec.args) >= _MIN_ARGS[rec.keyword]):
+            return ref.id, rec
+        return self._expect(from_id, ref, keywords)
+
     def _point(self, from_id: int, ref) -> Vec3:
-        eid, rec = self._expect(from_id, ref, ("CARTESIAN_POINT",))
-        return _triple(eid, rec, "CARTESIAN_POINT (needs 3 finite coordinates)")
+        if not (type(ref) is Ref and type(rec := self.entities.get(ref.id)) is SimpleEntity
+                and rec.keyword == "CARTESIAN_POINT" and len(rec.args) >= 2):
+            rec = self._expect(from_id, ref, ("CARTESIAN_POINT",))[1]
+        if (point := self.points.get(id(rec))) is None:
+            point = _triple(ref.id, rec, "CARTESIAN_POINT (needs 3 finite coordinates)")
+            self.points[id(rec)] = point
+        return point
 
     def _direction(self, from_id: int, ref) -> Vec3:
-        eid, rec = self._expect(from_id, ref, ("DIRECTION",))
-        if (unit := self.directions.get(id(rec))) is not None:
-            return unit
-        components = _triple(eid, rec, "DIRECTION (needs 3 finite components)")
-        try:
-            unit = self.directions[id(rec)] = components.normalized()
-        except ValueError:
-            raise UnsupportedGeometry(eid, "DIRECTION (must be non-zero)") from None
+        if not (type(ref) is Ref and type(rec := self.entities.get(ref.id)) is SimpleEntity
+                and rec.keyword == "DIRECTION" and len(rec.args) >= 2):
+            rec = self._expect(from_id, ref, ("DIRECTION",))[1]
+        if (unit := self.directions.get(id(rec))) is None:
+            components = _triple(ref.id, rec, "DIRECTION (needs 3 finite components)")
+            try:
+                unit = self.directions[id(rec)] = components.normalized()
+            except ValueError:
+                raise UnsupportedGeometry(ref.id, "DIRECTION (must be non-zero)") from None
         return unit
 
     def _axis2(self, from_id: int, ref) -> tuple[Vec3, Vec3]:
-        eid, rec = self._expect(from_id, ref, ("AXIS2_PLACEMENT_3D",))
+        """The placement's location and axis; an unset (``$``) axis is +z."""
+        eid, rec = self._simple(from_id, ref, ("AXIS2_PLACEMENT_3D",))
         point = self._point(eid, rec.args[1])
-        axis = self._direction(eid, rec.args[2]) if isinstance(rec.args[2], Ref) else vec(0, 0, 1)
+        axis = vec(0, 0, 1) if rec.args[2] is UNSET else self._direction(eid, rec.args[2])
         return point, axis
 
-    def _vertex(self, from_id: int, ref) -> int:
-        if isinstance(ref, Ref) and ref.id in self.vertices:
-            return ref.id
-        eid, rec = self._expect(from_id, ref, ("VERTEX_POINT",))
-        self.vertices[eid] = self._point(eid, rec.args[1])
-        return eid
-
-    def _edge(self, from_id: int, ref) -> int:
-        if isinstance(ref, Ref) and ref.id in self.edges:
-            return ref.id
-        eid, rec = self._expect(from_id, ref, ("EDGE_CURVE",))
-        v1 = self._vertex(eid, rec.args[1])
-        v2 = self._vertex(eid, rec.args[2])
-        curve_id, curve_rec = self._expect(eid, rec.args[3])
-        same_sense = _flag(eid, rec, 4, "same_sense")
-        if curve_rec.keyword == "LINE":
-            pnt = self._point(curve_id, curve_rec.args[1])
-            _, vec_rec = self._expect(curve_id, curve_rec.args[2], ("VECTOR",))
-            direction = self._direction(curve_id, vec_rec.args[1])
-            curve = Line(pnt, direction)
-        elif curve_rec.keyword == "CIRCLE":
-            center, axis = self._axis2(curve_id, curve_rec.args[1])
-            radius = _radius(curve_id, curve_rec)
+    def _edge(self, from_id: int, ref) -> None:
+        """Resolve the EDGE_CURVE that ``ref`` names into ``edges``: each vertex
+        from ``vertices`` or its VERTEX_POINT, and its LINE and the line's
+        VECTOR, or its CIRCLE."""
+        entities, vertices = self.entities, self.vertices
+        if not (type(ref) is Ref and type(rec := entities.get(ref.id)) is SimpleEntity
+                and rec.keyword == "EDGE_CURVE" and len(rec.args) >= 4):
+            rec = self._expect(from_id, ref, ("EDGE_CURVE",))[1]
+        eid, args = ref.id, rec.args
+        for vref in args[1], args[2]:
+            if type(vref) is Ref and vref.id in vertices:
+                continue
+            if not (type(vref) is Ref and type(vrec := entities.get(vref.id)) is SimpleEntity
+                    and vrec.keyword == "VERTEX_POINT" and len(vrec.args) >= 2):
+                vrec = self._expect(eid, vref, ("VERTEX_POINT",))[1]
+            vertices[vref.id] = self._point(vref.id, vrec.args[1])
+        # A curve of another keyword fails after the edge's same_sense flag is read.
+        cref = args[3]
+        if not (type(cref) is Ref and type(crec := entities.get(cref.id)) is SimpleEntity
+                and (crec.keyword == "LINE" or crec.keyword == "CIRCLE") and len(crec.args) >= 3):
+            crec = self._expect(eid, cref)[1]
+        curve_id, curve_args = cref.id, crec.args
+        if len(args) < 5 or (same_sense := args[4]) is not True and same_sense is not False:
+            same_sense = _flag(eid, rec, 4, "same_sense")
+        if crec.keyword == "LINE":
+            point = self._point(curve_id, curve_args[1])
+            vector = curve_args[2]
+            if not (type(vector) is Ref and type(vector_rec := entities.get(vector.id)) is SimpleEntity
+                    and vector_rec.keyword == "VECTOR" and len(vector_rec.args) >= 2):
+                vector_rec = self._expect(curve_id, vector, ("VECTOR",))[1]
+            curve = Line(point, self._direction(curve_id, vector_rec.args[1]))
+        elif crec.keyword == "CIRCLE":
+            center, axis = self._axis2(curve_id, curve_args[1])
+            radius = _radius(curve_id, crec)
             # Arcs are stored start-to-end CCW about the axis; a reversed
             # EDGE_CURVE flips the axis so that rule keeps holding.
             if not same_sense:
                 axis = -axis
             curve = Circle(center, axis, radius)
         else:
-            raise UnsupportedGeometry(curve_id, curve_rec.keyword)
-        self.edges[eid] = Edge(eid, curve, v1, v2)
-        return eid
-
-    def _oriented_edge(self, from_id: int, ref) -> tuple[int, bool]:
-        eid, rec = self._expect(from_id, ref, ("ORIENTED_EDGE",))
-        return self._edge(eid, rec.args[3]), _flag(eid, rec, 4, "orientation")
+            raise UnsupportedGeometry(curve_id, crec.keyword)
+        self.edges[eid] = Edge(eid, curve, args[1].id, args[2].id)
 
     def _loop(self, from_id: int, ref, reverse: bool) -> int:
-        eid, rec = self._expect(from_id, ref, ("EDGE_LOOP",))
-        oriented = [self._oriented_edge(eid, oe) for oe in _items(eid, rec)]
+        eid, rec = self._simple(from_id, ref, ("EDGE_LOOP",))
+        entities, edges = self.entities, self.edges
+        oriented = []
+        for oref in _items(eid, rec):
+            if not (type(oref) is Ref and type(orec := entities.get(oref.id)) is SimpleEntity
+                    and orec.keyword == "ORIENTED_EDGE" and len(orec.args) >= 4):
+                orec = self._expect(eid, oref, ("ORIENTED_EDGE",))[1]
+            oid, args = oref.id, orec.args
+            if not (type(edge := args[3]) is Ref and edge.id in edges):
+                self._edge(oid, edge)
+            if len(args) < 5 or (sense := args[4]) is not True and sense is not False:
+                sense = _flag(oid, orec, 4, "orientation")
+            oriented.append((edge.id, sense))
         if reverse:
             oriented = [(e, not s) for e, s in reversed(oriented)]
         if eid in self.loops:
@@ -692,21 +738,19 @@ class _Resolver:
         return eid
 
     def _face(self, from_id: int, ref) -> int:
-        eid, rec = self._expect(from_id, ref, ("ADVANCED_FACE",))
+        eid, rec = self._simple(from_id, ref, ("ADVANCED_FACE",))
         bounds: list[tuple[int, bool]] = []
         for bref in _items(eid, rec):
-            bid, brec = self._expect(eid, bref, ("FACE_BOUND", "FACE_OUTER_BOUND"))
+            bid, brec = self._simple(eid, bref, ("FACE_BOUND", "FACE_OUTER_BOUND"))
             loop_id = self._loop(bid, brec.args[1], reverse=not _flag(bid, brec, 2, "orientation"))
             bounds.append((loop_id, brec.keyword == "FACE_OUTER_BOUND"))
-        surf_id, surf_rec = self._expect(eid, rec.args[2])
+        surf_id, surf_rec = self._simple(eid, rec.args[2], ("PLANE", "CYLINDRICAL_SURFACE"))
         if surf_rec.keyword == "PLANE":
             origin, normal = self._axis2(surf_id, surf_rec.args[1])
             surface = Plane(origin, normal)
-        elif surf_rec.keyword == "CYLINDRICAL_SURFACE":
+        else:
             point, axis = self._axis2(surf_id, surf_rec.args[1])
             surface = Cylinder(point, axis, _radius(surf_id, surf_rec))
-        else:
-            raise UnsupportedGeometry(surf_id, surf_rec.keyword)
         same_sense = _flag(eid, rec, 3, "same_sense")
         if not any(outer for _, outer in bounds) and len(bounds) == 1:
             # Single FACE_BOUND: treat it as the outer bound.
@@ -723,9 +767,9 @@ class _Resolver:
             raise MissingSolid()
         if len(solids) > 1:
             raise MultipleSolids(sorted(solids))
-        brep_id, brep_rec = self._expect(solids[0], Ref(solids[0]))
+        brep_id, brep_rec = self._simple(solids[0], Ref(solids[0]), ("MANIFOLD_SOLID_BREP",))
         name = brep_rec.args[0] if isinstance(brep_rec.args[0], str) else ""
-        shell_id, shell_rec = self._expect(brep_id, brep_rec.args[1], ("CLOSED_SHELL",))
+        shell_id, shell_rec = self._simple(brep_id, brep_rec.args[1], ("CLOSED_SHELL",))
         for fref in _items(shell_id, shell_rec):
             self._face(shell_id, fref)
         return Solid(name or default_name, self.vertices, self.edges, self.loops, self.faces)

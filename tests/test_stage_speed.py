@@ -6,6 +6,8 @@ def test_stage_speed_prints_a_row_per_k_and_a_slope_per_stage(capsys):
     stage_speed.main(["--k", "2", "3", "--repeat", "1"])
     lines = capsys.readouterr().out.splitlines()
     header = [cell.strip() for cell in lines[1].strip("|").split("|")]
+    assert stage_speed.STAGES == ("parse", "resolve", "step validate", "load", "validate", "table",
+                                  "metrics", "pairing", "group")
     assert header == ["k", "file", "faces", *stage_speed.STAGES, "json total", "parse+resolve peak"]
     rows = [line for line in lines if line.startswith(("| 2 |", "| 3 |"))]
     assert len(rows) == 2
