@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -531,14 +532,16 @@ def _radius(value, *where) -> float:
     return radius
 
 
-def _elements(doc: dict, key: str, kind: str, seen: dict):
-    """``(index, item, id)`` per item of the list ``doc[key]``: an object with an id new to ``seen``.
+def _elements(take, key: str, kind: str, seen: dict):
+    """``(index, item, id)`` per item of the list ``take(key)``: an object with an id new to ``seen``.
 
-    The list is taken out of ``doc``, so a section is freed once its items are read."""
-    items = doc.pop(key, _ABSENT)
+    Each item is dropped from the list as it is handed out, so a section's
+    objects are freed while its records are built."""
+    items = take(key, _ABSENT)
     if type(items) is not list:
         raise _error(items, "expected list", key)
     for i, item in enumerate(items):
+        items[i] = None
         if type(item) is not dict:
             raise _error(item, f"expected object, got {type(item).__name__}", key, i)
         iid = item.get("id", _ABSENT)
@@ -580,6 +583,61 @@ def _use_error(item, ref: str, flag: str, table: dict, *where) -> SchemaError:
     return _error(value, "expected boolean", *where, flag)
 
 
+class _Declined(Exception):
+    """The text departs from the layout :class:`_Members` reads."""
+
+
+class _Members:
+    """The member values of a JSON object text in the layout every writer of
+    the format uses: ``{"name": ..., "vertices": ..., "edges": ..., "loops":
+    ..., "faces": ...}``, those plain keys in that order and no other member.
+    Each value is decoded by the scanner of ``json.loads`` as it is taken.
+
+    :meth:`take` raises :class:`_Declined` at a departure from the layout, and
+    the scanner what ``json.loads`` raises at the value.
+    """
+
+    # The text up to a member's value: "{" or ",", a plain key and a colon, with JSON's blanks.
+    MEMBER = re.compile(r'[ \t\n\r]*([{,])[ \t\n\r]*"(\w+)"[ \t\n\r]*:[ \t\n\r]*')
+    END = re.compile(r'[ \t\n\r]*}[ \t\n\r]*')
+    decode = json.JSONDecoder().raw_decode
+
+    def __init__(self, text: str):
+        self.text = text
+        self.at = 0  # where the next member starts
+        self.colons = 0  # in the text of the lists taken
+
+    def take(self, key: str, default=None):
+        """The next member's value; that member must be ``key``. ``default``
+        only mirrors ``dict.pop``: a member the layout lacks is a departure."""
+        text, at = self.text, self.at
+        member = self.MEMBER.match(text, at)
+        if member is None or member[2] != key or member[1] != ("," if at else "{"):
+            raise _Declined
+        value, self.at = self.decode(text, member.end())
+        if type(value) is list:
+            self.colons += text.count(":", member.end(), self.at)
+        return value
+
+    def solid(self, default_name: str) -> Solid:
+        """The Solid of the text, which is then dropped."""
+        name, vertices, edges, loops, faces = _sections(self.take)
+        # A value under a key the loader does not read is decoded here one
+        # level less deep than by json.loads, so at the recursion limit it
+        # could load where json.loads refuses it. Keys read: a vertex's 4; an
+        # edge's 4 and its curve's kind, and a circle's 3 more; a loop's 2 and
+        # each use's 2; a face's 4, its surface's 3 and a cylinder's radius,
+        # and each bound's 2. A text with another colon goes to json.loads.
+        read = (4 * len(vertices) + 2 * len(loops) + 7 * len(faces)
+                + sum(8 if type(e.curve) is Circle else 5 for e in edges.values())
+                + sum(2 * len(lp.oriented_edges) for lp in loops.values())
+                + sum(2 * len(f.bounds) + (type(f.surface) is Cylinder) for f in faces.values()))
+        if self.colons != read or not self.END.fullmatch(self.text, self.at):
+            raise _Declined
+        self.text = None
+        return Solid(name or default_name, vertices, edges, loops, faces)
+
+
 def load_brep_json(text: str, default_name: str = "") -> Solid:
     """Decode the native JSON B-Rep interchange document into a Solid.
 
@@ -587,10 +645,20 @@ def load_brep_json(text: str, default_name: str = "") -> Solid:
     the full schema. Violations raise SchemaError with a JSON-pointer path.
     A missing or empty name becomes ``default_name``.
 
-    Only one full copy of the part is kept alive: the text is dropped once
-    decoded, and each section of the decoded document once read. A caller
-    that passes the text without keeping it lets it be freed here.
+    A ``str`` text in the writers' layout (the five keys in that order, and no
+    other) is decoded one section at a time, as the loader reaches it, and
+    each section's items are freed as they are read; the text is dropped once
+    every section is built. Any other text, and one with a syntax or schema
+    error, is decoded whole by ``json.loads``, which gives every error. A
+    caller that passes the text without keeping it lets it be freed here.
     """
+    if type(text) is str:
+        members = _Members(text)
+        del text
+        try:
+            return members.solid(default_name)
+        except (_Declined, ValueError, RecursionError, SchemaError):
+            text = members.text
     try:
         doc = json.loads(text)
     except RecursionError:
@@ -600,12 +668,19 @@ def load_brep_json(text: str, default_name: str = "") -> Solid:
     del text
     if type(doc) is not dict:
         raise SchemaError("/", "top level must be an object")
-    name = doc.get("name", "")
+    name, *maps = _sections(doc.pop)
+    return Solid(name or default_name, *maps)
+
+
+def _sections(take) -> tuple[str, dict, dict, dict, dict]:
+    """The name and the vertex, edge, loop and face maps of the sections
+    ``take(key, default)`` hands out, each read in that order and checked inline."""
+    name = take("name", "")
     if type(name) is not str:
         raise SchemaError("/name", "expected string")
 
     vertices: dict[int, Vec3] = {}
-    for i, v, vid in _elements(doc, "vertices", "vertex", vertices):
+    for i, v, vid in _elements(take, "vertices", "vertex", vertices):
         x, y, z = v.get("x", _ABSENT), v.get("y", _ABSENT), v.get("z", _ABSENT)
         if (type(x) is float and type(y) is float and type(z) is float
                 and _finite(x) and _finite(y) and _finite(z)):
@@ -614,7 +689,7 @@ def load_brep_json(text: str, default_name: str = "") -> Solid:
             vertices[vid] = _coords(x, y, z, "xyz", "vertices", i)
 
     edges: dict[int, Edge] = {}
-    for i, e, eid in _elements(doc, "edges", "edge", edges):
+    for i, e, eid in _elements(take, "edges", "edge", edges):
         start, end = e.get("start", _ABSENT), e.get("end", _ABSENT)
         if type(start) is not int:
             raise _not_id(start, "edges", i, "start")
@@ -647,11 +722,11 @@ def load_brep_json(text: str, default_name: str = "") -> Solid:
         edges[eid] = Edge(eid, curve, start, end)
 
     loops: dict[int, Loop] = {}
-    for i, lp, lid in _elements(doc, "loops", "loop", loops):
+    for i, lp, lid in _elements(take, "loops", "loop", loops):
         loops[lid] = Loop(lid, _uses(lp, "oriented_edges", "edge", "sense", edges, "loops", i))
 
     faces: dict[int, Face] = {}
-    for i, f, fid in _elements(doc, "faces", "face", faces):
+    for i, f, fid in _elements(take, "faces", "face", faces):
         sobj = f.get("surface", _ABSENT)
         if type(sobj) is not dict:
             raise _error(sobj, f"expected object, got {type(sobj).__name__}", "faces", i, "surface")
@@ -675,5 +750,4 @@ def load_brep_json(text: str, default_name: str = "") -> Solid:
             raise SchemaError(f"/faces/{i}/bounds", "exactly one outer bound required")
         faces[fid] = Face(fid, surface, same_sense, bounds)
 
-    return Solid(name or default_name, vertices, edges, loops, faces)
-
+    return name, vertices, edges, loops, faces

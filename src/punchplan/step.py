@@ -698,7 +698,7 @@ class _Resolver:
             if not (type(vector) is Ref and type(vector_rec := entities.get(vector.id)) is SimpleEntity
                     and vector_rec.keyword == "VECTOR" and len(vector_rec.args) >= 2):
                 vector_rec = self._expect(curve_id, vector, ("VECTOR",))[1]
-            curve = Line(point, self._direction(curve_id, vector_rec.args[1]))
+            curve = Line(point, self._direction(vector.id, vector_rec.args[1]))
         elif crec.keyword == "CIRCLE":
             center, axis = self._axis2(curve_id, curve_args[1])
             radius = _radius(curve_id, crec)

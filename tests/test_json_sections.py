@@ -6,7 +6,8 @@ members in another order, with other members, with repeated or escaped keys,
 or as bytes, must load to the same Solid, bit for bit and in map order, or
 fail with the same SchemaError. Where a text is not JSON, the JSON error wins
 over any schema error; at the recursion limit, nesting under a key the
-loader ignores must be refused at the same depth in every layout.
+loader ignores must be refused at the same depth in every layout. A text in
+the writers' layout is read one member at a time, without ``json.loads``.
 """
 import dataclasses
 import json
@@ -81,6 +82,21 @@ def test_a_document_loads_alike_in_the_writers_layout_and_in_any_other(name):
     assert _outcome(_text(_members(doc), blank=" \t\r\n")) == want
     for wrap in (bytes, bytearray):
         assert _outcome(wrap(json.dumps(doc).encode())) == want
+
+
+@pytest.mark.parametrize("name", DOCS)
+def test_the_writers_layout_is_read_without_json_loads(name, monkeypatch):
+    doc = DOCS[name]
+    want = _outcome(_reordered(doc))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    assert _outcome(json.dumps(doc)) == want
+    assert _outcome(json.dumps(doc, indent=1)) == want
+    with pytest.raises(AssertionError, match="json.loads called"):
+        brep.load_brep_json(_reordered(doc))
 
 
 def _flat(**changes) -> dict:

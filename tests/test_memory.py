@@ -1,11 +1,12 @@
 """What the loaders keep alive while they build a Solid, and the slotted records
 that make it up.
 
-The JSON loader takes each section out of its decoded document as it reads
-it, so the document shrinks while the Solid grows; the B-Rep and Part-21
-records carry no per-instance dict. Peaks are tracemalloc's, over one k = 6
-grid sheet of the benchmark's generator (about 250 faces), with the text
-allocated and the heap collected before tracing starts.
+The JSON loader decodes a text in the writers' layout one section at a time,
+as it reaches it, and frees each item of a section once it has read it, so
+no more than one section is held decoded while the Solid grows; the B-Rep and
+Part-21 records carry no per-instance dict. Peaks are tracemalloc's, over one
+k = 6 grid sheet of the benchmark's generator (about 250 faces), with the
+text allocated and the heap collected before tracing starts.
 """
 import copy
 import dataclasses
@@ -43,11 +44,16 @@ def grid_doc():
 
 
 def test_json_loader_peaks_near_the_decoded_document(grid_doc):
-    # Holding the whole document while the Solid is built peaks at about 1.7x here.
+    # Holding the whole document while the Solid is built peaks at about 1.7x
+    # here, and taking each section out of it as it is read at 1.16. Decoding
+    # one section at a time peaks at 0.73 (CPython 3.11, 3.12 and 3.13) and
+    # 0.62 (3.10). Only CPython 3.11 has been measured under pytest at the
+    # tighter bound; other interpreters keep the old one.
+    bound = 0.85 if sys.implementation.name == "cpython" and sys.version_info[:2] == (3, 11) else 1.35
     text = json.dumps(grid_doc)
     decoded = _peak(lambda: json.loads(text))
     loaded = _peak(lambda: brep.load_brep_json(text))
-    assert loaded <= 1.35 * decoded, (loaded, decoded)
+    assert loaded <= bound * decoded, (loaded, decoded, bound)
 
 
 def test_step_reader_peak_per_byte_of_text(grid_doc):

@@ -60,8 +60,8 @@ SITES = {
 }
 NEW = 999  # the id of a record a broken reference names
 # The record an error names as holding a reference, where that is not the
-# holder: a vector's direction is followed on behalf of the vector's line.
-NAMED_HOLDER = {18: 19}
+# holder: none, since every reference is followed on behalf of its holder.
+NAMED_HOLDER = {}
 
 
 def _record(text: str, eid: int) -> str:

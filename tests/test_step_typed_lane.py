@@ -354,14 +354,15 @@ def test_a_non_finite_direction_that_no_solid_record_reaches_is_not_read():
 
 # A direction reference that the resolver must refuse on its use, whatever
 # directions it resolved before: the messages are the reader's before it kept
-# any unit vector.
+# any unit vector, but for naming the VECTOR, which holds the reference, where
+# that reader named the VECTOR's line.
 BAD_DIRECTIONS = {
     "a point": (("#22=VECTOR('',#21,1.);", "#22=VECTOR('',#1,1.);"),
                 "UnsupportedGeometry entity #1 (CARTESIAN_POINT) is outside the supported geometry subset"),
     "dangling": (("#22=VECTOR('',#21,1.);", "#22=VECTOR('',#999,1.);"),
-                 "DanglingReference entity #23 references #999, which does not exist"),
+                 "DanglingReference entity #22 references #999, which does not exist"),
     "unset": (("#22=VECTOR('',#21,1.);", "#22=VECTOR('',$,1.);"),
-              "UnsupportedGeometry entity #23 (expected entity reference, got $) "
+              "UnsupportedGeometry entity #22 (expected entity reference, got $) "
               "is outside the supported geometry subset"),
     "too few arguments": (("#21=DIRECTION('',(0.0,1.0,0.0));", "#21=DIRECTION('');"),
                           "UnsupportedGeometry entity #21 (DIRECTION (needs 2 arguments)) "
