@@ -648,9 +648,10 @@ def load_brep_json(text: str, default_name: str = "") -> Solid:
     A ``str`` text in the writers' layout (the five keys in that order, and no
     other) is decoded one section at a time, as the loader reaches it, and
     each section's items are freed as they are read; the text is dropped once
-    every section is built. Any other text, and one with a syntax or schema
-    error, is decoded whole by ``json.loads``, which gives every error. A
-    caller that passes the text without keeping it lets it be freed here.
+    every section is built. Any other text (another layout, one holding a key
+    the loader does not read, or one with a syntax or schema error) is decoded
+    whole by ``json.loads``, which gives every error. A caller that passes the
+    text without keeping it lets it be freed here.
     """
     if type(text) is str:
         members = _Members(text)

@@ -166,7 +166,7 @@ def test_a_syntax_error_in_the_last_section_wins_over_a_schema_error_in_the_firs
     text = json.dumps(doc)
     assert text.endswith("}]}")
     bad = text[:-3] + "},]}"
-    with pytest.raises(json.JSONDecodeError, match="^Expecting value") as exc:
+    with pytest.raises(json.JSONDecodeError) as exc:
         json.loads(bad)
     assert _outcome(bad) == ("SchemaError", f"/: not valid JSON: {exc.value}")
     assert _outcome(text) == ("SchemaError", "/vertices/0/x: expected number, got str")
