@@ -620,7 +620,7 @@ class _Members:
         return value
 
     def solid(self, default_name: str) -> Solid:
-        """The Solid of the text, which is then dropped."""
+        """The Solid of the text."""
         name, vertices, edges, loops, faces = _sections(self.take)
         # A value under a key the loader does not read is decoded here one
         # level less deep than by json.loads, so at the recursion limit it
@@ -634,7 +634,6 @@ class _Members:
                 + sum(2 * len(f.bounds) + (type(f.surface) is Cylinder) for f in faces.values()))
         if self.colons != read or not self.END.fullmatch(self.text, self.at):
             raise _Declined
-        self.text = None
         return Solid(name or default_name, vertices, edges, loops, faces)
 
 
