@@ -396,6 +396,24 @@ def _from_axis(p: Vec3, origin: Vec3, axis: Vec3) -> tuple[float, float]:
     return along, math.sqrt(x * x + y * y + z * z)
 
 
+def _heads_on_plane(solid: Solid, face: Face, open_loops: set[int]) -> bool:
+    """Whether every loop of the planar ``face`` closes and each head vertex of
+    its uses lies within TOL of the plane, by ``validate_manifold``'s
+    arithmetic. Every vertex of a closed loop heads one of its uses, so these
+    are the face's vertices, some checked more than once."""
+    vertices, edges, loops = solid.vertices, solid.edges, solid.loops
+    (ox, oy, oz), (nx, ny, nz) = face.surface.origin, face.surface.normal
+    for lid, _ in face.bounds:
+        if lid in open_loops:
+            return False
+        for eid, sense in loops[lid].oriented_edges:
+            e = edges[eid]
+            x, y, z = vertices[e.end if sense else e.start]
+            if abs((x - ox) * nx + (y - oy) * ny + (z - oz) * nz) > TOL:
+                return False
+    return True
+
+
 def validate_manifold(solid: Solid) -> list[Violation]:
     """Topology and incidence report; empty means the solid is a closed 2-manifold.
     Offsets are spelled out on coordinates in Vec3's operand order: the doubles Vec3 gives."""
@@ -406,15 +424,22 @@ def validate_manifold(solid: Solid) -> list[Violation]:
         if len(uses) != 2:
             add(Violation("non_manifold_edge", f"edge {eid} used by {len(uses)} face loops "
                           f"(faces {sorted(set(uses))})", eid))
-    for lp in solid.loops.values():
-        # Each edge, taken in its sense, must end where the next one starts.
-        tails, heads = [], []
-        for eid, sense in lp.oriented_edges:
-            e = edges[eid]
-            tails.append(e.start if sense else e.end)
-            heads.append(e.end if sense else e.start)
-        if not tails or heads != tails[1:] + tails[:1]:
-            add(Violation("open_loop", f"loop {lp.id} does not chain into a closed cycle", lp.id))
+    open_loops: set[int] = set()
+    for lid, lp in solid.loops.items():
+        # Each edge, taken in its sense, must start where the one before it
+        # ends; the first comes after the last.
+        if uses := lp.oriented_edges:
+            eid, sense = uses[-1]
+            head = edges[eid].end if sense else edges[eid].start
+            for eid, sense in uses:
+                e = edges[eid]
+                if (e.start if sense else e.end) != head:
+                    break
+                head = e.end if sense else e.start
+            else:
+                continue
+        open_loops.add(lid)
+        add(Violation("open_loop", f"loop {lp.id} does not chain into a closed cycle", lp.id))
     for f in solid.faces.values():
         n_outer = len(f.outer_loops())
         if n_outer != 1:
@@ -440,14 +465,19 @@ def validate_manifold(solid: Solid) -> list[Violation]:
                     add(Violation("endpoint_off_curve",
                                   f"edge {e.id}: vertex {vid} is {off:.3g} mm off its line", e.id))
     # Planar faces: boundary vertices must lie on the plane; cylinders: at radius.
+    # A planar face that passes _heads_on_plane has none off it; any other face
+    # checks its vertex set, and reports in that set's order.
     for f in solid.faces.values():
+        surface = f.surface
+        planar = isinstance(surface, Plane)
+        if planar and _heads_on_plane(solid, f, open_loops):
+            continue
         vids: set[int] = set()
         for lid, _ in f.bounds:
             for eid, _ in solid.loops[lid].oriented_edges:
                 e = edges[eid]
                 vids.update((e.start, e.end))
-        surface = f.surface
-        if isinstance(surface, Plane):
+        if planar:
             (ox, oy, oz), (nx, ny, nz) = surface.origin, surface.normal
             for vid in vids:
                 x, y, z = vertices[vid]

@@ -19,23 +19,25 @@ another. It covers the 17 keywords the resolver reads, written as exporters
 write them, with no blank inside the record and reals that hold a ``.``, in
 one branch per field shape (``_TYPED_SHAPES`` lists them, and README
 "Speed" tabulates them). Each field is a group, a shape of several keywords
-captures the keyword too, and the record's arguments are built from the
-groups. Whatever the pattern does not match is read token by token: the
-HEADER, comments, complex instances, every other keyword, a typed keyword
-written with blanks inside the record or around its ``=``, ``#0``, a
-repeated id, an integer past the interpreter's digit limit and every
-malformed record. Those read to the same entities, in about three times the
-time the pattern takes for a record. The fast lane raises nothing, so every
-error, with its line and column, still comes from the token reader. Within
-one run of records it builds each record whose text holds no reference
-once: identical directions and points are one ``SimpleEntity``. ``Ref`` and
+captures the keyword too, and each branch's builder reads its groups from the
+match and returns the record. Whatever the pattern does not match is read
+token by token: the HEADER, comments, complex instances, every other keyword,
+a typed keyword written with blanks inside the record or around its ``=``,
+``#0``, a repeated id, an integer past the interpreter's digit limit and
+every malformed record. Those read to the same entities, in about three
+times the time the pattern takes for a record. The fast lane raises nothing,
+so every error, with its line and column, still comes from the token reader.
+Within one run of records it builds each record whose text holds no
+reference once: identical directions and points are one ``SimpleEntity``. ``Ref`` and
 ``SimpleEntity`` take their ``__init__`` from ``brep._slot_init``, which
-sets each slot through its member descriptor.
+sets each slot through its member descriptor; the lane's builders set a
+record's slots the same way without calling it.
 
 Only the geometry subset needed for sheet-metal parts is resolved
 (points, directions, placements, lines, circles, planes, cylinders, and
 the face/loop/edge/vertex topology). Anything else stays in the entity
-map and is counted as ignored. The resolver turns each CARTESIAN_POINT record
+map and is counted as ignored; only the token reader reads such records, so
+only its records are counted. The resolver turns each CARTESIAN_POINT record
 into one ``Vec3`` and each DIRECTION record into its unit vector once, so the
 points and directions the fast lane shares are one vector each, and a line
 whose point record is its vertex's holds the vertex's own ``Vec3``. Each
@@ -262,21 +264,19 @@ _FRAME_TOKENS = ("ISO-10303-21", ";", "HEADER", ";", "DATA", ";", "END-ISO-10303
 
 # The typed lane: every keyword the resolver reads, written as exporters write
 # it, with no blank inside the record, a name holding no quote, and reals
-# holding a '.'. Each field is a group. Every such text is read by the token
-# reader to the same values: a name is a string, a real is _TOKEN's real and a
-# flag its bool. The branches go by field shape, the frequent ones first: each
-# shape's keywords, its parameters as a pattern, and the builder of its
-# arguments, which takes its fields in order. A shape of several keywords
-# captures the keyword as a group before its fields.
-_NAME = r"'([^']*)'"
+# holding a '.'. Every such text is read by the token reader to the same
+# values: a name is a string, a real is _TOKEN's real and a flag its bool.
+# Each kind of field is its pattern, with a group for each value it holds, and
+# the expression that makes its value from a match ``m``, with ``{}`` for the
+# number of each of its groups.
 _DOTTED = r"([+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
-_REF = r"\#([0-9]+)"
-_REFS = r"\((\#[0-9]+(?:,\#[0-9]+)*)\)"
-_FLAG = r"\.([TF])\."
-
-
-def _triple_args(name: str, x: str, y: str, z: str) -> tuple:
-    return name, (float(x), float(y), float(z))
+_NAME = (r"'([^']*)'", "m[{}]")
+_STAR = (r"\*", "DERIVED")
+_REF = (r"\#([0-9]+)", "Ref(int(m[{}]))")
+_REFS = (r"\((\#[0-9]+(?:,\#[0-9]+)*)\)", "_refs(m[{}])")
+_FLAG = (r"\.([TF])\.", "m[{}] == 'T'")
+_REAL = (_DOTTED, "float(m[{}])")
+_TRIPLE = (rf"\({_DOTTED},{_DOTTED},{_DOTTED}\)", "(float(m[{}]), float(m[{}]), float(m[{}]))")
 
 
 def _refs(refs: str) -> tuple:
@@ -284,53 +284,71 @@ def _refs(refs: str) -> tuple:
     return tuple(map(Ref, map(int, refs[1:].split(",#"))))
 
 
+# The branches go by field shape, the frequent ones first: each shape's
+# keywords and its fields. A shape of several keywords captures the keyword
+# as a group before its fields.
 _TYPED_SHAPES = (
-    (("ORIENTED_EDGE",), rf"{_NAME},\*,\*,{_REF},{_FLAG}",
-     lambda name, edge, flag: (name, DERIVED, DERIVED, Ref(int(edge)), flag == "T")),
-    (("DIRECTION", "CARTESIAN_POINT"), rf"{_NAME},\({_DOTTED},{_DOTTED},{_DOTTED}\)", _triple_args),
-    (("EDGE_CURVE",), rf"{_NAME},{_REF},{_REF},{_REF},{_FLAG}",
-     lambda name, start, end, curve, flag: (name, Ref(int(start)), Ref(int(end)), Ref(int(curve)),
-                                            flag == "T")),
-    (("VECTOR", "CIRCLE", "CYLINDRICAL_SURFACE"), rf"{_NAME},{_REF},{_DOTTED}",
-     lambda name, ref, real: (name, Ref(int(ref)), float(real))),
-    (("LINE",), rf"{_NAME},{_REF},{_REF}", lambda name, p, v: (name, Ref(int(p)), Ref(int(v)))),
-    (("VERTEX_POINT", "PLANE", "MANIFOLD_SOLID_BREP"), rf"{_NAME},{_REF}",
-     lambda name, ref: (name, Ref(int(ref)))),
-    (("EDGE_LOOP", "CLOSED_SHELL"), rf"{_NAME},{_REFS}", lambda name, refs: (name, _refs(refs))),
-    (("AXIS2_PLACEMENT_3D",), rf"{_NAME},{_REF},{_REF},{_REF}",
-     lambda name, p, axis, ref: (name, Ref(int(p)), Ref(int(axis)), Ref(int(ref)))),
-    (("FACE_OUTER_BOUND", "FACE_BOUND"), rf"{_NAME},{_REF},{_FLAG}",
-     lambda name, loop, flag: (name, Ref(int(loop)), flag == "T")),
-    (("ADVANCED_FACE",), rf"{_NAME},{_REFS},{_REF},{_FLAG}",
-     lambda name, bounds, surface, flag: (name, _refs(bounds), Ref(int(surface)), flag == "T")),
+    (("ORIENTED_EDGE",), (_NAME, _STAR, _STAR, _REF, _FLAG)),
+    (("DIRECTION", "CARTESIAN_POINT"), (_NAME, _TRIPLE)),
+    (("EDGE_CURVE",), (_NAME, _REF, _REF, _REF, _FLAG)),
+    (("VECTOR", "CIRCLE", "CYLINDRICAL_SURFACE"), (_NAME, _REF, _REAL)),
+    (("LINE",), (_NAME, _REF, _REF)),
+    (("VERTEX_POINT", "PLANE", "MANIFOLD_SOLID_BREP"), (_NAME, _REF)),
+    (("EDGE_LOOP", "CLOSED_SHELL"), (_NAME, _REFS)),
+    (("AXIS2_PLACEMENT_3D",), (_NAME, _REF, _REF, _REF)),
+    (("FACE_OUTER_BOUND", "FACE_BOUND"), (_NAME, _REF, _FLAG)),
+    (("ADVANCED_FACE",), (_NAME, _REFS, _REF, _FLAG)),
 )
 
 
-def _typed_branch(keywords: tuple[str, ...], fields: str) -> str:
+def _typed_branch(keywords: tuple[str, ...], fields: tuple) -> str:
     keyword = keywords[0] if len(keywords) == 1 else f"({'|'.join(keywords)})"
-    return rf"{keyword}\({fields}\)"
+    return rf"{keyword}\({','.join(pattern for pattern, _ in fields)}\)"
 
 
 _TYPED = re.compile(r"[ \t\r\n]*\#([0-9]+)=(?:"
-                    + "|".join(_typed_branch(keywords, fields) for keywords, fields, _ in _TYPED_SHAPES)
+                    + "|".join(_typed_branch(keywords, fields) for keywords, fields in _TYPED_SHAPES)
                     + ");")
+
+# A branch's builder, named by its last group: it reads the branch's groups
+# from the match by number and returns the record, setting its two slots as
+# SimpleEntity's __init__ would, without that call.
+_BUILDER = """
+def build_{last}(m):
+    rec = _new(SimpleEntity)
+    _set_keyword(rec, {keyword})
+    _set_args(rec, ({args},))
+    return rec
+"""
 
 
 def _typed_branches() -> dict[int, tuple]:
     """_TYPED's branches by the number of their last group, which is a match's
     ``lastindex``: each shape's keywords, the number of the group that captures
     the keyword (0 for a shape of one keyword), its field groups, its builder,
-    and whether the record holds a reference. Group 1 is the id, and a
-    builder's arity is its branch's number of field groups."""
-    branches = {}
+    and whether the record holds a reference. Group 1 is the id. The builders
+    are written from the group numbers and compiled together, once."""
+    shapes, source = [], []
     last = 1
-    for keywords, fields, build in _TYPED_SHAPES:
+    for keywords, fields in _TYPED_SHAPES:
         keyword_group = 0
         if len(keywords) > 1:
             keyword_group = last = last + 1
-        first, last = last + 1, last + build.__code__.co_argcount
-        branches[last] = (keywords, keyword_group, tuple(range(first, last + 1)), build, "#" in fields)
-    return branches
+        first, args = last + 1, []
+        for _, value in fields:
+            groups = range(last + 1, last + 1 + value.count("{}"))
+            args.append(value.format(*groups))
+            last += len(groups)
+        keyword = f"_intern(m[{keyword_group}])" if keyword_group else repr(keywords[0])
+        source.append(_BUILDER.format(last=last, keyword=keyword, args=", ".join(args)))
+        holds_ref = "#" in _typed_branch(keywords, fields)
+        shapes.append((keywords, keyword_group, tuple(range(first, last + 1)), holds_ref))
+    builders = {"_new": object.__new__, "_set_keyword": SimpleEntity.keyword.__set__,
+                "_set_args": SimpleEntity.args.__set__, "_intern": sys.intern,
+                "SimpleEntity": SimpleEntity, "Ref": Ref, "DERIVED": DERIVED, "_refs": _refs}
+    exec(compile("".join(source), "<typed lane builders>", "exec"), builders)
+    return {groups[-1]: (keywords, keyword_group, groups, builders[f"build_{groups[-1]}"], holds_ref)
+            for keywords, keyword_group, groups, holds_ref in shapes}
 
 
 _TYPED_BRANCHES = _typed_branches()
@@ -342,12 +360,10 @@ def _fast_records(text: str, pos: int, records: dict[int, EntityRecord]) -> re.M
     within the interpreter's digit limit. Returns the last one's match, or None
     if it took none; raises nothing.
 
-    A record is built from its fields by the builder of its branch, one per
-    field shape, under the keyword its branch names or captures. A record whose
-    text, from its keyword to its last ``)``, holds no ``#`` is built once per
-    call: every later record with that same text is the same object. A record
-    holding a reference is always built anew."""
-    intern = sys.intern
+    A record is built from its match by the builder of its branch, one per
+    field shape. A record whose text, from its keyword to its last ``)``, holds
+    no ``#`` is built once per call: every later record with that same text is
+    the same object. A record holding a reference is always built anew."""
     match = _TYPED.match
     branches = _TYPED_BRANCHES
     shared: dict[str, SimpleEntity] = {}
@@ -357,12 +373,11 @@ def _fast_records(text: str, pos: int, records: dict[int, EntityRecord]) -> re.M
             eid = int(m[1])
             if eid <= 0 or eid in records:
                 break
-            keywords, keyword_group, groups, build, holds_ref = branches[m.lastindex]
-            keyword = intern(m[keyword_group]) if keyword_group else keywords[0]
+            _, _, _, build, holds_ref = branches[m.lastindex]
             if holds_ref:
-                rec = SimpleEntity(keyword, build(*m.group(*groups)))
+                rec = build(m)
             elif (rec := shared.get(key := text[m.end(1) + 1:m.end() - 2])) is None:
-                rec = shared[key] = SimpleEntity(keyword, build(*m.group(*groups)))
+                rec = shared[key] = build(m)
             records[eid] = rec
             last = m
             pos = m.end()
@@ -455,9 +470,11 @@ class _Reader:
         return sys.intern(keyword[0]), self.params(1)
 
 
-def _read(text: str) -> dict[int, EntityRecord]:
-    """Read a whole exchange file into the DATA section's id -> entity map.
-    Each HEADER record is read and checked like a DATA record, and not kept.
+def _read(text: str) -> tuple[dict[int, EntityRecord], list[int]]:
+    """Read a whole exchange file into the DATA section's id -> entity map,
+    and the ids of the records the token reader read, in file order: the
+    others are the fast lane's, all of keywords in ``_MIN_ARGS``. Each HEADER
+    record is read and checked like a DATA record, and not kept.
 
     The frame around the sections is ``_FRAME_TOKENS``; after its last ``;``
     one more token is read, as a parser that holds one token of lookahead
@@ -467,6 +484,7 @@ def _read(text: str) -> dict[int, EntityRecord]:
     """
     reader = _Reader(text)
     records: dict[int, EntityRecord] = {}
+    read: list[int] = []
     for step, token in enumerate(_FRAME_TOKENS):
         if (m := reader.next())[0] != token:
             if token == "HEADER" or token == "DATA":
@@ -514,19 +532,22 @@ def _read(text: str) -> dict[int, EntityRecord]:
                 records[eid] = ComplexEntity(tuple(parts))
             else:
                 raise _unexpected(text, entity, "entity keyword")
+            read.append(eid)
             m = reader.expect(";")
         reader.expect(";")
     reader.next()
-    return records
+    return records, read
 
 
 def parse_exchange(text: str) -> ExchangeStructure:
-    """Parse a Part-21 exchange file into its DATA section's entity map."""
-    entities = _read(text)
+    """Parse a Part-21 exchange file into its DATA section's entity map.
+    Ignored keywords and unit warnings are found among the records the token
+    reader read, in file order, as the fast lane reads none of them."""
+    entities, read = _read(text)
     ignored = Counter()
     warnings: list[str] = []
-    for eid, rec in entities.items():
-        if type(rec) is SimpleEntity:
+    for eid in read:
+        if type(rec := entities[eid]) is SimpleEntity:
             if rec.keyword in _MIN_ARGS:
                 continue
             parts = ((rec.keyword, rec.args),)

@@ -7,7 +7,9 @@ builds a face's sample points as ``Vec3`` values, apart from the production
 walk, which projects its samples without building them, and the Green's
 theorem oracle sums a planar face's loops in ``Vec3`` arithmetic, projecting
 both ends of every edge use, where the walk reuses a shared vertex's
-projection.
+projection. The manifold oracle is ``validate_manifold`` as it was before
+its loop walk and its planar fast path: it lists each loop's tails and heads
+and checks every face's vertex set.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import math
 
 import numpy as np
 
-from punchplan.brep import Circle
+from punchplan.brep import Circle, Line, Plane, Violation
 from punchplan.geom import TOL, Vec3, plane_basis
 
 
@@ -194,3 +196,79 @@ def random_polygon_with_holes(rng):
             holes_area += cand[2]
             break
     return outer, rects, circles, outer_area - holes_area
+
+
+def _from_axis(p: Vec3, origin: Vec3, axis: Vec3) -> tuple[float, float]:
+    """``(p - origin) . axis`` and the distance of p from the axis line."""
+    (x, y, z), (ox, oy, oz), (ax, ay, az) = p, origin, axis
+    x, y, z = x - ox, y - oy, z - oz
+    along = x * ax + y * ay + z * az
+    x, y, z = x - ax * along, y - ay * along, z - az * along
+    return along, math.sqrt(x * x + y * y + z * z)
+
+
+def validate_manifold(solid) -> list[Violation]:
+    """``brep.validate_manifold`` with lists of tails and heads per loop and a
+    vertex set per face: the same violations, messages and order."""
+    out: list[Violation] = []
+    add = out.append
+    vertices, edges = solid.vertices, solid.edges
+    for eid, uses in solid.edge_uses.items():
+        if len(uses) != 2:
+            add(Violation("non_manifold_edge", f"edge {eid} used by {len(uses)} face loops "
+                          f"(faces {sorted(set(uses))})", eid))
+    for lp in solid.loops.values():
+        tails, heads = [], []
+        for eid, sense in lp.oriented_edges:
+            e = edges[eid]
+            tails.append(e.start if sense else e.end)
+            heads.append(e.end if sense else e.start)
+        if not tails or heads != tails[1:] + tails[:1]:
+            add(Violation("open_loop", f"loop {lp.id} does not chain into a closed cycle", lp.id))
+    for f in solid.faces.values():
+        n_outer = len(f.outer_loops())
+        if n_outer != 1:
+            add(Violation("bad_outer_bound",
+                          f"face {f.id} has {n_outer} outer bounds, expected 1", f.id))
+    for e in edges.values():
+        curve = e.curve
+        for vid in (e.start, e.end):
+            p = vertices[vid]
+            if not isinstance(curve, Line):
+                along, dist = _from_axis(p, curve.center, curve.axis)
+                off_plane, off_radius = abs(along), abs(dist - curve.radius)
+                if off_plane > TOL or off_radius > TOL:
+                    add(Violation("endpoint_off_curve",
+                                  f"edge {e.id}: vertex {vid} is off its circle by "
+                                  f"(plane {off_plane:.3g}, radius {off_radius:.3g}) mm", e.id))
+            elif p is not curve.point:
+                (x, y, z), (qx, qy, qz), (dx, dy, dz) = p, curve.point, curve.direction
+                x, y, z = x - qx, y - qy, z - qz
+                x, y, z = y * dz - z * dy, z * dx - x * dz, x * dy - y * dx
+                off = math.sqrt(x * x + y * y + z * z)
+                if off > TOL:
+                    add(Violation("endpoint_off_curve",
+                                  f"edge {e.id}: vertex {vid} is {off:.3g} mm off its line", e.id))
+    for f in solid.faces.values():
+        vids: set[int] = set()
+        for lid, _ in f.bounds:
+            for eid, _ in solid.loops[lid].oriented_edges:
+                e = edges[eid]
+                vids.update((e.start, e.end))
+        surface = f.surface
+        if isinstance(surface, Plane):
+            (ox, oy, oz), (nx, ny, nz) = surface.origin, surface.normal
+            for vid in vids:
+                x, y, z = vertices[vid]
+                d = abs((x - ox) * nx + (y - oy) * ny + (z - oz) * nz)
+                if d > TOL:
+                    add(Violation("vertex_off_surface", f"face {f.id}: vertex {vid} is "
+                                  f"{d:.3g} mm off the face plane", f.id))
+            continue
+        for vid in vids:
+            _, dist = _from_axis(vertices[vid], surface.axis_point, surface.axis_dir)
+            d = abs(dist - surface.radius)
+            if d > TOL:
+                add(Violation("vertex_off_surface",
+                              f"face {f.id}: vertex {vid} is {d:.3g} mm off the cylinder", f.id))
+    return out

@@ -9,9 +9,12 @@ each typed keyword, and near misses of them, with the typed lane on and with
 the token loop only; and check that the typed lane takes every record it is
 meant for (every record of the benchmark's step-parts files), shares each
 reference-free record once per parse, names the same keywords as
-``step._MIN_ARGS``, and compiles nothing while reading. The resolver's shared
-directions, one unit vector per DIRECTION record, and its keyword checks on
-each reference it follows are checked against the token loop too.
+``step._MIN_ARGS``, builds each record with one builder that reads each of its
+branch's groups once, and compiles nothing while reading; and that the census
+of ignored keywords and unit warnings, taken over the records the token reader
+read, is the same both ways. The resolver's shared directions, one unit
+vector per DIRECTION record, and its keyword checks on each reference it
+follows are checked against the token loop too.
 """
 import re
 from unittest import mock
@@ -263,6 +266,28 @@ def test_typed_shapes_name_the_keywords_the_resolver_reads():
     assert all(step._MIN_ARGS[kw] <= len(SHAPES[kw]) for kw in SHAPES)
 
 
+# A record of each kind of field, as exporters write it.
+SAMPLE = {"name": "'a'", "derived": "*", "ref": "#5", "flag": ".F.", "triple": "(1.,-2.5,3.E2)",
+          "real": "1.5", "radius": "2.5", "refs": "(#1,#22)"}
+
+
+class _Probe:
+    """A match that records the number of each group read from it."""
+
+    def __init__(self, m: re.Match) -> None:
+        self.m = m
+        self.lastindex = m.lastindex
+        self.read: list[int] = []
+
+    def __getitem__(self, group: int):
+        self.read.append(group)
+        return self.m[group]
+
+    def group(self, *groups: int):
+        self.read += groups
+        return self.m.group(*groups)
+
+
 def test_typed_pattern_stays_small_and_is_compiled_at_import():
     # Every process that imports the reader compiles _TYPED: about 2 ms for its
     # 853 characters under CPython 3.11 on a 2-vCPU VM. The bound keeps its
@@ -270,16 +295,27 @@ def test_typed_pattern_stays_small_and_is_compiled_at_import():
     assert isinstance(step._TYPED, re.Pattern)
     assert len(step._TYPED.pattern) < 1024
     # The branches, one per field shape, cover the typed keywords. A shape of
-    # several keywords captures its keyword, and the builders take each of
-    # _TYPED's other groups but the id, once.
+    # several keywords captures its keyword, and the builders read each of
+    # _TYPED's other groups but the id, once, each its own branch's.
     branches = step._TYPED_BRANCHES
     assert sorted(kw for keywords, *_ in branches.values() for kw in keywords) == sorted(SHAPES)
-    taken = []
+    taken, read = [], []
     for last, (keywords, keyword_group, groups, build, _) in branches.items():
         assert (keyword_group > 0) == (len(keywords) > 1)
-        assert build.__code__.co_argcount == len(groups) and groups[-1] == last
-        taken += [keyword_group] * (keyword_group > 0) + list(groups)
-    assert sorted(taken) == list(range(2, step._TYPED.groups + 1))
+        assert groups[-1] == last
+        own = [keyword_group] * (keyword_group > 0) + list(groups)
+        taken += own
+        for keyword in keywords:
+            record = f"#1={keyword}({','.join(SAMPLE[kind] for kind in SHAPES[keyword])});"
+            probe = _Probe(step._TYPED.match(record))
+            assert probe.lastindex == last, record
+            built = build(probe)
+            with _token_loop_only():
+                assert repr(built) == repr(step.parse_exchange(FRAME.format(record)).entities[1])
+            assert sorted(probe.read) == own, record
+            if keyword == keywords[0]:
+                read += probe.read
+    assert sorted(taken) == sorted(read) == list(range(2, step._TYPED.groups + 1))
 
     # Every module-level re call (re.compile, re.sub, ...) passes through
     # re._compile, and reading a file, also one with errors, must make none.
@@ -302,6 +338,56 @@ def test_typed_pattern_stays_small_and_is_compiled_at_import():
                 pass
     assert compiled == [], f"patterns compiled while reading: {compiled!r}"
     assert hook.matches > 100
+
+
+# ---------------------------------------------------------------------------
+# The census of ignored keywords and unit warnings
+# ---------------------------------------------------------------------------
+
+# Records of every kind the census meets, each written with an id slot: typed
+# records the lane takes, one typed record written with blanks that the token
+# reader takes, unit declarations that warn or do not, and ignored keywords.
+CENSUS_RECORDS = (
+    "#{}=DIRECTION('',(0.,0.,1.));",
+    "#{}=CARTESIAN_POINT('',(1.,2.,3.));",
+    "#{}=VERTEX_POINT('',#1);",
+    "#{} = DIRECTION('',(1.,0.,0.));",
+    "#{}=SI_UNIT(*,.METRE.);",
+    "#{}=SI_UNIT(.MILLI.,.METRE.);",
+    "#{}=(LENGTH_UNIT()NAMED_UNIT(*)SI_UNIT($,.METRE.));",
+    "#{}=(CONVERSION_BASED_UNIT('INCH',#2)LENGTH_UNIT()NAMED_UNIT(#3));",
+    "#{}=(NAMED_UNIT(#3)CONVERSION_BASED_UNIT('DEGREE',#2)PLANE_ANGLE_UNIT());",
+    "#{}=PRODUCT('p','p','',(#1));",
+    "#{}=APPLICATION_CONTEXT('design');",
+    "#{}=PRODUCT('q','q','',(#1));",
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.permutations(CENSUS_RECORDS), st.permutations(range(1, len(CENSUS_RECORDS) + 1)))
+def test_census_reads_the_same_with_the_lane_and_with_the_token_loop(records, ids):
+    text = FRAME.format("".join(record.format(eid) + "\n" for record, eid in zip(records, ids)))
+    with _Taken() as taken:
+        xs = step.parse_exchange(text)
+    assert taken.records == 3
+    with _token_loop_only():
+        tokens = step.parse_exchange(text)
+    assert (xs.entities, xs.ignored_keywords, xs.warnings) == (
+        tokens.entities, tokens.ignored_keywords, tokens.warnings)
+    assert xs.ignored_keywords == {
+        "SI_UNIT": 3, "LENGTH_UNIT": 2, "NAMED_UNIT": 3, "CONVERSION_BASED_UNIT": 2,
+        "PLANE_ANGLE_UNIT": 1, "PRODUCT": 2, "APPLICATION_CONTEXT": 1}
+    # Three warnings, in file order: the metre SI_UNIT records, simple and in a
+    # complex instance, and the inch.
+    warned = [eid for record, eid in zip(records, ids)
+              if "SI_UNIT(*,.METRE.)" in record or "SI_UNIT($" in record or "INCH" in record]
+    assert [w.split(":")[0] for w in xs.warnings] == [f"entity #{eid}" for eid in warned]
+
+
+def test_the_token_reader_reads_no_record_of_the_benchmark_step_files(tmp_path):
+    for part in inputs.build("step-parts", 7, tmp_path).parts:
+        entities, read = step._read(part.path.read_text(encoding="utf-8"))
+        assert entities and read == [], part.name
 
 
 # ---------------------------------------------------------------------------
