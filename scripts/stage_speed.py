@@ -19,10 +19,13 @@ Markdown row is printed per k: the Part-21 file size, the face count, each
 stage's time with the parse speed in MB/s, the JSON path's total (``load``
 through ``group``, summed within each run), the tracemalloc peak of parse
 plus resolve per byte of Part-21 text and that of ``load`` per byte of JSON
-text (each text allocated before tracing starts), taken as
-``tests/test_memory.py`` takes them: after a full collection, with the
-collector running. Then comes the log-log slope of each stage against face count,
-from each smaller k to the largest, one table per smaller k.
+text, and the bytes the loaded JSON ``Solid`` keeps per byte of JSON text:
+what is still allocated once ``load`` has returned, while the Solid is held,
+after a second full collection. Each text is allocated before tracing
+starts, so it is not counted. These are taken as ``tests/test_memory.py``
+takes them: after a full collection, with the collector running. Then comes
+the log-log slope of each stage against face count, from each smaller k to
+the largest, one table per smaller k.
 
 Run from anywhere:
 
@@ -53,14 +56,17 @@ STAGES = ("parse", "resolve", "step validate", "load", "validate", "table", "met
 JSON_PATH = STAGES[STAGES.index("load"):]
 
 
-def _peak(call) -> int:
+def _traced(call) -> tuple[int, int]:
     """Bytes allocated at the peak of ``call()``, as tracemalloc counts them,
-    from a collected heap."""
+    from a collected heap, and the bytes still allocated after it while its
+    result is held, after a full collection that also empties the free lists."""
     gc.collect()
     tracemalloc.start()
     try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
+        result = call()  # noqa: F841 (held while the memory is read)
+        peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        return peak, tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
 
@@ -99,10 +105,10 @@ def measure(k: int, repeat: int) -> dict:
     finally:
         if enabled:
             gc.enable()
-    peak = _peak(lambda: step.resolve_brep(step.parse_exchange(step_text)))
-    load_peak = _peak(lambda: brep.load_brep_json(json_text))
+    peak = _traced(lambda: step.resolve_brep(step.parse_exchange(step_text)))[0]
+    load_peak, kept = _traced(lambda: brep.load_brep_json(json_text))
     return {"k": k, "mb": len(step_text) / 1e6, "faces": runs[0]["faces"], "peak_per_byte": peak / len(step_text),
-            "load_peak_per_byte": load_peak / len(json_text),
+            "load_peak_per_byte": load_peak / len(json_text), "kept_per_byte": kept / len(json_text),
             **{stage: statistics.median(r[stage] for r in runs) for stage in (*STAGES, "json total")}}
 
 
@@ -123,9 +129,10 @@ def main(argv: list[str] | None = None) -> None:
     if min(args.k) < 1:
         parser.error("--k must be at least 1")
     print(f"seed {SEED}, median of {args.repeat} runs, CPython {sys.version.split()[0]}")
-    print("| k | file | faces | " + " | ".join(STAGES) + " | json total | parse+resolve peak | load peak |")
+    print("| k | file | faces | " + " | ".join(STAGES)
+          + " | json total | parse+resolve peak | load peak | solid kept |")
     print("|---|------|-------|" + "|".join("-" * (len(s) + 2) for s in STAGES)
-          + "|------------|--------------------|-----------|")
+          + "|------------|--------------------|-----------|------------|")
     rows = []
     for k in sorted(set(args.k)):
         r = measure(k, args.repeat)
@@ -133,7 +140,8 @@ def main(argv: list[str] | None = None) -> None:
         print(f"| {k} | {r['mb']:.2f} MB | {r['faces']:,} | {r['parse']:.4f} s "
               f"({r['mb'] / r['parse']:.1f} MB/s) | "
               + " | ".join(f"{r[s]:.4f} s" for s in (*STAGES[1:], "json total"))
-              + f" | {r['peak_per_byte']:.2f} B per byte | {r['load_peak_per_byte']:.2f} B per byte |", flush=True)
+              + f" | {r['peak_per_byte']:.2f} B per byte | {r['load_peak_per_byte']:.2f} B per byte"
+              + f" | {r['kept_per_byte']:.2f} B per byte |", flush=True)
     last = rows[-1]
     for first in rows[:-1] or rows:
         print(f"\nlog-log slope against faces, k = {first['k']} to {last['k']}:")

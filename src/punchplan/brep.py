@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import struct
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -503,6 +504,8 @@ def validate_manifold(solid: Solid) -> list[Violation]:
 
 _ABSENT = object()  # what ``dict.get`` gives for a key the document lacks
 _finite = math.isfinite
+# A unit vector's key in a load's map: its doubles' bits, since == takes -0.0 for 0.0.
+_bits = struct.Struct("3d").pack
 
 
 def _error(value, reason: str, *where) -> SchemaError:
@@ -546,13 +549,15 @@ def _vec3(value, *where) -> Vec3:
     return _coords(x, y, z, range(3), *where)
 
 
-def _unit3(value, *where) -> Vec3:
+def _unit3(value, units: dict, *where) -> Vec3:
+    """``value`` normalized, as the one Vec3 of ``units`` with its bits."""
     x, y, z = v = _vec3(value, *where)
     n = math.sqrt(x * x + y * y + z * z)
     try:  # v.normalized(), inline unless it must rescale or refuse
-        return _new(Vec3, (x / n, y / n, z / n)) if TOL * TOL < n < math.inf else v.normalized()
+        x, y, z = (x / n, y / n, z / n) if TOL * TOL < n < math.inf else v.normalized()
     except ValueError:
         raise _error(value, "direction must be non-zero", *where) from None
+    return units.get(key := _bits(x, y, z)) or units.setdefault(key, _new(Vec3, (x, y, z)))
 
 
 def _radius(value, *where) -> float:
@@ -586,6 +591,7 @@ def _uses(owner: dict, key: str, ref: str, flag: str, table: dict,
           *where) -> tuple[tuple[int, bool], ...]:
     """``owner[key]``, a non-empty list of ``{ref: <id in table>, flag: <bool>}``
     objects, as ``(id, flag)`` pairs: a loop's oriented edges, a face's bounds.
+    Each id is the ``id`` object of the record it names.
 
     Each item takes one combined check; the first item that fails it is
     checked again field by field, in order, for its error."""
@@ -597,7 +603,7 @@ def _uses(owner: dict, key: str, ref: str, flag: str, table: dict,
         if not (type(item) is dict and type(rid := item.get(ref)) is int and rid in table
                 and type(value := item.get(flag)) is bool):
             raise _use_error(item, ref, flag, table, *where, key, len(pairs))
-        pairs.append((rid, value))
+        pairs.append((table[rid].id, value))
     return tuple(pairs)
 
 
@@ -704,13 +710,20 @@ def load_brep_json(text: str, default_name: str = "") -> Solid:
 
 def _sections(take) -> tuple[str, dict, dict, dict, dict]:
     """The name and the vertex, edge, loop and face maps of the sections
-    ``take(key, default)`` hands out, each read in that order and checked inline."""
+    ``take(key, default)`` hands out, each read in that order and checked inline.
+
+    Equal values are one object: each unit vector is the first one built with
+    its bits, each edge's endpoint is the vertex map's key, and each loop use
+    and face bound names its record by that record's ``id``."""
     name = take("name", "")
     if type(name) is not str:
         raise SchemaError("/name", "expected string")
 
     vertices: dict[int, Vec3] = {}
+    vids: dict[int, int] = {}  # each vertex id to the key object of the vertex map
+    units: dict[bytes, Vec3] = {}
     for i, v, vid in _elements(take, "vertices", "vertex", vertices):
+        vids[vid] = vid
         x, y, z = v.get("x", _ABSENT), v.get("y", _ABSENT), v.get("z", _ABSENT)
         if (type(x) is float and type(y) is float and type(z) is float
                 and _finite(x) and _finite(y) and _finite(z)):
@@ -725,10 +738,11 @@ def _sections(take) -> tuple[str, dict, dict, dict, dict]:
             raise _not_id(start, "edges", i, "start")
         if type(end) is not int:
             raise _not_id(end, "edges", i, "end")
-        if start not in vertices:
+        if start not in vids:
             raise SchemaError(f"/edges/{i}/start", f"unknown vertex {start}")
-        if end not in vertices:
+        if end not in vids:
             raise SchemaError(f"/edges/{i}/end", f"unknown vertex {end}")
+        start, end = vids[start], vids[end]
         cobj = e.get("curve", _ABSENT)
         if type(cobj) is not dict:
             raise _error(cobj, f"expected object, got {type(cobj).__name__}", "edges", i, "curve")
@@ -738,15 +752,15 @@ def _sections(take) -> tuple[str, dict, dict, dict, dict]:
             x, y, z = x - ax, y - ay, z - az
             n = math.sqrt(x * x + y * y + z * z)
             try:  # (b - a).normalized(), inline unless it must rescale or refuse
-                direction = (_new(Vec3, (x / n, y / n, z / n)) if TOL * TOL < n < math.inf
-                             else (b - a).normalized())
+                x, y, z = (x / n, y / n, z / n) if TOL * TOL < n < math.inf else (b - a).normalized()
             except ValueError:
                 raise SchemaError(f"/edges/{i}", "line edge with coincident endpoints") from None
-            curve: CurveGeometry = Line(a, direction)
+            curve: CurveGeometry = Line(
+                a, units.get(key := _bits(x, y, z)) or units.setdefault(key, _new(Vec3, (x, y, z))))
         elif ckind == "circle":
             radius = _radius(cobj.get("radius", _ABSENT), "edges", i, "curve", "radius")
             curve = Circle(_vec3(cobj.get("center", _ABSENT), "edges", i, "curve", "center"),
-                           _unit3(cobj.get("axis", _ABSENT), "edges", i, "curve", "axis"), radius)
+                           _unit3(cobj.get("axis", _ABSENT), units, "edges", i, "curve", "axis"), radius)
         else:
             raise _error(ckind, f"unknown curve kind {ckind!r}", "edges", i, "curve", "kind")
         edges[eid] = Edge(eid, curve, start, end)
@@ -764,12 +778,12 @@ def _sections(take) -> tuple[str, dict, dict, dict, dict]:
         if skind == "plane":
             surface: SurfaceGeometry = Plane(
                 _vec3(sobj.get("origin", _ABSENT), "faces", i, "surface", "origin"),
-                _unit3(sobj.get("normal", _ABSENT), "faces", i, "surface", "normal"))
+                _unit3(sobj.get("normal", _ABSENT), units, "faces", i, "surface", "normal"))
         elif skind == "cylinder":
             radius = _radius(sobj.get("radius", _ABSENT), "faces", i, "surface", "radius")
             surface = Cylinder(
                 _vec3(sobj.get("axis_point", _ABSENT), "faces", i, "surface", "axis_point"),
-                _unit3(sobj.get("axis_dir", _ABSENT), "faces", i, "surface", "axis_dir"), radius)
+                _unit3(sobj.get("axis_dir", _ABSENT), units, "faces", i, "surface", "axis_dir"), radius)
         else:
             raise _error(skind, f"unknown surface kind {skind!r}", "faces", i, "surface", "kind")
         same_sense = f.get("same_sense", _ABSENT)

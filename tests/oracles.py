@@ -9,7 +9,9 @@ theorem oracle sums a planar face's loops in ``Vec3`` arithmetic, projecting
 both ends of every edge use, where the walk reuses a shared vertex's
 projection. The manifold oracle is ``validate_manifold`` as it was before
 its loop walk and its planar fast path: it lists each loop's tails and heads
-and checks every face's vertex set.
+and checks every face's vertex set. The unshared build makes the Solid of a
+valid JSON document with no object shared between two places: each point
+and unit vector is its own ``Vec3``, and each id the document's own int.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 
-from punchplan.brep import Circle, Line, Plane, Violation
+from punchplan.brep import Circle, Cylinder, Edge, Face, Line, Loop, Plane, Solid, Violation
 from punchplan.geom import TOL, Vec3, plane_basis
 
 
@@ -272,3 +274,36 @@ def validate_manifold(solid) -> list[Violation]:
                 add(Violation("vertex_off_surface",
                               f"face {f.id}: vertex {vid} is {d:.3g} mm off the cylinder", f.id))
     return out
+
+
+def unshared_solid(doc: dict) -> Solid:
+    """The Solid of a valid decoded JSON B-Rep document, built apart from the
+    loader and with nothing shared: every coordinate goes through ``float``
+    into a new Vec3, every unit vector is ``Vec3.normalized`` of its own
+    Vec3 (a line's of end minus start), and every id is the document's int."""
+    def point(c) -> Vec3:
+        return Vec3(float(c[0]), float(c[1]), float(c[2]))
+
+    vertices = {v["id"]: point((v["x"], v["y"], v["z"])) for v in doc["vertices"]}
+    edges = {}
+    for e in doc["edges"]:
+        c = e["curve"]
+        if c["kind"] == "line":
+            a, b = vertices[e["start"]], vertices[e["end"]]
+            curve = Line(a, (b - a).normalized())
+        else:
+            curve = Circle(point(c["center"]), point(c["axis"]).normalized(), float(c["radius"]))
+        edges[e["id"]] = Edge(e["id"], curve, e["start"], e["end"])
+    loops = {lp["id"]: Loop(lp["id"], tuple((u["edge"], u["sense"]) for u in lp["oriented_edges"]))
+             for lp in doc["loops"]}
+    faces = {}
+    for f in doc["faces"]:
+        s = f["surface"]
+        if s["kind"] == "plane":
+            surface = Plane(point(s["origin"]), point(s["normal"]).normalized())
+        else:
+            surface = Cylinder(point(s["axis_point"]), point(s["axis_dir"]).normalized(),
+                               float(s["radius"]))
+        faces[f["id"]] = Face(f["id"], surface, f["same_sense"],
+                              tuple((b["loop"], b["outer"]) for b in f["bounds"]))
+    return Solid(doc["name"], vertices, edges, loops, faces)

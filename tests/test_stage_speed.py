@@ -9,7 +9,7 @@ def test_stage_speed_prints_a_row_per_k_and_a_slope_per_stage(capsys):
     assert stage_speed.STAGES == ("parse", "resolve", "step validate", "load", "validate", "table",
                                   "metrics", "pairing", "group")
     assert header == ["k", "file", "faces", *stage_speed.STAGES, "json total", "parse+resolve peak",
-                      "load peak"]
+                      "load peak", "solid kept"]
     rows = [line for line in lines if line.startswith(("| 2 |", "| 3 |"))]
     assert len(rows) == 2
     assert all(row.count("|") == len(header) + 1 and row.endswith(" B per byte |") for row in rows)
