@@ -97,6 +97,8 @@ def _slot_init(cls: type) -> type:
 @_slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class Line:
+    """An edge's straight line: a point on it and its unit direction."""
+
     point: Vec3
     direction: Vec3  # unit
 
@@ -104,6 +106,8 @@ class Line:
 @_slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class Circle:
+    """An arc edge's circle: its centre, unit axis and positive radius."""
+
     center: Vec3
     axis: Vec3  # unit
     radius: float
@@ -119,6 +123,8 @@ CurveGeometry = Union[Line, Circle]
 @_slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class Plane:
+    """A planar face's surface: a point on it and its unit normal."""
+
     origin: Vec3
     normal: Vec3  # unit
 
@@ -126,6 +132,9 @@ class Plane:
 @_slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class Cylinder:
+    """A cylindrical face's surface: a point on its axis, the axis's unit
+    direction and the positive radius."""
+
     axis_point: Vec3
     axis_dir: Vec3  # unit
     radius: float
@@ -141,6 +150,9 @@ SurfaceGeometry = Union[Plane, Cylinder]
 @_slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class Edge:
+    """An edge: its curve and its start and end vertex ids, equal only for a
+    full circle."""
+
     id: int
     curve: CurveGeometry
     start: int  # vertex id
@@ -150,6 +162,9 @@ class Edge:
 @_slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class Loop:
+    """A closed chain of edge uses, each an edge id and whether the loop runs
+    along the edge's own direction."""
+
     id: int
     oriented_edges: tuple[tuple[int, bool], ...]  # (edge id, sense)
 
@@ -157,6 +172,10 @@ class Loop:
 @_slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class Face:
+    """A face: its surface, whether its outward normal is the surface's own
+    (``same_sense``), and its bounding loops, each a loop id and whether it
+    is an outer bound."""
+
     id: int
     surface: SurfaceGeometry
     same_sense: bool
@@ -383,6 +402,9 @@ def face_area(face: Face, solid: Solid) -> float:
 
 @dataclass(frozen=True, slots=True)
 class Violation:
+    """One finding of ``validate_manifold``: its kind, its message and the
+    id of the edge, loop or face it is about, if any."""
+
     kind: str
     message: str
     subject_id: int | None = None

@@ -34,6 +34,8 @@ class EdgeClass(enum.Enum):
 
 @dataclass(frozen=True)
 class EdgeClassTotals:
+    """One feature's count and total length of the edges of each class."""
+
     n_cee: int = 0
     n_iee: int = 0
     n_cie: int = 0
@@ -46,6 +48,9 @@ class EdgeClassTotals:
 
 @dataclass
 class Classification:
+    """The class of each reference-face edge: by feature id, and the
+    isolated exterior edges, which belong to the part as a whole."""
+
     by_feature: dict[int, list[tuple[int, EdgeClass]]]
     part_level: list[tuple[int, EdgeClass]] = field(default_factory=list)
 

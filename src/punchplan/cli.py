@@ -44,7 +44,6 @@ from .resources import (
     lookup,
     merge,
 )
-from .step import StepError, parse_exchange, resolve_brep
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -93,8 +92,13 @@ def _load_solid(path: Path, requested: str) -> tuple[Solid, list[str], int | Non
     freed once decoded, before the Solid is built.
     """
     fmt = _detect_format(path, requested)
+    errors: tuple[type[Exception], ...] = (OSError, BrepError)
     try:
         if fmt == "step":
+            # The Part-21 reader is imported at the first Part-21 file, so a
+            # run on JSON models never compiles it.
+            from .step import StepError, parse_exchange, resolve_brep
+            errors += (StepError,)
             xs = parse_exchange(_read_text(path, EXIT_PARSE))
             warnings = list(xs.warnings)
             for kw, count in sorted(xs.ignored_keywords.items()):
@@ -107,7 +111,7 @@ def _load_solid(path: Path, requested: str) -> tuple[Solid, list[str], int | Non
     except UnicodeEncodeError as exc:
         raise CliError(EXIT_PARSE, f"{path}: part name is not valid UTF-8: {exc.reason} "
                                    f"at character {exc.start}") from None
-    except (OSError, StepError, BrepError) as exc:
+    except errors as exc:
         raise CliError(EXIT_PARSE, f"{path}: {exc}") from None
 
 

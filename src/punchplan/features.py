@@ -83,6 +83,9 @@ class NoParallelFeatureFace(RecognitionError):
 
 @dataclass(frozen=True)
 class SheetMetrics:
+    """The sheet's thickness, its reference face with that face's outward
+    normal, and the face opposite it that fixed the thickness."""
+
     thickness: float
     reference_face: int
     reference_normal: Vec3
@@ -98,6 +101,9 @@ class Role(enum.Enum):
 
 @dataclass(frozen=True)
 class FacePairing:
+    """Each face's role, and each pair of wall or bend faces that face each
+    other across the thickness, by pair id."""
+
     roles: dict[int, Role]
     pairs: dict[int, tuple[int, int]]  # pair id -> the two face ids
 
@@ -116,6 +122,9 @@ class FeatureKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SheetFeature:
+    """A feature: its wall and bend faces (none for a cut), its kind, the
+    reference face's inner loops it owns, and its height once measured."""
+
     id: int
     member_faces: frozenset[int]
     kind: FeatureKind

@@ -39,6 +39,8 @@ class NegativeTravel(ProcessError):
 
 @dataclass(frozen=True)
 class ProcessParameters:
+    """One feature's forces and tool travels."""
+
     Fs: float  # shearing force, N
     Fd: float  # deformation force, N
     Fh: float  # blank holding force, N

@@ -34,6 +34,9 @@ CSV_HEADER = (
 
 @dataclass
 class PartAnalysis:
+    """Everything the report is made from: the solid, what recognition found
+    on it, each feature's edge totals and each unmeasurable feature's error."""
+
     solid: Solid
     metrics: SheetMetrics
     pairing: FacePairing
@@ -73,6 +76,9 @@ def analyze_solid(solid: Solid, cut_height: float | None = None) -> PartAnalysis
 
 @dataclass
 class ReportSettings:
+    """The settings of a report run: a ``kd`` of None takes the tool's force
+    coefficient, and a ``cut_height`` of None the sheet thickness."""
+
     kd: float | None = None
     h1_fraction: float = DEFAULT_H1_FRACTION
     holding_fraction: float = DEFAULT_HOLDING_FRACTION

@@ -41,6 +41,8 @@ class NotFound(ResourceError):
 
 @dataclass(frozen=True)
 class MaterialSpec:
+    """A sheet material and the two stresses the force formulas read."""
+
     name: str
     shear_stress: float  # tau, N/mm^2
     yield_stress: float  # Ys, N/mm^2
@@ -48,6 +50,8 @@ class MaterialSpec:
 
 @dataclass(frozen=True)
 class ToolSpec:
+    """A press: its kind, force coefficient and largest force."""
+
     name: str
     kind: str
     force_coefficient: float  # Kd, dimensionless

@@ -151,6 +151,8 @@ DERIVED = Placeholder.DERIVED
 @_slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class Ref:
+    """A reference to the DATA record of instance name ``#id``."""
+
     id: int
 
     def __repr__(self) -> str:
@@ -159,6 +161,8 @@ class Ref:
 
 @dataclass(frozen=True, slots=True)
 class Enum:
+    """An enumeration value, written ``.NAME.``."""
+
     name: str
 
     def __repr__(self) -> str:
@@ -168,12 +172,17 @@ class Enum:
 @_slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class SimpleEntity:
+    """A simple instance: its keyword and its argument values in order."""
+
     keyword: str
     args: tuple
 
 
 @dataclass(frozen=True, slots=True)
 class ComplexEntity:
+    """A complex instance: each of its partial records' keyword and
+    arguments, in file order."""
+
     parts: tuple[tuple[str, tuple], ...]
 
     @property
@@ -186,6 +195,9 @@ EntityRecord = Union[SimpleEntity, ComplexEntity]
 
 @dataclass
 class ExchangeStructure:
+    """A parsed Part-21 file: the DATA section's id -> record map, the
+    count of each keyword the resolver does not read, and the unit warnings."""
+
     entities: dict[int, EntityRecord]
     ignored_keywords: Counter
     warnings: list[str]
