@@ -23,9 +23,10 @@ import math
 import re
 import struct
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Union
 
-from .geom import TOL, Vec3, _new, distance, plane_basis
+from .geom import ENVELOPE, TOL, Vec3, _new, distance, plane_basis
 
 
 class BrepError(Exception):
@@ -192,7 +193,8 @@ class Solid:
     """Closed-shell B-Rep with an eagerly built edge -> face-use index.
 
     A Solid owns the vertex, edge, loop and face maps it is given; the caller
-    must not change them afterwards.
+    must not change them afterwards. Every coordinate and radius in them
+    lies in [-ENVELOPE, ENVELOPE].
     """
 
     def __init__(
@@ -210,30 +212,63 @@ class Solid:
         self.faces = faces
         # Adjacency counts every loop use; a well-formed solid has two uses per edge.
         # Building it checks each reference once: edge vertices, loop edges, face loops.
+        # The same loops gather the points and radii of the curves and surfaces.
+        placed: list[Vec3] = []
+        radii: list[float] = []
         uses: dict[int, list[int]] = {}
-        for eid, e in self.edges.items():
-            for vid in (e.start, e.end):
-                if vid not in self.vertices:
-                    raise BrepError(f"edge {e.id} references unknown vertex {vid}")
+        for eid, e in edges.items():
+            if (start := vertices.get(e.start)) is None or e.end not in vertices:
+                raise BrepError(f"edge {e.id} references unknown vertex "
+                                f"{e.end if start is not None else e.start}")
             uses[eid] = []
+            c = e.curve
+            if type(c) is Circle:
+                placed.append(c.center)
+                radii.append(c.radius)
+            elif c.point is not start:
+                placed.append(c.point)
         loop_uses: dict[int, list[list[int]]] = {}
-        for lid, lp in self.loops.items():
+        for lid, lp in loops.items():
             try:
                 loop_uses[lid] = [uses[eid] for eid, _ in lp.oriented_edges]
             except KeyError as exc:
                 raise BrepError(f"loop {lp.id} references unknown edge {exc.args[0]}") from None
-        for f in self.faces.values():
+        for f in faces.values():
             for lid, _ in f.bounds:
                 if lid not in loop_uses:
                     raise BrepError(f"face {f.id} references unknown loop {lid}")
                 for fids in loop_uses[lid]:
                     fids.append(f.id)
+            g = f.surface
+            if type(g) is Plane:
+                placed.append(g.origin)
+            else:
+                placed.append(g.axis_point)
+                radii.append(g.radius)
+        # The norm of all those values is at least the largest, and NaN or inf if one is.
+        if not math.hypot(*chain.from_iterable(vertices.values()), *chain.from_iterable(placed),
+                          *radii) <= ENVELOPE:
+            _check_envelope(self)
         self.edge_uses: dict[int, tuple[int, ...]] = {
             eid: tuple(fids) for eid, fids in uses.items()
         }
 
     def vertex(self, vid: int) -> Vec3:
         return self.vertices[vid]
+
+
+def _check_envelope(solid: Solid) -> None:
+    """Raise a BrepError naming the first vertex, else edge, else face with a
+    coordinate or radius outside [-ENVELOPE, ENVELOPE], and its field and value."""
+    named = [("vertex", vid, "", p) for vid, p in solid.vertices.items()]
+    named += [(kind, r.id, n, getattr(g, n)) for kind, records in (("edge", solid.edges), ("face", solid.faces))
+              for r in records.values() for g in [r.curve if kind == "edge" else r.surface]
+              for n in ("point", "center", "origin", "axis_point", "radius") if hasattr(g, n)]
+    for kind, rid, field, value in named:
+        for axis, c in zip("xyz", value) if isinstance(value, tuple) else (("", value),):
+            if not -ENVELOPE <= c <= ENVELOPE:
+                raise BrepError(f"{kind} {rid}: {f'{field} {axis}'.strip()} = {c!r} is outside "
+                                f"the coordinate envelope [-{ENVELOPE:g}, {ENVELOPE:g}] mm")
 
 
 def _full_circle(edge: Edge, start: Vec3, end: Vec3) -> bool:
@@ -310,7 +345,7 @@ def _walk_face(solid: Solid, face: Face, d: Vec3, e: Vec3,
     whatever d and e are: straight segments contribute the shoelace cross
     term; arcs contribute the exact integral r^2*phi/2 plus the chordal part,
     with phi signed by traversal direction and by the circle axis relative to
-    the face normal. An area that is not finite is a :class:`BrepError`.
+    the face normal.
     """
     vertices, edges, loops = solid.vertices, solid.edges, solid.loops
     arcs = {} if arcs is None else arcs
@@ -384,13 +419,7 @@ def _walk_face(solid: Solid, face: Face, d: Vec3, e: Vec3,
         spans = (lo, hi, min(es), max(es)) if both else (lo, hi, lo, hi)
     else:
         spans = math.inf, -math.inf, math.inf, -math.inf
-    if not planar:
-        return *spans, None
-    area = outer - holes
-    if not math.isfinite(area):
-        # The shoelace products of a part this large overflow.
-        raise BrepError(f"face {face.id} is too large to measure: its area is not finite ({area})")
-    return *spans, area
+    return *spans, outer - holes if planar else None
 
 
 def face_area(face: Face, solid: Solid) -> float:
@@ -479,7 +508,7 @@ def validate_manifold(solid: Solid) -> list[Violation]:
                     add(Violation("endpoint_off_curve",
                                   f"edge {e.id}: vertex {vid} is off its circle by "
                                   f"(plane {off_plane:.3g}, radius {off_radius:.3g}) mm", e.id))
-            elif p is not curve.point:  # (p - p) x d is 0 or NaN: JSON lines start at a vertex
+            elif p is not curve.point:  # (p - p) x d is 0: JSON lines start at a vertex
                 (x, y, z), (qx, qy, qz), (dx, dy, dz) = p, curve.point, curve.direction
                 x, y, z = x - qx, y - qy, z - qz
                 x, y, z = y * dz - z * dy, z * dx - x * dz, x * dy - y * dx
@@ -770,13 +799,13 @@ def _sections(take) -> tuple[str, dict, dict, dict, dict]:
             raise _error(cobj, f"expected object, got {type(cobj).__name__}", "edges", i, "curve")
         ckind = cobj.get("kind", _ABSENT)
         if ckind == "line":
+            # (b - a).normalized() inline: only past the envelope can the squares overflow.
             (ax, ay, az), (x, y, z) = a, b = vertices[start], vertices[end]
             x, y, z = x - ax, y - ay, z - az
             n = math.sqrt(x * x + y * y + z * z)
-            try:  # (b - a).normalized(), inline unless it must rescale or refuse
-                x, y, z = (x / n, y / n, z / n) if TOL * TOL < n < math.inf else (b - a).normalized()
-            except ValueError:
-                raise SchemaError(f"/edges/{i}", "line edge with coincident endpoints") from None
+            if not n > TOL * TOL:
+                raise SchemaError(f"/edges/{i}", "line edge with coincident endpoints")
+            x, y, z = x / n, y / n, z / n
             curve: CurveGeometry = Line(
                 a, units.get(key := _bits(x, y, z)) or units.setdefault(key, _new(Vec3, (x, y, z))))
         elif ckind == "circle":

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
@@ -270,19 +269,15 @@ class FaceTable:
     pair across them then gives one ``_signed_separation`` double, up to the
     sign of a zero, in either order:
 
-    - each term on a zero component of the normal is +-0, as long as no
-      coordinate difference overflows;
+    - each term on a zero component of the normal is +-0, since within the
+      envelope no coordinate difference overflows;
     - each other term has the same two factors for every member;
     - swapping the two faces negates both factors of each term, which is
       exact.
 
     The dot product of the two normals is one double too, and all members of
     a class share one plane offset. So one face pair stands for the whole
-    class pair. Where a coordinate difference between plane origins could
-    overflow, that is where twice the largest plane-origin 1-norm is not
-    below the largest double, classes are keyed by the normal and the whole
-    origin instead: an overflow makes ``inf * 0``, NaN, which skips the
-    pair, and only faces with equal origins are sure to share that.
+    class pair.
 
     Classes are bucketed by the grid cell of their outward normal; each
     bucket is a pair of lists, the class plane offsets ``origin . normal``
@@ -303,7 +298,7 @@ class FaceTable:
     line's distance from the origin in cells of 64 reaches. Coaxial lines'
     points nearest the origin are at most TOL plus ANGULAR_TOL times the axis
     point's norm apart, within the reach: TOL plus twice ANGULAR_TOL times the
-    largest axis-point 1-norm. Where a distance could overflow, axes alone key.
+    largest axis-point 1-norm.
 
     ``opposite`` maps each outward normal of a planar face to its negation
     and the buckets that may hold its anti-parallel partners. Normals that
@@ -323,15 +318,11 @@ class FaceTable:
                                 key=lambda g: (g.radius, g.id))
         extent = max((_norm1(g.origin) for g in self.planes), default=0.0)
         self.window = TOL + 2.0 * ANGULAR_TOL * extent
-        whole = 2.0 * extent >= sys.float_info.max
         keyed: dict[tuple, list[FaceGeometry]] = {}
         for g in self.planes:
             n = g.normal
-            if whole:
-                key = n, g.origin
-            else:
-                (x, y, z), (nx, ny, nz) = g.origin, n
-                key = n, x if nx else 0.0, y if ny else 0.0, z if nz else 0.0
+            (x, y, z), (nx, ny, nz) = g.origin, n
+            key = n, x if nx else 0.0, y if ny else 0.0, z if nz else 0.0
             same = keyed.get(key)
             if same is None:
                 keyed[key] = [g]
@@ -352,9 +343,8 @@ class FaceTable:
                 opposed = -n
                 self.opposite[n] = (opposed, [buckets[k] for k in _cells_near(opposed) if k in buckets])
         spread = max((_norm1(g.face.surface.axis_point) for g in self.cylinders), default=0.0)
-        apart = 2.0 * spread < sys.float_info.max
-        reach = TOL + 2.0 * ANGULAR_TOL * spread if apart else 0.0
-        size = 64.0 * reach if apart else 1.0
+        reach = TOL + 2.0 * ANGULAR_TOL * spread
+        size = 64.0 * reach
         turns = {d: (_cell(d), _cells_near(d) + _cells_near(-d))  # its cell; the cells near it or -it
                  for d in {g.axis for g in self.cylinders}}
         axes: dict[tuple, list[FaceGeometry]] = {}
@@ -362,7 +352,7 @@ class FaceTable:
         for g in self.cylinders:
             (px, py, pz), (dx, dy, dz) = g.face.surface.axis_point, g.axis
             along = px * dx + py * dy + pz * dz
-            r = math.hypot(px - dx * along, py - dy * along, pz - dz * along) if apart else 0.0
+            r = math.hypot(px - dx * along, py - dy * along, pz - dz * along)
             cell, cells = turns[g.axis]
             axes.setdefault((cell, round(r / size)), []).append(g)
             rs = range(round((r - reach) / size), round((r + reach) / size) + 1)
@@ -453,7 +443,7 @@ def compute_thickness(solid: Solid) -> float:
 
     Each plane class reads the classes :meth:`FaceTable.opposed` finds within
     the window-widened best separation so far of its own plane (all of them
-    while none is known); a class outside lies farther away than the best.
+    while it is inf); a class outside lies farther away than the best.
     A class whose normal is the exact negative is measured once, by the
     first members (both bounds are in :class:`FaceTable`); across any other
     class every face pair is measured with the lower face id first, as in
@@ -462,17 +452,17 @@ def compute_thickness(solid: Solid) -> float:
     same double.
     """
     table = face_table(solid)
-    best: float | None = None
+    best = math.inf
     for c in table.classes:
         a = c[0]
-        x, r = -a.offset, math.inf if best is None else best + table.window
+        x, r = -a.offset, best + table.window
         for b, exact in table.opposed(a, x - r, x + r):
             across = ((a, b[0]),) if exact else ((f, g) if f.id < g.id else (g, f) for f in c for g in b)
             for lo, hi in across:
                 if not lo.normal.dot(hi.normal) <= -_COS_ANGULAR_TOL:
                     continue
                 sep = abs(_signed_separation(lo, hi))
-                if sep > TOL and (best is None or sep < best):
+                if TOL < sep < best:
                     best = sep
     # With the cylinders in radius order, b.radius - a.radius rounds to the
     # same double as abs(a.radius - b.radius) and never shrinks along the
@@ -483,12 +473,12 @@ def compute_thickness(solid: Solid) -> float:
         r = a.radius
         for b in cylinders[bisect_right(cylinders, TOL, i + 1, key=lambda g: g.radius - r):]:
             d = b.radius - r
-            if best is not None and not d < best:
+            if not d < best:
                 break
             lo, hi = (a, b) if a.id < b.id else (b, a)
             if _coaxial(lo.face.surface, hi.face.surface):
                 best = d
-    if best is None:
+    if best == math.inf:
         raise NoParallelPairs()
     return best
 

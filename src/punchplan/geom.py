@@ -12,6 +12,10 @@ from operator import itemgetter
 
 # Coincidence tolerance for points/lengths (mm).
 TOL = 1e-6
+# Bound on every coordinate and radius of a Solid (mm), checked where one is
+# built: below it a coordinate's ulp is at most 1.2e-7 mm, an eighth of TOL,
+# and no product recognition forms overflows. Directions are not bounded.
+ENVELOPE = 1e9
 # Angular tolerance for parallel / anti-parallel tests (rad).
 ANGULAR_TOL = 1e-6
 # "Facing the same direction" test for feature heights: dot product floor.

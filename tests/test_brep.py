@@ -30,7 +30,7 @@ from punchplan.brep import (
     face_normal,
     validate_manifold,
 )
-from punchplan.geom import vec
+from punchplan.geom import ENVELOPE, vec
 
 
 def tiny_solid(edges_spec):
@@ -554,18 +554,17 @@ def test_violations_pinned_vertex_off_cylinder(l_bend):
     ]
 
 
-def test_json_line_end_vertex_can_be_off_its_line():
-    # A JSON line runs from its start vertex along the normalized difference
-    # of its endpoints; far from the origin, rounding can leave the end vertex
-    # more than TOL off that line, so the end-vertex test is not vacuous.
-    rng = random.Random(3)
-    for _ in range(1000):
-        a, b = ([rng.uniform(-1e10, 1e10) for _ in range(3)] for _ in range(2))
-        s = tiny_solid([(Line(vec(*a), (vec(*b) - vec(*a)).normalized()), a, b)])
-        found = [v for v in _violations(s) if v[0] == "endpoint_off_curve"]
-        if found:
-            break
-    assert found == [("endpoint_off_curve", "edge 1: vertex 2 is 1.97e-06 mm off its line", 1)]
+def test_line_end_vertex_can_be_off_its_line():
+    # Within the envelope a JSON line, which runs from its start vertex's own
+    # Vec3 along the normalized difference of its endpoints, passes within
+    # 3.6e-7 mm of its end vertex. A line with a point of its own, as a
+    # Part-21 LINE has, can miss its end vertex by more than TOL: that is the
+    # case the end-vertex test serves.
+    point = vec(0, 0, 0)
+    s = tiny_solid([(Line(point, vec(1, 2e-8, 0).normalized()), (0, 0, 0), (100, 0, 0))])
+    assert s.vertices[1] == point and s.vertices[1] is not point
+    found = [v for v in _violations(s) if v[0] == "endpoint_off_curve"]
+    assert found == [("endpoint_off_curve", "edge 1: vertex 2 is 2e-06 mm off its line", 1)]
 
 
 def test_solid_reference_errors_pinned(flat_sheet):
@@ -586,3 +585,83 @@ def test_solid_reference_errors_pinned(flat_sheet):
         with pytest.raises(BrepError) as exc:
             Solid("bad", s.vertices, edges, loops, faces)
         assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Coordinate envelope
+# ---------------------------------------------------------------------------
+
+PAST = math.nextafter(ENVELOPE, math.inf)
+
+
+def _outside(name: str, value: float) -> str:
+    return f"{name} = {value!r} is outside the coordinate envelope [-1e+09, 1e+09] mm"
+
+
+def _with_vertex(s, vid, p):
+    return Solid(s.name, {**s.vertices, vid: p}, s.edges, s.loops, s.faces)
+
+
+def _with_edge_curve(s, eid, curve):
+    e = s.edges[eid]
+    return Solid(s.name, s.vertices, {**s.edges, eid: Edge(eid, curve, e.start, e.end)}, s.loops, s.faces)
+
+
+def _with_surface(s, fid, surface):
+    f = s.faces[fid]
+    return _with_face(s, Face(fid, surface, f.same_sense, f.bounds))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda s: _with_vertex(s, 3, vec(100, math.nan, 0)), _outside("vertex 3: y", math.nan)),
+    (lambda s: _with_vertex(s, 1, vec(-PAST, 0, 0)), _outside("vertex 1: x", -PAST)),
+    (lambda s: _with_surface(s, 2, Plane(vec(0, 0, math.inf), vec(0, 0, 1))),
+     _outside("face 2: origin z", math.inf)),
+    (lambda s: _with_edge_curve(s, 5, Circle(vec(50, 40, 0), vec(0, 0, 1), PAST)),
+     _outside("edge 5: radius", PAST)),
+    (lambda s: _with_edge_curve(s, 5, Circle(vec(50, 40, -PAST), vec(0, 0, 1), 10.0)),
+     _outside("edge 5: center z", -PAST)),
+    (lambda s: _with_surface(s, 7, Cylinder(vec(50, PAST, 0), vec(0, 0, 1), 10.0)),
+     _outside("face 7: axis_point y", PAST)),
+    (lambda s: _with_surface(s, 7, Cylinder(vec(50, 40, 0), vec(0, 0, 1), math.inf)),
+     _outside("face 7: radius", math.inf)),
+    (lambda s: _with_edge_curve(s, 1, Line(vec(math.nan, 0, 0), vec(1, 0, 0))),
+     _outside("edge 1: point x", math.nan)),
+], ids=["nan-vertex", "vertex-past", "inf-plane-origin", "circle-radius-past", "circle-center-past",
+        "cylinder-axis-point-past", "cylinder-radius-inf", "nan-line-point"])
+def test_solid_refuses_a_value_outside_the_envelope(hole_sheet, build, message):
+    with pytest.raises(BrepError) as exc:
+        build(hole_sheet)
+    assert str(exc.value) == message
+
+
+def test_solid_names_a_vertex_then_an_edge_then_a_face_outside_the_envelope(hole_sheet):
+    s = hole_sheet
+    e, f, last = s.edges[5], s.faces[1], max(s.vertices)
+    vertices = {**s.vertices, last: vec(math.inf, 0, 0)}
+    edges = {**s.edges, 5: Edge(5, Circle(vec(50, 40, 0), vec(0, 0, 1), PAST), e.start, e.end)}
+    faces = {**s.faces, 1: Face(1, Plane(vec(0, 0, -PAST), vec(0, 0, -1)), f.same_sense, f.bounds)}
+    for maps, message in [
+        ((vertices, edges, faces), _outside(f"vertex {last}: x", math.inf)),
+        ((s.vertices, edges, faces), _outside("edge 5: radius", PAST)),
+        ((s.vertices, s.edges, faces), _outside("face 1: origin z", -PAST)),
+    ]:
+        with pytest.raises(BrepError) as exc:
+            Solid("far", maps[0], maps[1], s.loops, maps[2])
+        assert str(exc.value) == message
+
+
+def test_solid_takes_values_on_the_envelope(hole_sheet):
+    # Every bound is inclusive, radii and line points included; directions are not bounded.
+    s = _with_vertex(hole_sheet, 1, vec(-ENVELOPE, ENVELOPE, -ENVELOPE))
+    s = _with_edge_curve(s, 5, Circle(vec(50, 40, ENVELOPE), vec(0, 0, 1e300), ENVELOPE))
+    s = _with_edge_curve(s, 1, Line(vec(ENVELOPE, 0, 0), vec(1, 0, 0)))
+    s = _with_surface(s, 1, Plane(vec(0, 0, -ENVELOPE), vec(0, 0, -1)))
+    _with_surface(s, 7, Cylinder(vec(ENVELOPE, -ENVELOPE, 0), vec(0, 0, 1), ENVELOPE))
+
+
+def test_solid_checks_references_before_the_envelope(flat_sheet):
+    e = flat_sheet.edges[3]
+    edges = {**flat_sheet.edges, 3: Edge(3, e.curve, e.start, 99)}
+    with pytest.raises(BrepError, match="^edge 3 references unknown vertex 99$"):
+        Solid("bad", {**flat_sheet.vertices, 1: vec(math.nan, 0, 0)}, edges, flat_sheet.loops, flat_sheet.faces)

@@ -1,5 +1,6 @@
 """Command-line behaviour: output shapes, exit codes, determinism."""
 import json
+import math
 import os
 import re
 import stat
@@ -15,6 +16,7 @@ import stepwriter
 from conftest import INT_DIGIT_LIMIT, fixture_path, needs_digit_limit
 from punchplan import cli
 from punchplan.cli import main
+from punchplan.geom import ENVELOPE
 from punchplan.report import CSV_HEADER
 from test_step_parser import INCH_UNIT, INCH_WARNING
 
@@ -1231,8 +1233,10 @@ def test_force_that_overflows_fails_its_feature(capsys, tmp_path, option, force,
         assert f"feature 1: ERROR {message}\n" in out
 
 
-# Past about 1e154 mm the shoelace products of a part's face areas overflow;
-# at 1e307 the coordinates themselves do.
+# Every scale puts the fixture past the 1e9 mm envelope: past about 1e154
+# mm the shoelace products of its face areas would overflow, and at 1e307 its
+# coordinates themselves do. The Part-21 copies past about 1e154 stop earlier,
+# at the writer's ``inf.``.
 HUGE_SCALES = [150, 155, 200, 300, 307]
 JSON_FIXTURES = sorted(p.name for p in fixture_path(".").glob("*.json"))
 
@@ -1247,32 +1251,61 @@ def test_fixture_scaled_past_measure_ends_with_a_documented_exit(capsys, tmp_pat
     path.write_text(json.dumps(doc) if suffix == ".json" else stepwriter.write_step(doc)[0],
                     encoding="utf-8")
     for command in ("inspect", "features", "params"):
-        code, _, err = run(capsys, command, str(path))
-        if code == 0:
-            assert err == ""
-        else:
-            assert code in (2, 3, 5)
-            assert err.startswith("error: ") and err.count("\n") == 1
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+PAST_ENVELOPE = "is outside the coordinate envelope [-1e+09, 1e+09] mm"
 
 
 @pytest.mark.parametrize("command", ["inspect", "features", "params"])
-def test_part_too_large_to_measure_exits_3(capsys, tmp_path, command):
+def test_part_past_the_envelope_exits_2(capsys, tmp_path, command):
     doc = modelzoo.scale_doc(modelzoo.fixture_row4_bridge(), 1e155)
     path = write_doc(tmp_path, doc, "row4_bridge.json")
     assert run(capsys, command, str(path)) == (
-        3, "", "error: face 1 is too large to measure: its area is not finite (nan)\n")
+        2, "", f"error: {path}: vertex 2: x = 1e+157 {PAST_ENVELOPE}\n")
 
 
-def test_batch_records_a_part_too_large_to_measure(capsys, tmp_path):
+def test_batch_records_a_part_past_the_envelope(capsys, tmp_path):
     models = tmp_path / "models"
     models.mkdir()
-    write_doc(models, modelzoo.scale_doc(modelzoo.fixture_row4_bridge(), 1e155), "huge.json")
+    path = write_doc(models, modelzoo.scale_doc(modelzoo.fixture_row4_bridge(), 1e155), "huge.json")
     code, out, _ = run(capsys, "batch", str(models), "--out-dir", str(tmp_path / "reports"))
     assert (code, out) == (1, "processed 1 model(s), 0 ok, 1 failed\n")
     index = json.loads((tmp_path / "reports" / "index.json").read_text(encoding="utf-8"))
     assert index["results"] == [{
         "file": "huge.json", "status": "error", "report": None,
-        "error": "face 1 is too large to measure: its area is not finite (nan)"}]
+        "error": f"{path}: vertex 2: x = 1e+157 {PAST_ENVELOPE}"}]
+
+
+def _box_reaching(tmp_path, x: float, suffix: str) -> Path:
+    """The modelzoo box moved along x until its largest coordinate is x, as JSON or Part-21."""
+    doc = modelzoo.transform_doc(modelzoo.box_doc(), None, (x - 100.0, 0.0, 0.0))
+    assert max(max(v["x"], v["y"], v["z"]) for v in doc["vertices"]) == x
+    path = tmp_path / f"box{suffix}"
+    path.write_text(json.dumps(doc) if suffix == ".json" else stepwriter.write_step(doc)[0],
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("suffix", [".json", ".step"])
+def test_a_part_reaching_the_envelope_reports_as_at_the_origin(capsys, tmp_path, suffix):
+    (tmp_path / "origin").mkdir()
+    at_origin = _box_reaching(tmp_path / "origin", 100.0, suffix)
+    at_edge = _box_reaching(tmp_path, ENVELOPE, suffix)
+    for command in ("inspect", "features", "params"):
+        edge = run(capsys, command, str(at_edge))
+        assert edge == run(capsys, command, str(at_origin)) and edge[0] == 0
+
+
+@pytest.mark.parametrize("suffix, vertex", [(".json", 2), (".step", 4)])
+def test_a_part_one_ulp_past_the_envelope_exits_2(capsys, tmp_path, suffix, vertex):
+    past = math.nextafter(ENVELOPE, math.inf)
+    path = _box_reaching(tmp_path, past, suffix)
+    for command in ("inspect", "features", "params"):
+        assert run(capsys, command, str(path)) == (
+            2, "", f"error: {path}: vertex {vertex}: x = 1000000000.0000001 {PAST_ENVELOPE}\n")
 
 
 # ---------------------------------------------------------------------------

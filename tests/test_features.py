@@ -14,7 +14,6 @@ import oracles
 from conftest import fixture_path, solid_from
 from punchplan import brep, features
 from punchplan.brep import Circle, Cylinder, Face, Loop, Plane, Solid
-from punchplan.cli import main
 from punchplan.features import (
     AmbiguousPairing,
     FacePairing,
@@ -35,7 +34,7 @@ from punchplan.features import (
     select_reference_face,
     sheet_metrics,
 )
-from punchplan.geom import ANGULAR_TOL, is_anti_parallel, plane_basis, vec
+from punchplan.geom import ANGULAR_TOL, ENVELOPE, is_anti_parallel, plane_basis, vec
 
 
 # ---------------------------------------------------------------------------
@@ -777,10 +776,10 @@ def test_across_matches_a_full_scan_on_skins_near_a_tolerance(solid):
     _assert_across_is_a_full_scan(solid, 2.0)
 
 
-def _split_rod(x: float = 1e308) -> dict:
+def _split_rod(x: float) -> dict:
     """A 0.5 x 0.25 rod from -x to +x. Its long faces are split at 0, and each
-    half's plane origin sits at its own end, so that no face's span from its
-    origin overflows, while origins across the halves differ by 2x."""
+    half's plane origin sits at its own end, so origins across the halves
+    differ by 2x along x, where those faces' normals are zero."""
     w, h = 0.5, 0.25
     b = modelzoo.DocBuilder("rod")
     b.plane_face((x, 0, h), (0, 0, 1), modelzoo.rect_xy(0, 0, x, w, h))
@@ -796,40 +795,33 @@ def _split_rod(x: float = 1e308) -> dict:
     return b.doc()
 
 
-def test_origins_whose_difference_overflows_keep_their_pairs_apart():
-    # Faces 1 and 4 lie at +1e308, faces 2 and 3 at -1e308 along x, where
-    # the normals are zero. Across the halves the separation is inf * 0,
-    # NaN, and the pair is skipped; within a half it is the thickness.
-    s = solid_from(_split_rod())
-    assert anti_parallel_pair_distances(s) == [(1, 4, 0.25), (2, 3, 0.25), (5, 6, 0.5), (7, 8, math.inf)]
-    metrics = sheet_metrics(s)
-    assert metrics == SheetMetrics(0.25, 1, vec(0, 0, 1), 4)
-    pairing = pair_faces(s, metrics)
-    assert pairing.pairs == {1: (2, 3)}
-    assert [pairing.role_of(f) for f in range(1, 9)] == [Role.REFERENCE, Role.WALL, Role.WALL,
-                                                          Role.REFERENCE] + [Role.SIDE] * 4
+def test_origins_whose_difference_would_overflow_are_refused():
+    # At x = 1e308 the origins across the halves would differ by inf along x,
+    # and inf * 0 is NaN: the Solid refuses the first vertex past the
+    # envelope. At its edge they differ by 2e9, each term on a zero normal
+    # component is 0, and a face pair across the halves is one thickness
+    # apart like a pair within one, so each half's top face shares its
+    # bottom one's plane class with the other half's.
+    with pytest.raises(brep.BrepError) as exc:
+        solid_from(_split_rod(1e308))
+    assert str(exc.value) == "vertex 2: x = 1e+308 is outside the coordinate envelope [-1e+09, 1e+09] mm"
+    s = solid_from(_split_rod(ENVELOPE))
+    assert anti_parallel_pair_distances(s) == [(1, 3, 0.25), (1, 4, 0.25), (2, 3, 0.25), (2, 4, 0.25),
+                                               (5, 6, 0.5), (7, 8, 2e9)]
+    assert sorted(sorted(g.id for g in c) for c in features.face_table(s).classes) == [
+        [1, 2], [3, 4], [5], [6], [7], [8]]
+    assert sheet_metrics(s) == SheetMetrics(0.25, 1, vec(0, 0, 1), 3)
+    _assert_across_is_a_full_scan(s, 0.25)
 
 
-def test_a_height_that_is_not_finite_fails_its_feature(capsys, tmp_path):
-    # Feature 1's height is face 2's separation from reference face 1, whose
-    # origins are 2e308 apart along x, where the normal is zero: inf * 0, NaN.
-    path = tmp_path / "rod.json"
-    path.write_text(json.dumps(_split_rod()), encoding="utf-8")
-    out = tmp_path / "rod.report.json"
-    assert main(["params", str(path), "--out", str(out)]) == 5
-    assert capsys.readouterr().err == ("error: none of 1 feature(s) produced parameters; "
-                                       "first: feature 1 has height nan, which is not finite\n")
-
-    def reject(constant):
-        raise ValueError(f"{constant} is not JSON")
-
-    [block] = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)["features"]
-    assert (block["h"], block["params"]) == (None, None)
-    assert block["error"] == "feature 1 has height nan, which is not finite"
-    assert main(["features", str(path)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert "feature 1: kind=formed h=? members=[2,3]" in lines
-    assert "  note: feature 1 has height nan, which is not finite" in lines
+def test_a_height_that_is_not_finite_fails_its_feature(hole_sheet):
+    # The command line takes only a finite --cut-height; a library caller can
+    # pass inf, and the cut feature gets a note, never an infinite height.
+    metrics = sheet_metrics(hole_sheet)
+    [cut] = group_features(hole_sheet, pair_faces(hole_sheet, metrics), metrics)
+    assert cut.kind is FeatureKind.CUT
+    assert measure_heights(hole_sheet, metrics, [cut], cut_height=math.inf) == (
+        [cut], {cut.id: f"feature {cut.id} has height inf, which is not finite"})
 
 
 def test_cylinder_coaxiality_is_tested_in_face_id_order():

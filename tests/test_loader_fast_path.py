@@ -1,10 +1,10 @@
 """The JSON loader's inline fast path builds the doubles of the checked helpers.
 
-``brep.load_brep_json`` builds each vertex from three finite floats, and
-each unit direction whose length lies strictly between TOL**2 and inf, with
-inline arithmetic; anything else goes to ``brep._coords`` and
-``Vec3.normalized``. Every record must come out bit for bit as those two
-would build it from the document.
+``brep.load_brep_json`` builds each vertex from three finite floats, each
+line direction, and each other unit direction whose length lies strictly
+between TOL**2 and inf, with inline arithmetic; anything else goes to
+``brep._coords`` and ``Vec3.normalized``. Every record must come out bit for
+bit as those two would build it from the document.
 """
 import json
 import math
@@ -78,14 +78,14 @@ def test_random_sheets_and_their_poses_load_as_the_checked_helpers_build_them(se
     _assert_checked(_posed(doc, rng))
 
 
-def test_a_sheet_whose_squared_lengths_overflow_loads_as_the_checked_helpers_build_it():
-    # At 1e155 every squared edge length overflows: each line direction
-    # takes Vec3.normalized's power-of-two rescale.
+def test_a_sheet_whose_squared_lengths_overflow_is_refused_at_its_first_vertex():
+    # At 1e155 every squared edge length overflows, which the inline line
+    # direction does not rescale: the Solid refuses such vertices, past the
+    # envelope, before any direction is used. Within it no square overflows.
     doc = modelzoo.scale_doc(modelzoo.random_sheet(random.Random(3))[0], 1e155)
-    solid = solid_from(doc)
-    assert all(math.isinf((solid.vertices[e.end] - solid.vertices[e.start]).norm())
-               for e in solid.edges.values() if isinstance(e.curve, Line))
-    _assert_checked(doc)
+    with pytest.raises(brep.BrepError) as exc:
+        solid_from(doc)
+    assert str(exc.value) == "vertex 2: x = 8.8e+156 is outside the coordinate envelope [-1e+09, 1e+09] mm"
 
 
 def test_integer_coordinates_load_as_the_checked_helpers_build_them():

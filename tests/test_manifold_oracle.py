@@ -5,10 +5,10 @@ all close, reads only its uses' head vertices; every other face goes through
 the vertex set the oracle checks. Both must give the same violations, with the
 same messages, in the same order, on random sheets and the fixtures, whole and
 with planted faults: a vertex moved off its plane, one use of a loop reversed,
-a vertex shared by two loops of one face, a NaN coordinate, or an edge used
-three times; and a use reversed with the vertex it headed, which then heads
-no use of the open loop, moved off the face's plane. A random sheet takes up
-to two.
+a vertex shared by two loops of one face, or an edge used three times; and a
+use reversed with the vertex it headed, which then heads no use of the open
+loop, moved off the face's plane. A random sheet takes up to two. A NaN
+coordinate never reaches the check: the Solid refuses it when it is built.
 """
 import math
 import random
@@ -21,11 +21,11 @@ import modelzoo
 import oracles
 from conftest import fixture_path, solid_from
 from punchplan import load_brep_json, load_step
-from punchplan.brep import Edge, Face, Loop, Plane, Solid, validate_manifold
+from punchplan.brep import BrepError, Edge, Face, Loop, Plane, Solid, validate_manifold
 from punchplan.geom import TOL, vec
 
 FIXTURES = sorted(p.name for p in fixture_path(".").iterdir() if p.suffix in (".json", ".step"))
-FAULTS = ("none", "off_plane", "reversed_use", "shared_vertex", "nan", "three_uses", "open_off_plane")
+FAULTS = ("none", "off_plane", "reversed_use", "shared_vertex", "three_uses", "open_off_plane")
 
 
 def _fixture(name: str) -> Solid:
@@ -78,11 +78,6 @@ def _planted(solid: Solid, fault: str, rng: random.Random) -> Solid:
         bounds = f.bounds + ((g.bounds[0][0], False),)
         return Solid(solid.name, vertices, solid.edges, loops,
                      {**faces, f.id: Face(f.id, f.surface, f.same_sense, bounds)})
-    if fault == "nan":
-        vid = rng.choice(sorted(vertices))
-        moved = list(vertices[vid])
-        moved[rng.randrange(3)] = math.nan
-        return _moved(solid, vid, vec(*moved))
     if fault == "open_off_plane":
         f = rng.choice(sorted((f for f in faces.values() if isinstance(f.surface, Plane)),
                               key=lambda face: face.id))
@@ -137,9 +132,22 @@ def test_fixtures_give_the_oracles_violations(name, fault):
         "none": set(),
         "off_plane": {"vertex_off_surface"},
         "reversed_use": {"open_loop"},
-        "nan": set(),
         "three_uses": {"non_manifold_edge"},
         "open_off_plane": {"open_loop", "vertex_off_surface"},
     }
     if fault in expected:
         assert expected[fault] <= found, found
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixtures_with_a_nan_coordinate_are_refused_when_built(name):
+    solid = _fixture(name)
+    rng = random.Random(0)
+    for _ in range(12):
+        vid, axis = rng.choice(sorted(solid.vertices)), rng.randrange(3)
+        moved = list(solid.vertices[vid])
+        moved[axis] = math.nan
+        with pytest.raises(BrepError) as exc:
+            _moved(solid, vid, vec(*moved))
+        assert str(exc.value) == (f"vertex {vid}: {'xyz'[axis]} = nan is outside the coordinate "
+                                  "envelope [-1e+09, 1e+09] mm")

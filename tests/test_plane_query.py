@@ -11,9 +11,9 @@ import inputs
 import modelzoo
 from conftest import fixture_path, solid_from
 from punchplan import features
-from punchplan.brep import Face, Loop, Plane, Solid
-from punchplan.features import NoOppositeFace, anti_parallel_pair_distances, compute_thickness, sheet_metrics
-from punchplan.geom import is_anti_parallel, vec
+from punchplan.brep import BrepError, Face, Loop, Plane, Solid
+from punchplan.features import SheetMetrics, anti_parallel_pair_distances, compute_thickness, sheet_metrics
+from punchplan.geom import ENVELOPE, is_anti_parallel, vec
 from test_features import FAR, POSES, _TILT, _jitter_directions, _straddling_skins, _turned
 
 
@@ -64,16 +64,22 @@ def test_opposed_finds_every_class_on_skins_near_a_tolerance(solid):
     _assert_opposed_finds_every_anti_parallel_class(solid)
 
 
-def test_a_separation_that_overflows_is_an_infinite_thickness():
-    # Two opposed planes at z = -1.7e308 and +1.7e308: their separation
-    # overflows to inf. The search starts from no separation at all, so inf
-    # is the thickness and not "no pair"; no face lies inf away within the
-    # window, so the metrics find no opposite face.
-    surfaces = (Plane(vec(0, 0, -1.7e308), vec(0, 0, -1)), Plane(vec(0, 0, 1.7e308), vec(0, 0, 1)))
+def _opposed_planes(z: float) -> Solid:
+    """Two faces without edges on the planes z = -z and z = +z, facing away."""
+    surfaces = (Plane(vec(0, 0, -z), vec(0, 0, -1)), Plane(vec(0, 0, z), vec(0, 0, 1)))
     faces = {fid: Face(fid, surface, True, ((1, True),)) for fid, surface in enumerate(surfaces, 1)}
-    solid = Solid("far", {}, {}, {1: Loop(1, ())}, faces)
-    assert anti_parallel_pair_distances(solid) == [(1, 2, math.inf)]
-    assert compute_thickness(solid) == math.inf
-    with pytest.raises(NoOppositeFace) as exc:
-        sheet_metrics(solid)
-    assert (exc.value.reference_face, exc.value.thickness) == (1, math.inf)
+    return Solid("far", {}, {}, {1: Loop(1, ())}, faces)
+
+
+def test_planes_whose_separation_would_overflow_are_refused():
+    # At z = -1.7e308 and +1.7e308 the separation would overflow to inf; the
+    # Solid refuses the first origin, outside the envelope. At its edge the
+    # separation, 2e9, is finite, and it is the thickness, which the search,
+    # starting from inf, finds as any other.
+    with pytest.raises(BrepError) as exc:
+        _opposed_planes(1.7e308)
+    assert str(exc.value) == "face 1: origin z = -1.7e+308 is outside the coordinate envelope [-1e+09, 1e+09] mm"
+    solid = _opposed_planes(ENVELOPE)
+    assert anti_parallel_pair_distances(solid) == [(1, 2, 2e9)]
+    assert compute_thickness(solid) == 2e9
+    assert sheet_metrics(solid) == SheetMetrics(2e9, 1, vec(0, 0, -1), 2)
